@@ -30,7 +30,6 @@ from tailvol import (
     FilterSpec,
     FilterState,
     ForwardVarianceCurve,
-    Garch11Spec,
     GarchSpec,
     McConfig,
     NoiseModel,
@@ -42,8 +41,6 @@ from tailvol import (
     expansion_integrals,
     bs_price,
     chain_from_ensemble,
-    garch11_varswap,
-    garch11_varswap_mc,
     market_moment_triple,
     model_moments,
     noise_moments,
@@ -51,6 +48,7 @@ from tailvol import (
     pricing_params,
     replicate_moments,
     simulate_pricing,
+    varswap_price,
 )
 
 
@@ -158,16 +156,24 @@ def study_expansion_order(n_paths: int) -> None:
 
 def study_antithetic(n_paths: int) -> None:
     print("\nC. antithetic variance reduction, variance-swap payoff")
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.3, length_days=20.0, dt_years=1.0 / 252.0)
+    # GARCH(1,1): a constant anchor at 0.04 with weight 0.7 plus a 20-day EMA
+    spec = GarchSpec(
+        filters=(FilterSpec(math.inf, 0.7), FilterSpec(20.0, 0.3)), dt_years=1.0 / 252.0
+    )
+    state = FilterState.from_levels([0.04, 0.09], spec, dt.date(2024, 1, 2))
     premia = RiskPremia(0.3, 0.0, 0.0)
     mom = noise_moments(NoiseModel())
-    x0, tau = 0.09, 0.5
-    closed = garch11_varswap(x0, spec11, premia, tau)
+    tau = 0.5
+    closed = varswap_price(state, omega_eigen(spec, premia), premia, tau)
 
     print(f"{'pairing':>12} {'estimate':>12} {'stderr':>10} {'z vs closed':>12}")
     for anti in (False, True):
         cfg = McConfig(n_paths=n_paths, seed=11, antithetic=anti)
-        mc, se = garch11_varswap_mc(spec11, premia, x0, mom, tau, cfg)
+        int_var = simulate_pricing(spec, premia, state, mom, (tau,), cfg).int_var[0]
+        if anti:
+            int_var = 0.5 * (int_var[0::2] + int_var[1::2])
+        mc = float(np.mean(int_var))
+        se = float(np.std(int_var, ddof=1) / math.sqrt(int_var.size))
         label = "antithetic" if anti else "plain"
         print(f"{label:>12} {mc:>12.6f} {se:>10.2e} {(mc - closed) / se:>12.2f}")
     print(f"{'closed form':>12} {closed:>12.6f}")

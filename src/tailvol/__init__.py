@@ -8,194 +8,19 @@ from a cumulant expansion, model-free moment replication from option strips,
 sequential premia calibration, and a Monte Carlo pricer for everything else.
 """
 
-from .calibration import (
-    CalibrationError,
-    CalibrationInput,
-    CalibrationResult,
-    StageResult,
-    calibrate_sequential,
-    fit_lambda2,
-    fit_lambda3,
-    fit_lambda4,
-)
-from .estimation import (
-    FitResult,
-    FreeParams,
-    ParamBounds,
-    ReturnPanel,
-    fit_garch,
-    pooled_nll,
-)
-from .expansion import (
-    ExpansionCoefficients,
-    ExpansionIntegrals,
-    ForwardVarianceCurve,
-    ImpliedMomentTriple,
-    atm_skew,
-    expansion_coefficients,
-    expansion_integrals,
-    model_moments,
-    psi,
-)
-from .filters import (
-    TRADING_DAYS_PER_YEAR,
-    VARIANCE_FLOOR,
-    DataError,
-    FilterKind,
-    FilterSpec,
-    FilterState,
-    GarchSpec,
-    NoiseModel,
-    ReturnSeries,
-    compute_filters,
-    ema_update,
-    filter_path,
-    simulate_panel_returns,
-    simulate_realworld,
-    variance_forecast,
-)
-from .measure import (
-    EigenSystem,
-    Garch11Spec,
-    ModelError,
-    NoiseMoments,
-    PremiaBoundError,
-    PremiaCheck,
-    PricingParams,
-    RiskPremia,
-    decay_integral,
-    eigen_from_omega,
-    filter_cov_matrix,
-    forward_variance,
-    garch11_varswap,
-    garch11_varswap_slope,
-    kurtosis_bound,
-    noise_moments,
-    omega_eigen,
-    omega_matrix,
-    pca_loadings,
-    pricing_params,
-    spot_cov_products,
-    validate_premia,
-    varswap_price,
-)
-from .pricer import (
-    DriftCheckResult,
-    McConfig,
-    PathEnsemble,
-    SmileSurface,
-    chain_from_ensemble,
-    garch11_varswap_mc,
-    price_european,
-    realworld_drift_check,
-    simulate_pricing,
-    smile,
-)
-from .replication import (
-    OptionChain,
-    OptionKind,
-    Quote,
-    bs_delta,
-    bs_price,
-    bs_vega,
-    implied_vol,
-    market_moment_triple,
-    replicate_moments,
-    select_otm,
-    trapezoid_weights,
-)
+from . import calibration, estimation, expansion, filters, measure, pricer, replication
+from .calibration import *  # noqa: F401,F403
+from .estimation import *  # noqa: F401,F403
+from .expansion import *  # noqa: F401,F403
+from .filters import *  # noqa: F401,F403
+from .measure import *  # noqa: F401,F403
+from .pricer import *  # noqa: F401,F403
+from .replication import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # filters
-    "TRADING_DAYS_PER_YEAR",
-    "VARIANCE_FLOOR",
-    "DataError",
-    "FilterKind",
-    "FilterSpec",
-    "FilterState",
-    "GarchSpec",
-    "NoiseModel",
-    "ReturnSeries",
-    "compute_filters",
-    "ema_update",
-    "filter_path",
-    "simulate_panel_returns",
-    "simulate_realworld",
-    "variance_forecast",
-    # estimation
-    "FitResult",
-    "FreeParams",
-    "ParamBounds",
-    "ReturnPanel",
-    "fit_garch",
-    "pooled_nll",
-    # measure
-    "EigenSystem",
-    "Garch11Spec",
-    "ModelError",
-    "NoiseMoments",
-    "PremiaBoundError",
-    "PremiaCheck",
-    "PricingParams",
-    "RiskPremia",
-    "decay_integral",
-    "eigen_from_omega",
-    "filter_cov_matrix",
-    "forward_variance",
-    "garch11_varswap",
-    "garch11_varswap_slope",
-    "kurtosis_bound",
-    "noise_moments",
-    "omega_eigen",
-    "omega_matrix",
-    "pca_loadings",
-    "pricing_params",
-    "spot_cov_products",
-    "validate_premia",
-    "varswap_price",
-    # expansion
-    "ExpansionCoefficients",
-    "ExpansionIntegrals",
-    "ForwardVarianceCurve",
-    "ImpliedMomentTriple",
-    "atm_skew",
-    "expansion_coefficients",
-    "expansion_integrals",
-    "model_moments",
-    "psi",
-    # replication
-    "OptionChain",
-    "OptionKind",
-    "Quote",
-    "bs_delta",
-    "bs_price",
-    "bs_vega",
-    "implied_vol",
-    "market_moment_triple",
-    "replicate_moments",
-    "select_otm",
-    "trapezoid_weights",
-    # calibration
-    "CalibrationError",
-    "CalibrationInput",
-    "CalibrationResult",
-    "StageResult",
-    "calibrate_sequential",
-    "fit_lambda2",
-    "fit_lambda3",
-    "fit_lambda4",
-    # pricer
-    "DriftCheckResult",
-    "McConfig",
-    "PathEnsemble",
-    "SmileSurface",
-    "chain_from_ensemble",
-    "garch11_varswap_mc",
-    "price_european",
-    "realworld_drift_check",
-    "simulate_pricing",
-    "smile",
-]
+#: The library modules whose ``__all__`` lists make up the package surface;
+#: ``tailvol.data`` and ``tailvol.cli`` are reached as submodules.
+_MODULES = (filters, estimation, measure, expansion, replication, calibration, pricer)
+
+__all__ = ["__version__", *(name for module in _MODULES for name in module.__all__)]

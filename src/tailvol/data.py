@@ -234,10 +234,15 @@ def config_digest(obj: dict) -> str:
 
 
 def spec_to_dict(spec: GarchSpec) -> dict:
+    """JSON form of a spec; a constant filter's infinite length is ``null``."""
     return {
         "dt_years": spec.dt_years,
         "filters": [
-            {"length_days": f.length_days, "weight": f.weight, "kind": f.kind.value}
+            {
+                "length_days": f.length_days if math.isfinite(f.length_days) else None,
+                "weight": f.weight,
+                "kind": f.kind.value,
+            }
             for f in spec.filters
         ],
     }
@@ -247,7 +252,7 @@ def spec_from_dict(obj: dict) -> GarchSpec:
     try:
         filters = tuple(
             FilterSpec(
-                length_days=float(f["length_days"]),
+                length_days=math.inf if f["length_days"] is None else float(f["length_days"]),
                 weight=float(f["weight"]),
                 kind=FilterKind(f.get("kind", "symmetric")),
             )

@@ -33,7 +33,6 @@ __all__ = [
     "FreeParams",
     "ParamBounds",
     "FitResult",
-    "DataError",
     "pooled_nll",
     "fit_garch",
 ]

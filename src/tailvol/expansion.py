@@ -109,18 +109,6 @@ class ExpansionIntegrals:
     jff: np.ndarray
     jmu: np.ndarray
 
-    @property
-    def ixf(self) -> np.ndarray:
-        return self.jxf * self.rates
-
-    @property
-    def iff(self) -> np.ndarray:
-        return self.jff * np.outer(self.rates, self.rates)
-
-    @property
-    def imu(self) -> np.ndarray:
-        return self.jmu * self.rates[None, :]
-
 
 def _panel_nodes(a: float, b: float, max_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [a, b], panelized on the fastest scale."""

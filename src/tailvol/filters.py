@@ -12,6 +12,8 @@ where each filter is either
     asymmetric:  X^i_t = (2/dt) * EMA_{L_i}[ r_t^2 * 1_{r_t < 0} ]
 
 and the EMA recursion is ``EMA_L[x_t] = (1 - 1/L) EMA_L[x_{t-1}] + x_t / L``.
+A filter of infinite length is a constant: it keeps its initial level, which
+is how the unconditional-variance anchor of a GARCH(1,1) is written.
 Returns follow ``r_t = sqrt(nu_{t-1} * dt) * eps_t`` with i.i.d. unit-variance
 noise.  Filter states are annualized variances (1/years).
 """
@@ -66,7 +68,11 @@ class FilterKind(str, Enum):
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """One EMA filter: a time scale in days, a weight and a kind."""
+    """One EMA filter: a time scale in days, a weight and a kind.
+
+    ``length_days=math.inf`` is a constant filter: it never moves, so its
+    mean-reversion rate and vol-of-vol are zero and its kind is irrelevant.
+    """
 
     length_days: float
     weight: float
@@ -74,8 +80,8 @@ class FilterSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", FilterKind(self.kind))
-        if not (math.isfinite(self.length_days) and self.length_days > 0.0):
-            raise ValueError(f"filter length must be finite and > 0, got {self.length_days}")
+        if not self.length_days > 0.0:
+            raise ValueError(f"filter length must be > 0, got {self.length_days}")
         if not math.isfinite(self.weight):
             raise ValueError(f"filter weight must be finite, got {self.weight}")
 
@@ -84,9 +90,9 @@ class FilterSpec:
 class GarchSpec:
     """A complete filter bank: weights must sum to one.
 
-    An effectively frozen baseline filter (the unconditional-variance
-    anchor) is represented by a long but finite length, conventionally
-    1000 days.
+    The unconditional-variance anchor is a constant filter
+    (``length_days=math.inf``); GARCH(1,1) is a constant filter of weight
+    ``1 - alpha`` plus one EMA of weight ``alpha``.
     """
 
     filters: tuple[FilterSpec, ...]
@@ -123,11 +129,13 @@ class GarchSpec:
 
     @property
     def has_symmetric(self) -> bool:
-        return bool((~self.is_asymmetric).any())
+        """Whether a moving symmetric filter (one with a noise factor) exists."""
+        return bool((~self.is_asymmetric & np.isfinite(self.lengths)).any())
 
     @property
     def has_asymmetric(self) -> bool:
-        return bool(self.is_asymmetric.any())
+        """Whether a moving asymmetric filter exists."""
+        return bool((self.is_asymmetric & np.isfinite(self.lengths)).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,8 +309,9 @@ def compute_filters(
     """Run all filters over a return series, one state per observation date.
 
     With ``init=None`` every filter is seeded with the sample variance of the
-    first ``min(L_i, 60)`` returns and the first ``max(L_i)`` states are
-    flagged as burn-in.  An explicit initial state suppresses the flag.
+    first ``min(L_i, 60)`` returns and the first ``max(L_i)`` states, over
+    the finite lengths, are flagged as burn-in.  An explicit initial state
+    suppresses the flag.
     """
     if init is not None and init.x.size != spec.n_filters:
         raise ValueError("initial state does not match spec")
@@ -312,7 +321,8 @@ def compute_filters(
     for i, f in enumerate(spec.filters):
         levels[:, i] = filter_path(drivers[:, i], f.length_days, x0[i])
 
-    warmup = int(math.ceil(max(f.length_days for f in spec.filters))) if init is None else 0
+    finite = [f.length_days for f in spec.filters if math.isfinite(f.length_days)]
+    warmup = int(math.ceil(max(finite, default=0.0))) if init is None else 0
     if init is None and len(series) <= warmup:
         warnings.warn(
             f"series has {len(series)} observations, shorter than the "
@@ -360,35 +370,18 @@ def simulate_realworld(
 ) -> tuple[ReturnSeries, list[FilterState]]:
     """Simulate the discrete return model under the real-world measure.
 
-    Returns the simulated series together with the filter-state path; the
-    run is reproducible from the seed.
+    Returns the simulated series (column 0 of :func:`simulate_panel_returns`
+    from ``init.x``) together with its filter-state path; the run is
+    reproducible from the seed.
     """
     if init.x.size != spec.n_filters:
         raise ValueError("initial state does not match spec")
     if n_days < 1:
         raise ValueError("n_days must be >= 1")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    eps = noise.sample(rng, n_days)
-    inv_len = 1.0 / spec.lengths
-    asym = spec.is_asymmetric
-    weights = spec.weights
-
-    x = init.x.copy()[:, None]
-    nu = np.array([init.nu])
-    returns = np.empty(n_days)
-    levels = np.empty((n_days, spec.n_filters))
-    sqrt_dt = math.sqrt(spec.dt_years)
-    for k in range(n_days):
-        returns[k] = math.sqrt(nu[0]) * sqrt_dt * eps[k]
-        _step_filters(x, nu, eps[k : k + 1], inv_len, asym)
-        nu = np.maximum(weights @ x, VARIANCE_FLOOR)
-        levels[k] = x[:, 0]
+    returns = simulate_panel_returns(spec, init.x, noise, n_days, 1, seed)[:, 0]
     dates = tuple(init.as_of + dt.timedelta(days=k + 1) for k in range(n_days))
     series = ReturnSeries(dates=dates, returns=returns)
-    states = [
-        FilterState.from_levels(levels[k], spec, dates[k]) for k in range(n_days)
-    ]
-    return series, states
+    return series, compute_filters(series, spec, init=init)
 
 
 def simulate_panel_returns(
@@ -401,8 +394,9 @@ def simulate_panel_returns(
 ) -> np.ndarray:
     """Simulate many independent return paths at once, shape (n_days, n_series).
 
-    Used to build synthetic estimation panels; all paths start from the same
-    filter levels ``x0``.
+    This is the real-world simulator behind :func:`simulate_realworld`, the
+    hedged-book drift check and synthetic estimation panels; all paths start
+    from the same filter levels ``x0``.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     eps = noise.sample(rng, (n_days, n_series))

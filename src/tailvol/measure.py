@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -37,7 +36,6 @@ __all__ = [
     "PremiaCheck",
     "PricingParams",
     "EigenSystem",
-    "Garch11Spec",
     "noise_moments",
     "pricing_params",
     "spot_cov_products",
@@ -50,8 +48,7 @@ __all__ = [
     "omega_eigen",
     "forward_variance",
     "varswap_price",
-    "garch11_varswap",
-    "garch11_varswap_slope",
+    "varswap_slope",
     "decay_integral",
 ]
 
@@ -242,11 +239,11 @@ class PricingParams:
     rho_cross_resid: float
     is_asymmetric: np.ndarray
 
-    def correlation_matrix(self) -> np.ndarray:
-        """Full correlation of (spot factor, filter factors)."""
-        loads = pca_loadings(self)
-        full = np.vstack([np.array([1.0, 0.0, 0.0, 0.0]), loads])
-        return full @ full.T
+
+def _drift_targets(spec: GarchSpec, lambda2: float) -> np.ndarray:
+    """Premium-shifted drift targets ``delta_i``: ``1 + lambda2`` for
+    symmetric filters, ``1 + 2 lambda2`` for asymmetric ones."""
+    return np.where(spec.is_asymmetric, 1.0 + 2.0 * lambda2, 1.0 + lambda2)
 
 
 def pricing_params(
@@ -262,7 +259,7 @@ def pricing_params(
         raise PremiaBoundError(list(check.violations))
     asym = spec.is_asymmetric
     theta = 1.0 / (spec.lengths * spec.dt_years)
-    delta = np.where(asym, 1.0 + 2.0 * premia.lambda2, 1.0 + premia.lambda2)
+    delta = _drift_targets(spec, premia.lambda2)
     s_arg = mom.m4 - 1.0 + premia.lambda4
     a_arg = 2.0 * mom.m4 - 1.0 + 4.0 * premia.lambda4
     sqrt_dt = math.sqrt(spec.dt_years)
@@ -405,9 +402,7 @@ def omega_eigen(spec: GarchSpec, premia: RiskPremia) -> EigenSystem:
     """Generator eigensystem for a spec under given premia (only ``lambda2``
     enters, through the drift targets)."""
     theta = 1.0 / (spec.lengths * spec.dt_years)
-    delta = np.where(
-        spec.is_asymmetric, 1.0 + 2.0 * premia.lambda2, 1.0 + premia.lambda2
-    )
+    delta = _drift_targets(spec, premia.lambda2)
     return eigen_from_omega(omega_matrix(theta, delta, spec.weights), spec.weights)
 
 
@@ -442,6 +437,21 @@ def forward_variance(
     return float(vals) if vals.ndim == 0 else vals
 
 
+def varswap_slope(eig: EigenSystem, premia: RiskPremia, maturity) -> np.ndarray:
+    """Sensitivity ``g(tau) = dV/dx`` of the variance-swap price to the filter
+    levels, shape (n_filters,) or (n_maturities, n_filters).
+
+    The price is linear in the levels, ``V = g(tau) @ x``; a constant
+    filter's entry carries the long-run level it anchors.
+    """
+    maturity = np.asarray(maturity, dtype=float)
+    if (maturity <= 0.0).any():
+        raise ValueError("maturity must be > 0")
+    decay = decay_integral(eig.rates[None, :], np.atleast_1d(maturity)[:, None])
+    g = (decay * ((1.0 + premia.lambda2) * eig.weights_tilde)) @ eig.u_inv
+    return g[0] if maturity.ndim == 0 else g
+
+
 def varswap_price(
     state: FilterState, eig: EigenSystem, premia: RiskPremia, maturity
 ) -> np.ndarray | float:
@@ -450,74 +460,5 @@ def varswap_price(
     Quoted in total variance units; divide by the maturity and take a
     square root for a fair-strike volatility.
     """
-    maturity = np.asarray(maturity, dtype=float)
-    if (maturity <= 0.0).any():
-        raise ValueError("maturity must be > 0")
-    coeffs = (1.0 + premia.lambda2) * eig.weights_tilde * eig.state_coords(state.x)
-    vals = decay_integral(eig.rates[None, :], np.atleast_1d(maturity)[:, None]) @ coeffs
-    return float(vals[0]) if maturity.ndim == 0 else vals
-
-
-@dataclass(frozen=True)
-class Garch11Spec:
-    """Single-filter model with an explicit unconditional variance level.
-
-    The forecast is ``nu = nu_bar (1 - alpha) + alpha X`` with one symmetric
-    EMA filter of the given length.
-    """
-
-    nu_bar: float
-    alpha: float
-    length_days: float
-    dt_years: float = 1.0 / 252.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nu_bar) and self.nu_bar >= 0.0):
-            raise ValueError(f"nu_bar must be >= 0, got {self.nu_bar}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (math.isfinite(self.length_days) and self.length_days >= 1.0):
-            raise ValueError(f"length must be >= 1 day, got {self.length_days}")
-        if not (math.isfinite(self.dt_years) and self.dt_years > 0.0):
-            raise ValueError("dt_years must be positive")
-
-    @property
-    def theta(self) -> float:
-        return 1.0 / (self.length_days * self.dt_years)
-
-    def forecast(self, x) -> np.ndarray | float:
-        return self.nu_bar * (1.0 - self.alpha) + self.alpha * np.asarray(x, float)
-
-
-def _garch11_coeffs(spec: Garch11Spec, premia: RiskPremia) -> tuple[float, float, float]:
-    c = spec.alpha * (1.0 + premia.lambda2)
-    if c >= 1.0:
-        raise ModelError(
-            f"alpha (1 + lambda2) = {c:.6f} >= 1: pricing dynamics are non-stationary"
-        )
-    theta_eff = spec.theta * (1.0 - c)
-    x_bar = spec.nu_bar * (1.0 - spec.alpha) * (1.0 + premia.lambda2) / (1.0 - c)
-    return c, theta_eff, x_bar
-
-
-def garch11_varswap(x, spec: Garch11Spec, premia: RiskPremia, tau) -> np.ndarray | float:
-    """Closed-form variance-swap price for the single-filter model.
-
-    ``x`` is the current filter level (scalar or array); ``tau`` the time to
-    maturity in years.  The price interpolates between the spot level and a
-    premium-shifted long-run level at the effective mean-reversion rate.
-    """
-    x = np.asarray(x, dtype=float)
-    tau_arr = np.asarray(tau, dtype=float)
-    if (tau_arr < 0.0).any():
-        raise ValueError("tau must be >= 0")
-    c, theta_eff, x_bar = _garch11_coeffs(spec, premia)
-    val = x_bar * tau_arr + c * decay_integral(theta_eff, tau_arr) * (x - x_bar)
-    return float(val) if val.ndim == 0 else val
-
-
-def garch11_varswap_slope(spec: Garch11Spec, premia: RiskPremia, tau) -> np.ndarray | float:
-    """Sensitivity of the single-filter varswap price to the filter level."""
-    c, theta_eff, _ = _garch11_coeffs(spec, premia)
-    val = c * decay_integral(theta_eff, np.asarray(tau, dtype=float))
-    return float(val) if val.ndim == 0 else val
+    vals = varswap_slope(eig, premia, maturity) @ state.x
+    return float(vals) if vals.ndim == 0 else vals

@@ -35,18 +35,24 @@ import numpy as np
 from scipy.special import ndtri
 
 from .expansion import ForwardVarianceCurve
-from .filters import FilterState, GarchSpec, NoiseModel, VARIANCE_FLOOR
+from .filters import (
+    VARIANCE_FLOOR,
+    FilterState,
+    GarchSpec,
+    NoiseModel,
+    _filter_drivers,
+    filter_path,
+    simulate_panel_returns,
+)
 from .measure import (
-    Garch11Spec,
     ModelError,
     NoiseMoments,
     RiskPremia,
-    _garch11_coeffs,
-    garch11_varswap,
-    garch11_varswap_slope,
+    _drift_targets,
     omega_eigen,
     pca_loadings,
     pricing_params,
+    varswap_slope,
 )
 from .replication import OptionChain, OptionKind, Quote, bs_delta, bs_vega, implied_vol
 
@@ -59,7 +65,6 @@ __all__ = [
     "price_european",
     "chain_from_ensemble",
     "smile",
-    "garch11_varswap_mc",
     "realworld_drift_check",
 ]
 
@@ -387,71 +392,6 @@ def smile(
     )
 
 
-def garch11_varswap_mc(
-    spec11: Garch11Spec,
-    premia: RiskPremia,
-    x0: float,
-    mom: NoiseMoments,
-    tau: float,
-    cfg: McConfig,
-) -> tuple[float, float]:
-    """Monte Carlo total effective variance for the single-filter model.
-
-    Simulates ``dX = theta ((1 + lambda2) nu - X) dt + xi nu dZ`` with
-    ``nu = nu_bar (1 - alpha) + alpha X`` and returns (mean, standard error)
-    of the trapezoid-accumulated ``int (1 + lambda2) nu dt`` — the quantity
-    :func:`tailvol.measure.garch11_varswap` prices in closed form.  The
-    linear drift is propagated exactly, so the estimator's bias is the
-    second-order trapezoid error only.  A short final step absorbs any
-    remainder of ``tau`` that is not a whole number of steps, so the
-    integral ends exactly at ``tau`` rather than at a snapped horizon.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    _, theta_eff, x_bar = _garch11_coeffs(spec11, premia)
-    dt = spec11.dt_years / cfg.steps_per_day
-    n_full = int(math.floor(tau / dt + 1e-9))
-    remainder = tau - n_full * dt
-    step_dt = np.full(n_full, dt)
-    if remainder > 1e-9 * dt or n_full == 0:
-        step_dt = np.append(step_dt, max(remainder, 1e-12))
-    n_steps = step_dt.size
-    growth = 1.0 + premia.lambda2
-    s_arg = mom.m4 - 1.0 + premia.lambda4
-    if s_arg <= 0.0:
-        raise ModelError("vol-of-vol argument m4 - 1 + lambda4 must be positive")
-    xi = math.sqrt(s_arg) / (spec11.length_days * math.sqrt(spec11.dt_years))
-    decays = np.exp(-theta_eff * step_dt)
-    sqrt_step = np.sqrt(step_dt)
-
-    total = cfg.n_paths
-    est = np.empty(total)
-    for start in range(0, total, cfg.block_size):
-        width = min(cfg.block_size, total - start)
-        block = start // cfg.block_size
-        if cfg.antithetic:
-            half = width // 2
-            raw = _block_normals(cfg.seed, block, (n_steps, half))
-            z = np.empty((n_steps, width))
-            z[:, 0::2] = raw
-            z[:, 1::2] = -raw
-        else:
-            z = _block_normals(cfg.seed, block, (n_steps, width))
-
-        x = np.full(width, float(x0))
-        int_var = np.zeros(width)
-        zeta = growth * np.maximum(spec11.forecast(x), VARIANCE_FLOOR)
-        for step in range(n_steps):
-            h = step_dt[step]
-            nu = zeta / growth
-            x = x_bar + decays[step] * (x - x_bar) + xi * nu * (z[step] * sqrt_step[step])
-            zeta_next = growth * np.maximum(spec11.forecast(x), VARIANCE_FLOOR)
-            int_var += 0.5 * (zeta + zeta_next) * h
-            zeta = zeta_next
-        est[start : start + width] = int_var
-    return _mean_se(est, cfg.antithetic)
-
-
 @dataclass(frozen=True)
 class DriftCheckResult:
     """Realized vs predicted daily drift of a hedged long-varswap book."""
@@ -468,9 +408,10 @@ class DriftCheckResult:
 
 
 def realworld_drift_check(
-    spec11: Garch11Spec,
+    spec: GarchSpec,
     premia: RiskPremia,
     noise: NoiseModel,
+    state0: FilterState,
     n_paths: int,
     n_days: int,
     seed: int,
@@ -479,50 +420,40 @@ def realworld_drift_check(
     """Mark a varswap at model value along real-world paths and compare the
     daily P&L drift with the premium prediction.
 
-    The book is long a varswap plus the accrued realized variance; its fair
-    one-day drift is ``-lambda2 (dV/dX nu / L + nu dt)`` (the model value is
-    linear in the filter level, so no higher-order terms enter).  The
+    The paths are :func:`tailvol.filters.simulate_panel_returns` from
+    ``state0``.  The book is long a varswap plus the accrued realized
+    variance; the model value is ``g(tau) @ x`` (linear in the filter
+    levels, so no higher-order terms enter) and the book's fair one-day
+    drift is ``-(sum_i g_i (delta_i - 1) / L_i + lambda2 dt) nu``.  The
     returned z-score tests the ensemble mean of the daily residuals, which
     are martingale differences under the model.
     """
     if n_paths < 2 or n_days < 2:
         raise ValueError("need at least 2 paths and 2 days")
-    dt = spec11.dt_years
-    maturity = n_days * dt + maturity_buffer_years
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    if state0.x.size != spec.n_filters:
+        raise ValueError("initial state does not match spec")
+    dt = spec.dt_years
+    returns = simulate_panel_returns(spec, state0.x, noise, n_days, n_paths, seed)
+    drivers = _filter_drivers(returns, spec)
+    x = np.empty((n_days + 1, spec.n_filters, n_paths))
+    x[0] = state0.x[:, None]
+    for i, f in enumerate(spec.filters):
+        x[1:, i] = filter_path(drivers[:, i], f.length_days, state0.x[i])
+    nu = np.maximum(np.einsum("i,dip->dp", spec.weights, x[:-1]), VARIANCE_FLOOR)
 
-    x = np.full(n_paths, spec11.nu_bar)
-    taus = maturity - dt * np.arange(n_days + 1)
-    v_prev = garch11_varswap(x, spec11, premia, taus[0])
-    resid_sum = 0.0
-    resid_sq = 0.0
-    measured_sum = 0.0
-    predicted_sum = 0.0
-    n_total = 0
-    inv_l = 1.0 / spec11.length_days
-    for day in range(1, n_days + 1):
-        nu = spec11.forecast(x)
-        eps = noise.sample(rng, n_paths)
-        r2 = nu * dt * eps**2
-        x = x + inv_l * (nu * eps**2 - x)
-        v_now = garch11_varswap(x, spec11, premia, taus[day])
-        pnl = v_now - v_prev + r2
-        slope = garch11_varswap_slope(spec11, premia, taus[day - 1])
-        predicted = -premia.lambda2 * (slope * nu * inv_l + nu * dt)
-        resid = pnl - predicted
-        resid_sum += float(np.sum(resid))
-        resid_sq += float(np.sum(resid**2))
-        measured_sum += float(np.sum(pnl))
-        predicted_sum += float(np.sum(predicted))
-        n_total += n_paths
-        v_prev = v_now
-    mean_resid = resid_sum / n_total
-    var_resid = resid_sq / n_total - mean_resid**2
-    se = math.sqrt(max(var_resid, 1e-300) / n_total)
+    taus = n_days * dt + maturity_buffer_years - dt * np.arange(n_days + 1)
+    g = varswap_slope(omega_eigen(spec, premia), premia, taus)
+    value = np.einsum("di,dip->dp", g, x)
+    pnl = np.diff(value, axis=0) + returns**2
+    excess = (_drift_targets(spec, premia.lambda2) - 1.0) / spec.lengths
+    predicted = -(g[:-1] @ excess + premia.lambda2 * dt)[:, None] * nu
+    resid = pnl - predicted
+    n_total = resid.size
+    se = math.sqrt(max(float(np.var(resid)), 1e-300) / n_total)
     return DriftCheckResult(
-        measured=measured_sum / n_total,
-        predicted=predicted_sum / n_total,
+        measured=float(np.mean(pnl)),
+        predicted=float(np.mean(predicted)),
         stderr=se,
-        z_score=mean_resid / se,
+        z_score=float(np.mean(resid)) / se,
         n_path_days=n_total,
     )

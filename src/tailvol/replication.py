@@ -35,7 +35,6 @@ __all__ = [
     "Quote",
     "OptionChain",
     "QuadratureWeights",
-    "DataError",
     "trapezoid_weights",
     "bs_price",
     "bs_delta",

@@ -26,21 +26,18 @@ from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, Nois
 from tailvol.estimation import FreeParams, ReturnPanel, fit_garch
 from tailvol.filters import simulate_panel_returns
 from tailvol.measure import (
-    Garch11Spec,
     RiskPremia,
-    garch11_varswap,
-    garch11_varswap_slope,
     kurtosis_bound,
     noise_moments,
     omega_eigen,
     pricing_params,
     validate_premia,
     varswap_price,
+    varswap_slope,
 )
 from tailvol.pricer import (
     McConfig,
     chain_from_ensemble,
-    garch11_varswap_mc,
     realworld_drift_check,
     simulate_pricing,
 )
@@ -82,39 +79,54 @@ def _chain_triple(chain):
     return market_moment_triple(m1, m2, m3, chain.expiry_years)
 
 
-def _recursion_total_variance(spec11, x0, tau):
+def _garch11(nu_bar, alpha, length, x):
+    """GARCH(1,1): a constant anchor of weight 1 - alpha plus one EMA."""
+    spec = GarchSpec(
+        filters=(FilterSpec(math.inf, 1.0 - alpha), FilterSpec(length, alpha)),
+        dt_years=1.0 / 252.0,
+    )
+    return spec, FilterState.from_levels([nu_bar, x], spec, dt.date(2024, 1, 2))
+
+
+def _varswap(spec, state, premia, tau):
+    return varswap_price(state, omega_eigen(spec, premia), premia, tau)
+
+
+def _recursion_total_variance(spec, x0, tau):
     """Direct day-by-day expectation recursion; the discrete ground truth."""
-    step = spec11.dt_years
+    anchor, ema = spec.filters
+    step = spec.dt_years
     n = int(round(tau / step))
-    ex, total = x0, 0.0
+    ex, total = x0[1], 0.0
     for _ in range(n):
-        enu = spec11.nu_bar * (1.0 - spec11.alpha) + spec11.alpha * ex
+        enu = anchor.weight * x0[0] + ema.weight * ex
         total += enu * step
-        ex = (1.0 - 1.0 / spec11.length_days) * ex + enu / spec11.length_days
+        ex = (1.0 - 1.0 / ema.length_days) * ex + enu / ema.length_days
     return total
 
 
 def test_criterion_1_single_filter_varswap(capsys, gaussian_moments):
     start = time.perf_counter()
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.3, length_days=20.0, dt_years=1.0 / 252.0)
-    x0 = 0.09
+    spec, state = _garch11(nu_bar=0.04, alpha=0.3, length=20.0, x=0.09)
 
     # (a) closed form against the discrete recursion, no variance premium
     flat = RiskPremia(0.0, 0.0, 0.0)
     worst = 0.0
     for tau in (0.1, 0.5, 1.0):
-        closed = garch11_varswap(x0, spec11, flat, tau)
-        brute = _recursion_total_variance(spec11, x0, tau)
+        closed = _varswap(spec, state, flat, tau)
+        brute = _recursion_total_variance(spec, state.x, tau)
         rel = abs(closed - brute) / brute
-        tol = 2.0 * spec11.dt_years / tau
+        tol = 2.0 * spec.dt_years / tau
         worst = max(worst, rel / tol)
         assert rel <= tol, f"tau={tau}: rel err {rel:.2e} > {tol:.2e}"
 
     # (b) Monte Carlo agreement with a variance premium switched on
     premia = RiskPremia(0.3, 0.0, 0.0)
     cfg = McConfig(n_paths=100_000, seed=11)
-    mc, se = garch11_varswap_mc(spec11, premia, x0, gaussian_moments, 0.5, cfg)
-    closed = garch11_varswap(x0, spec11, premia, 0.5)
+    paths = simulate_pricing(spec, premia, state, gaussian_moments, (0.5,), cfg)
+    pairs = 0.5 * (paths.int_var[0, 0::2] + paths.int_var[0, 1::2])
+    mc, se = float(np.mean(pairs)), float(np.std(pairs, ddof=1) / math.sqrt(pairs.size))
+    closed = _varswap(spec, state, premia, float(paths.horizons[0]))
     z = (mc - closed) / se
     elapsed = time.perf_counter() - start
     ok = abs(z) <= 3.0 and elapsed < 60.0
@@ -313,11 +325,11 @@ def test_criterion_6_premia_recovery_from_mc_smiles(capsys, gaussian_moments):
 
 def test_criterion_7_hedged_book_drift(capsys):
     start = time.perf_counter()
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.25, length_days=25.0, dt_years=1.0 / 252.0)
+    spec, state = _garch11(nu_bar=0.04, alpha=0.25, length=25.0, x=0.04)
     zs, n_days_total = [], 0
     for lam2 in (0.0, 0.3):
         res = realworld_drift_check(
-            spec11, RiskPremia(lam2, 0.0, 0.0), NoiseModel(),
+            spec, RiskPremia(lam2, 0.0, 0.0), NoiseModel(), state,
             n_paths=4000, n_days=300, seed=42,
         )
         assert res.n_path_days >= 1_000_000
@@ -336,22 +348,22 @@ def test_criterion_8_premia_move_prices_the_right_way(
     capsys, three_scale_spec, flat_state, gaussian_moments
 ):
     start = time.perf_counter()
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.3, length_days=20.0, dt_years=1.0 / 252.0)
-    x0 = 0.09
+    spec, state = _garch11(nu_bar=0.04, alpha=0.3, length=20.0, x=0.09)
     p0, p3 = RiskPremia(0.0, 0.0, 0.0), RiskPremia(0.3, 0.0, 0.0)
 
     taus = np.array([0.25, 0.5, 1.0, 2.0])
     lifted = all(
-        garch11_varswap(x0, spec11, p3, t) > garch11_varswap(x0, spec11, p0, t)
-        for t in taus
+        _varswap(spec, state, p3, t) > _varswap(spec, state, p0, t) for t in taus
     )
-    slope0 = garch11_varswap_slope(spec11, p0, 1.0)
-    slope3 = garch11_varswap_slope(spec11, p3, 1.0)
+    # sensitivity to the moving filter's level (entry 1; entry 0 is the anchor)
+    slope0 = varswap_slope(omega_eigen(spec, p0), p0, 1.0)[1]
+    slope3 = varswap_slope(omega_eigen(spec, p3), p3, 1.0)[1]
 
     def term_slope(premia):
         # at a mildly elevated state the premium decides whether the fair
         # variance curve decays back or keeps climbing
-        fv = lambda t: garch11_varswap(0.05, spec11, premia, t) / t
+        _, mild = _garch11(nu_bar=0.04, alpha=0.3, length=20.0, x=0.05)
+        fv = lambda t: _varswap(spec, mild, premia, t) / t
         return fv(1.0) - fv(0.5)
 
     ts0, ts3 = term_slope(p0), term_slope(p3)
@@ -384,7 +396,7 @@ def test_criterion_9_panel_estimation_recovers_parameters(capsys):
     start = time.perf_counter()
     gen = GarchSpec(
         filters=(
-            FilterSpec(1e12, 0.1, FilterKind.SYMMETRIC),
+            FilterSpec(math.inf, 0.1, FilterKind.SYMMETRIC),
             FilterSpec(36.0, 0.4, FilterKind.SYMMETRIC),
             FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC),
         ),

@@ -24,7 +24,9 @@ from tailvol.data import (
 from tailvol.filters import (
     DataError,
     FilterKind,
+    FilterSpec,
     FilterState,
+    GarchSpec,
     NoiseModel,
 )
 from tailvol.measure import RiskPremia
@@ -166,6 +168,16 @@ def test_spec_round_trip(three_scale_spec):
     assert back == three_scale_spec
     with pytest.raises(DataError, match="bad filter spec"):
         spec_from_dict({"filters": [{"weight": 1.0}]})
+
+
+def test_spec_round_trip_constant_filter(tmp_path):
+    # JSON has no infinity: a constant filter's length is written as null
+    spec = GarchSpec(filters=(FilterSpec(math.inf, 0.7), FilterSpec(20.0, 0.3)))
+    path = tmp_path / "spec.json"
+    dump_json(path, spec_to_dict(spec))
+    obj = load_json(path)
+    assert obj["filters"][0]["length_days"] is None
+    assert spec_from_dict(obj) == spec
 
 
 def test_state_round_trip(three_scale_spec, flat_state):

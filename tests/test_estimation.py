@@ -165,7 +165,7 @@ def test_pooled_nll_penalizes_invalid_regions():
 def _clustered_panel(weight=0.45, length=12.0, n_series=6, n_days=1500, seed=321):
     gen = GarchSpec(
         filters=(
-            FilterSpec(1e12, 1.0 - weight, FilterKind.SYMMETRIC),
+            FilterSpec(math.inf, 1.0 - weight, FilterKind.SYMMETRIC),
             FilterSpec(length, weight, FilterKind.SYMMETRIC),
         ),
         dt_years=1.0,

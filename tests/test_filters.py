@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ def test_compute_filters_auto_seed_and_burn_in(three_scale_spec):
     assert len(states) == 1200
 
 
+def test_compute_filters_constant_anchor_sets_no_warm_up():
+    # the warm-up counts only finite lengths: a constant filter never settles
+    spec = GarchSpec(filters=(FilterSpec(math.inf, 0.3), FilterSpec(36.0, 0.7)))
+    series = ReturnSeries(dates=_dates(300), returns=np.full(300, 0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = compute_filters(series, spec)
+    assert [s.burn_in for s in states] == [k < 36 for k in range(300)]
+    assert all(s.x[0] == states[0].x[0] for s in states)
+
+
 def test_compute_filters_short_sample_warns_all_burn_in(three_scale_spec):
     series = ReturnSeries(dates=_dates(100), returns=np.full(100, 0.01))
     with pytest.warns(UserWarning, match="warm-up"):
@@ -203,16 +215,21 @@ def test_simulate_realworld_returns_scale_with_variance(three_scale_spec):
 
 
 def test_simulate_realworld_filters_consistent_with_compute(three_scale_spec, flat_state):
-    # the states stored along the path must match re-filtering the returns
-    noise = NoiseModel()
-    series, states = simulate_realworld(three_scale_spec, flat_state, noise, 150, seed=21)
-    refiltered = compute_filters(series, three_scale_spec, init=flat_state)
-    np.testing.assert_allclose(states[-1].x, refiltered[-1].x, rtol=1e-10)
+    # the simulator's in-loop recursion and compute_filters must describe the
+    # same path: dividing each return by the compute_filters forecast of the
+    # day before recovers exactly the noise drawn from the seed
+    for noise in (NoiseModel(), NoiseModel("student_t", dof=6.0)):
+        series, states = simulate_realworld(three_scale_spec, flat_state, noise, 150, seed=21)
+        nu_before = np.array([flat_state.nu] + [s.nu for s in states[:-1]])
+        eps = series.returns / np.sqrt(nu_before * three_scale_spec.dt_years)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+        np.testing.assert_allclose(eps, noise.sample(rng, 150), rtol=1e-12)
+        assert not any(s.burn_in for s in states)
 
 
 def test_simulate_panel_returns_shape_and_determinism():
     spec = GarchSpec(
-        filters=(FilterSpec(1e12, 0.1), FilterSpec(36.0, 0.4), FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC)),
+        filters=(FilterSpec(math.inf, 0.1), FilterSpec(36.0, 0.4), FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC)),
         dt_years=1.0,
     )
     noise = NoiseModel()

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel
 from tailvol.measure import (
-    Garch11Spec,
     ModelError,
     PremiaBoundError,
     RiskPremia,
@@ -17,8 +16,6 @@ from tailvol.measure import (
     eigen_from_omega,
     filter_cov_matrix,
     forward_variance,
-    garch11_varswap,
-    garch11_varswap_slope,
     kurtosis_bound,
     noise_moments,
     omega_eigen,
@@ -28,6 +25,7 @@ from tailvol.measure import (
     spot_cov_products,
     validate_premia,
     varswap_price,
+    varswap_slope,
 )
 
 DT = 1.0 / 252.0
@@ -343,54 +341,116 @@ def test_varswap_price_vectorized(three_scale_spec, flat_state, mild_premia):
     np.testing.assert_allclose(vals, singles, rtol=1e-13)
 
 
-# ---------------------------------------------------------------- single filter
+# ------------------------------------------------------------------ GARCH(1,1)
+# GARCH(1,1) is a constant anchor of weight 1 - alpha plus one EMA of weight
+# alpha.  Its closed-form variance swap, kept here as an independent oracle,
+# interpolates between the spot level and a premium-shifted long-run level
+# at the effective rate theta (1 - c), c = alpha (1 + lambda2).
 
 
-def test_garch11_alpha_zero_is_flat(gaussian_moments):
-    spec11 = Garch11Spec(nu_bar=0.05, alpha=0.0, length_days=20.0, dt_years=DT)
+def _garch11(nu_bar, alpha, length, x):
+    spec = GarchSpec(
+        filters=(FilterSpec(math.inf, 1.0 - alpha), FilterSpec(length, alpha)), dt_years=DT
+    )
+    return spec, FilterState.from_levels([nu_bar, x], spec, dt.date(2024, 1, 2))
+
+
+def _garch11_oracle(nu_bar, alpha, length, lambda2, x, tau):
+    c = alpha * (1.0 + lambda2)
+    theta_eff = (1.0 - c) / (length * DT)
+    x_bar = nu_bar * (1.0 - alpha) * (1.0 + lambda2) / (1.0 - c)
+    return x_bar * tau + c * float(decay_integral(theta_eff, tau)) * (x - x_bar)
+
+
+@pytest.mark.parametrize(
+    "nu_bar, alpha, length, lambda2, x, taus",
+    [
+        (0.04, 0.3, 20.0, 0.3, 0.09, (1e-8, 0.4, 0.5)),
+        (0.04, 0.3, 20.0, 0.0, 0.09, (0.1, 0.5, 1.0)),
+        (0.04, 0.25, 25.0, 0.3, 0.04, (0.1, 0.5, 2.0)),
+        (0.123, 1.0, 30.0, -0.2, 0.07, (0.1, 0.5, 2.0)),  # no anchor weight
+        (0.04, 0.9, 20.0, 0.2, 0.05, (0.1, 1.0, 2.0)),  # c > 1: growing mode
+    ],
+)
+def test_garch11_varswap_matches_closed_form(nu_bar, alpha, length, lambda2, x, taus):
+    spec, state = _garch11(nu_bar, alpha, length, x)
+    premia = RiskPremia(lambda2, 0.0, 0.0)
+    eig = omega_eigen(spec, premia)
+    for tau in taus:
+        want = _garch11_oracle(nu_bar, alpha, length, lambda2, x, tau)
+        assert varswap_price(state, eig, premia, tau) == pytest.approx(want, rel=1e-12)
+
+
+def test_garch11_alpha_zero_is_flat():
+    spec, state = _garch11(0.05, 0.0, 20.0, 0.99)
     premia = RiskPremia(0.4, 0.0, 0.0)
+    eig = omega_eigen(spec, premia)
     for tau in (0.1, 1.0, 3.0):
-        assert garch11_varswap(0.99, spec11, premia, tau) == pytest.approx(
-            0.05 * 1.4 * tau, rel=1e-12
-        )
+        assert varswap_price(state, eig, premia, tau) == pytest.approx(0.05 * 1.4 * tau, rel=1e-12)
 
 
-def test_garch11_short_maturity_slope(gaussian_moments):
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.3, length_days=20.0, dt_years=DT)
+def test_garch11_short_maturity_slope():
+    spec, state = _garch11(0.04, 0.3, 20.0, 0.09)
     premia = RiskPremia(0.3, 0.0, 0.0)
-    x = 0.09
     eps = 1e-8
-    v = garch11_varswap(x, spec11, premia, eps)
-    assert v / eps == pytest.approx((1.0 + 0.3) * spec11.forecast(x), rel=1e-6)
+    v = varswap_price(state, omega_eigen(spec, premia), premia, eps)
+    assert v / eps == pytest.approx((1.0 + 0.3) * state.nu, rel=1e-6)
 
 
-def test_garch11_matches_single_filter_generator(gaussian_moments):
+def test_garch11_matches_single_filter_generator():
     # a one-filter spec with full weight is the alpha = 1 special case
     spec = GarchSpec(filters=(FilterSpec(30.0, 1.0),), dt_years=DT)
-    spec11 = Garch11Spec(nu_bar=0.123, alpha=1.0, length_days=30.0, dt_years=DT)
     premia = RiskPremia(-0.2, 0.0, 0.0)
     eig = omega_eigen(spec, premia)
     x = 0.07
     state = FilterState(x=np.array([x]), nu=x, as_of=dt.date(2024, 1, 2))
     for tau in (0.1, 0.5, 2.0):
-        a = varswap_price(state, eig, premia, tau)
-        b = garch11_varswap(x, spec11, premia, tau)
-        assert a == pytest.approx(b, rel=1e-12)
+        want = _garch11_oracle(0.123, 1.0, 30.0, -0.2, x, tau)
+        assert varswap_price(state, eig, premia, tau) == pytest.approx(want, rel=1e-12)
 
 
-def test_garch11_nonstationary_pricing_raises():
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.9, length_days=20.0, dt_years=DT)
+def test_garch11_defective_generator_raises():
+    # at alpha (1 + lambda2) = 1 both rates vanish and Omega is not diagonalizable
+    spec, _ = _garch11(0.04, 0.8, 20.0, 0.05)
     with pytest.raises(ModelError):
-        garch11_varswap(0.05, spec11, RiskPremia(0.2, 0.0, 0.0), 1.0)
+        omega_eigen(spec, RiskPremia(0.25, 0.0, 0.0))
+
+
+def _assert_slope_is_gradient(spec, premia, x, tau=0.5, h=1e-6):
+    eig = omega_eigen(spec, premia)
+    g = varswap_slope(eig, premia, tau)
+    for i, bump in enumerate(np.eye(spec.n_filters) * h):
+        up, down = (FilterState.from_levels(x + b, spec, dt.date(2024, 1, 2)) for b in (bump, -bump))
+        fd = (varswap_price(up, eig, premia, tau) - varswap_price(down, eig, premia, tau)) / (2.0 * h)
+        assert g[i] == pytest.approx(fd, rel=1e-7)
 
 
 def test_garch11_slope_is_derivative():
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.3, length_days=20.0, dt_years=DT)
+    spec, state = _garch11(0.04, 0.3, 20.0, 0.05)
     premia = RiskPremia(0.3, 0.0, 0.0)
-    tau = 0.5
-    h = 1e-6
-    fd = (
-        garch11_varswap(0.05 + h, spec11, premia, tau)
-        - garch11_varswap(0.05 - h, spec11, premia, tau)
-    ) / (2.0 * h)
-    assert garch11_varswap_slope(spec11, premia, tau) == pytest.approx(fd, rel=1e-7)
+    _assert_slope_is_gradient(spec, premia, state.x)
+    # the moving filter's entry is the closed form's c * decay(theta_eff, tau)
+    c = 0.3 * 1.3
+    g = varswap_slope(omega_eigen(spec, premia), premia, 0.5)
+    assert g[1] == pytest.approx(c * float(decay_integral((1.0 - c) / (20.0 * DT), 0.5)), rel=1e-12)
+
+
+def test_varswap_slope_is_gradient_of_price(three_scale_spec, mild_premia):
+    _assert_slope_is_gradient(three_scale_spec, mild_premia, np.array([0.03, 0.05, 0.08]))
+
+
+def test_constant_anchor_adds_no_bound(gaussian_moments):
+    # a constant filter has no noise factor, so it must not bring in the
+    # symmetric-family conditions
+    anchored = GarchSpec(
+        filters=(FilterSpec(math.inf, 0.5), FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC)),
+        dt_years=DT,
+    )
+    asym_only = GarchSpec(filters=(FilterSpec(6.0, 1.0, FilterKind.ASYMMETRIC),), dt_years=DT)
+    premia = RiskPremia(0.0, -0.9, -1.2)
+    assert validate_premia(anchored, premia, gaussian_moments).ok
+    want = kurtosis_bound(0.0, -0.9, gaussian_moments, asym_only)
+    assert want == pytest.approx(-1.2396, abs=1e-4)
+    assert kurtosis_bound(0.0, -0.9, gaussian_moments, anchored) == want
+    params = pricing_params(anchored, premia, gaussian_moments)
+    assert params.theta[0] == 0.0 and params.xi[0] == 0.0

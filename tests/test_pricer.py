@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from tailvol.expansion import ForwardVarianceCurve
-from tailvol.filters import FilterState, NoiseModel
+from tailvol.filters import FilterSpec, FilterState, GarchSpec, NoiseModel
 from tailvol.measure import (
-    Garch11Spec,
     RiskPremia,
-    garch11_varswap,
     noise_moments,
     omega_eigen,
     varswap_price,
@@ -17,7 +15,6 @@ from tailvol.measure import (
 from tailvol.pricer import (
     McConfig,
     chain_from_ensemble,
-    garch11_varswap_mc,
     price_european,
     realworld_drift_check,
     simulate_pricing,
@@ -173,16 +170,6 @@ def test_chain_from_control_paths(three_scale_spec, flat_state, mild_premia, gau
     assert ctrl.quotes[0].mid != sv.quotes[0].mid
 
 
-def test_garch11_varswap_mc_agrees_with_closed_form(gaussian_moments):
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.3, length_days=20.0, dt_years=1.0 / 252.0)
-    premia = RiskPremia(0.3, 0.0, 0.0)
-    cfg = McConfig(n_paths=30_000, seed=11)
-    # 0.4y is 100.8 daily steps: exercises the fractional final step
-    mc, se = garch11_varswap_mc(spec11, premia, 0.09, gaussian_moments, 0.4, cfg)
-    closed = garch11_varswap(0.09, spec11, premia, 0.4)
-    assert abs(mc - closed) < 4.0 * se
-
-
 def test_smile_skews_down_with_large_skew_premium(three_scale_spec, flat_state, gaussian_moments):
     # lambda4 must clear the kurtosis floor for this (lambda2, lambda3) pair
     premia = RiskPremia(0.2, 0.8, 2.0)
@@ -207,9 +194,12 @@ def test_smile_drops_unpriceable_strikes(three_scale_spec, flat_state, mild_prem
 
 
 def test_drift_check_runs_and_reports(gaussian_moments):
-    spec11 = Garch11Spec(nu_bar=0.04, alpha=0.25, length_days=25.0, dt_years=1.0 / 252.0)
+    spec = GarchSpec(
+        filters=(FilterSpec(math.inf, 0.75), FilterSpec(25.0, 0.25)), dt_years=1.0 / 252.0
+    )
+    state0 = FilterState.from_levels([0.04, 0.04], spec, dt.date(2024, 1, 2))
     res = realworld_drift_check(
-        spec11, RiskPremia(0.0, 0.0, 0.0), NoiseModel(), n_paths=400, n_days=200, seed=2
+        spec, RiskPremia(0.0, 0.0, 0.0), NoiseModel(), state0, n_paths=400, n_days=200, seed=2
     )
     assert res.n_path_days == 400 * 200
     assert math.isfinite(res.z_score)
