@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -31,8 +31,6 @@ from .expansion import (
     ForwardVarianceCurve,
     ImpliedMomentTriple,
     expansion_integrals,
-    coefficients_from_loadings,
-    model_moments,
 )
 from .filters import FilterState, GarchSpec
 from .measure import (

@@ -29,7 +29,6 @@ from .data import (
     load_option_chains,
     load_return_panel,
     load_return_series,
-    noise_from_dict,
     noise_to_dict,
     premia_from_dict,
     premia_to_dict,

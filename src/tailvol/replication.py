@@ -165,13 +165,18 @@ def implied_vol(
     strike: float,
     expiry: float,
     kind: OptionKind,
-    tol: float = 1e-10,
+    tol: float = 1e-12,
 ) -> float:
     """Invert the Black formula: safeguarded Newton with a bisection fallback.
 
-    Converges to an absolute price error below ``tol`` (scaled by the
-    forward).  Prices at or below intrinsic, or above the trivial upper
-    bound, raise :class:`ModelError`.
+    The solver works on the time value (the price less intrinsic), which
+    put-call parity makes the price of the out-of-the-money option at the
+    same strike, and runs Newton on its logarithm, so deep wings converge as
+    fast as the money.  It stops in volatility space, once a Newton step or
+    the bracket is no wider than ``tol`` times the volatility.  Prices at or
+    below intrinsic, or above the trivial upper bound, raise
+    :class:`ModelError`; so does a price the solver cannot resolve within
+    100 iterations.
     """
     kind = OptionKind(kind)
     intrinsic = max(
@@ -188,28 +193,40 @@ def implied_vol(
     if price >= upper - 1e-14 * scale:
         raise ModelError(f"price {price} exceeds the upper no-arbitrage bound {upper}")
 
+    otm_kind = OptionKind.PUT if strike < forward else OptionKind.CALL
+    target = price - intrinsic
+    log_target = math.log(target)
+
     lo, hi = 1e-9, 10.0
-    f_lo = bs_price(forward, strike, expiry, lo, kind) - price
-    f_hi = bs_price(forward, strike, expiry, hi, kind) - price
-    if f_lo > 0.0 or f_hi < 0.0:
+    if bs_price(forward, strike, expiry, lo, otm_kind) > target or (
+        bs_price(forward, strike, expiry, hi, otm_kind) < target
+    ):
         raise ModelError("price is outside the attainable Black range")
     vol = math.sqrt(2.0 * abs(math.log(forward / strike) + 1e-12) / expiry)
     vol = min(max(vol, 0.05), 5.0)
     for _ in range(100):
-        diff = bs_price(forward, strike, expiry, vol, kind) - price
-        if abs(diff) < tol * max(scale, 1.0) or (hi - lo) < 1e-14:
-            return vol
-        if diff > 0.0:
+        value = bs_price(forward, strike, expiry, vol, otm_kind)
+        if value > target:
             hi = vol
         else:
             lo = vol
         vega = bs_vega(forward, strike, expiry, vol)
-        step = diff / vega if vega > 1e-300 else math.inf
+        if value > 0.0 and vega > 0.0:
+            step = (math.log(value) - log_target) * value / vega
+        else:
+            step = math.inf
         candidate = vol - step
+        if abs(step) <= tol * vol and lo <= candidate <= hi:
+            return float(candidate)
         if not (lo < candidate < hi):
             candidate = 0.5 * (lo + hi)
+            if hi - lo <= tol * candidate:
+                return float(candidate)
         vol = candidate
-    return vol
+    raise ModelError(
+        "implied volatility did not converge in 100 iterations "
+        f"(price {price}, strike {strike}, expiry {expiry})"
+    )
 
 
 def _abs_delta(q: Quote, chain: OptionChain) -> float:

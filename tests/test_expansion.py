@@ -21,6 +21,7 @@ from tailvol.filters import NoiseModel
 from tailvol.measure import (
     ModelError,
     RiskPremia,
+    decay_integral,
     noise_moments,
     omega_eigen,
     pricing_params,
@@ -114,6 +115,104 @@ def test_integrals_reject_nonpositive_curve():
         expansion_integrals(curve, 1.0)
 
 
+# ------------------------------------------- nested-quadrature oracle for jmu
+# The original implementation: every outer node gets its own panel grid on
+# [t, T], so the work is O(N_outer * N_inner).  Kept as the reference that
+# the backward panel sweep in ``expansion_integrals`` must reproduce.
+
+_GL_NODES = 32
+
+
+def _panel_nodes(a: float, b: float, max_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [a, b], panelized on the fastest scale."""
+    span = b - a
+    panel = min(1.0 / max_rate, span / 8.0) if max_rate > 0 else span / 8.0
+    n_panels = max(int(math.ceil(span / panel)), 1)
+    z, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    edges = np.linspace(a, b, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    nodes = (mid[:, None] + half[:, None] * z[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+def _oracle_integrals(curve, maturity, _panel_scale=1.0):
+    """(jxf, jff, jmu) by the nested double loop."""
+    rates = curve.rates
+    max_rate = float(np.max(np.abs(rates))) * _panel_scale
+    t, wt = _panel_nodes(0.0, maturity, max_rate)
+    f = curve(t)
+    if (f <= 0.0).any():
+        raise ModelError(
+            "forward-variance curve is not positive on [0, T]; "
+            "the expansion integrals are undefined"
+        )
+    f12 = np.sqrt(f)
+    f32 = f * f12
+
+    # phi_i(T - t) per node: shape (n_nodes, k)
+    phi = decay_integral(rates[None, :], (maturity - t)[:, None])
+    jxf = (wt * f32) @ phi
+    jff = np.einsum("n,ni,nj->ij", wt * f * f, phi, phi)
+
+    k = rates.size
+    jmu = np.zeros((k, k))
+    for n, (tn, wn) in enumerate(zip(t, wt)):
+        if maturity - tn <= 0.0:
+            continue
+        u, wu = _panel_nodes(tn, maturity, max_rate)
+        fu = curve(u)
+        if (fu <= 0.0).any():
+            raise ModelError("forward-variance curve is not positive on [0, T]")
+        g = np.sqrt(fu)
+        decay_i = np.exp(-np.multiply.outer(u - tn, rates))
+        phi_j = decay_integral(rates[None, :], (maturity - u)[:, None])
+        inner = np.einsum("m,mi,mj->ij", wu * g, decay_i, phi_j)
+        jmu += wn * f32[n] * inner
+    jmu *= 1.5
+    return jxf, jff, jmu
+
+
+@pytest.mark.parametrize(
+    "maturity, panel_scale",
+    [(1.0 / 12.0, 1.0), (0.25, 1.0), (1.0, 1.0), (2.0, 1.0), (0.25, 2.0), (1.0, 2.0)],
+)
+def test_expansion_integrals_match_nested_oracle(maturity, panel_scale):
+    # the README model: its generator has a growing mode (rate -0.916/y)
+    curve = _paper_style_setup(lam2=0.1, lam3=0.4, lam4=1.0)[-1]
+    assert (curve.rates < 0.0).any()
+    ints = expansion_integrals(curve, maturity, _panel_scale=panel_scale)
+    for got, want in zip((ints.jxf, ints.jff, ints.jmu), _oracle_integrals(curve, maturity, panel_scale)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("panel_scale", [1.0, 2.0])
+def test_expansion_integrals_match_nested_oracle_zero_rate(panel_scale):
+    curve = ForwardVarianceCurve(weights=np.array([0.03, 0.01, -0.005]), rates=np.array([0.0, 3.0, 12.0]))
+    ints = expansion_integrals(curve, 1.0, _panel_scale=panel_scale)
+    for got, want in zip((ints.jxf, ints.jff, ints.jmu), _oracle_integrals(curve, 1.0, panel_scale)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def test_integrals_reject_curve_negative_between_outer_nodes():
+    # F(t) = 0.01 (e^{2 t*} - e^{2 t}) turns negative at t*, halfway between the
+    # last outer node and T: only the inner nodes of the last outer node see it
+    T = 1.0
+    z, _ = np.polynomial.legendre.leggauss(_GL_NODES)
+    last_outer = T - 0.5 * (T / 8.0) * (1.0 - z.max())
+    t_star = 0.5 * (last_outer + T)
+    curve = ForwardVarianceCurve(
+        weights=np.array([0.01 * math.exp(2.0 * t_star), -0.01]), rates=np.array([0.0, -2.0])
+    )
+    outer, _ = _panel_nodes(0.0, T, 2.0)
+    assert (curve(outer) > 0.0).all() and curve(T) < 0.0
+    with pytest.raises(ModelError):
+        _oracle_integrals(curve, T)
+    with pytest.raises(ModelError):
+        expansion_integrals(curve, T)
+
+
 @given(
     cxf=st.floats(-2.0, 2.0),
     cff=st.floats(0.0, 5.0),
@@ -152,7 +251,7 @@ def test_model_moments_lognormal_limit():
     assert trip.kurt_m == 0.0
 
 
-def _paper_style_setup(lam3=0.5, lam4=1.0):
+def _paper_style_setup(lam2=0.3, lam3=0.5, lam4=1.0):
     from tailvol.filters import FilterKind, FilterSpec, GarchSpec
 
     spec = GarchSpec(
@@ -163,7 +262,7 @@ def _paper_style_setup(lam3=0.5, lam4=1.0):
         ),
         dt_years=1.0 / 252.0,
     )
-    premia = RiskPremia(0.3, lam3, lam4)
+    premia = RiskPremia(lam2, lam3, lam4)
     mom = noise_moments(NoiseModel())
     eig = omega_eigen(spec, premia)
     params = pricing_params(spec, premia, mom)

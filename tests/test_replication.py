@@ -121,9 +121,46 @@ def test_implied_vol_round_trip(vol, logm, expiry, kind):
     intrinsic = max(strike - 1.0, 0.0) if kind is OptionKind.PUT else max(1.0 - strike, 0.0)
     if price < 1e-12 or price - intrinsic < 1e-12:
         return  # below the solver's resolution in either wing
-    # the solver converges in price space; translate its tolerance via vega
+    # a small vega turns the price's rounding into a larger vol error
     vol_tol = max(1e-8, 100.0 * 1e-10 / bs_vega(1.0, strike, expiry, vol))
     assert implied_vol(price, 1.0, strike, expiry, kind) == pytest.approx(vol, abs=vol_tol)
+
+
+@given(
+    vol=st.floats(0.05, 1.0),
+    expiry=st.floats(1.0 / 52.0, 3.0),
+    sds=st.floats(-3.0, 3.0),
+    kind=st.sampled_from([OptionKind.CALL, OptionKind.PUT]),
+)
+@settings(max_examples=300, deadline=None)
+def test_implied_vol_round_trip_within_three_sd(vol, expiry, sds, kind):
+    # every strike within 3 standard deviations of the forward, in or out of the money
+    strike = math.exp(sds * vol * math.sqrt(expiry))
+    price = bs_price(1.0, strike, expiry, vol, kind)
+    assert abs(implied_vol(price, 1.0, strike, expiry, kind) - vol) <= 1e-8
+
+
+@pytest.mark.parametrize("strike, kind", [(0.75, OptionKind.PUT), (1.25, OptionKind.CALL)])
+def test_implied_vol_short_expiry_wings(strike, kind):
+    # T = 0.05, vol 0.2: the put is worth 3.6e-13 and the call 2.8e-9, below an
+    # absolute price tolerance of 1e-10 (which returned 0.2285 and 0.200201)
+    price = bs_price(1.0, strike, 0.05, 0.2, kind)
+    assert abs(implied_vol(price, 1.0, strike, 0.05, kind) - 0.2) <= 1e-10
+
+
+def test_implied_vol_raises_when_iterations_run_out(monkeypatch):
+    # a price that jumps at vol = 0.2000005 never meets a target between its
+    # steps, and a zero tolerance never accepts the bracket around the jump
+    import tailvol.replication as replication
+
+    exact = replication.bs_price
+    monkeypatch.setattr(
+        replication, "bs_price", lambda f, k, t, vol, kind: exact(f, k, t, round(vol, 6), kind)
+    )
+    price = exact(1.0, 1.1, 0.5, 0.2000005, OptionKind.CALL)
+    with pytest.raises(ModelError, match="did not converge"):
+        implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL, tol=0.0)
+    assert implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL) == pytest.approx(0.2000005, abs=1e-12)
 
 
 def test_implied_vol_rejects_arbitrage_price():
