@@ -57,6 +57,19 @@ __all__ = [
 
 _PENALTY = 1e12
 
+#: Search intervals of the scalar stages.  The ``lambda2`` ceiling is a
+#: configuration choice: pricing dynamics above a critical premium grow along
+#: one eigenmode, which is legitimate for finite maturities, so no
+#: stationarity cap is imposed.  ``lambda4`` is searched within
+#: ``_LAMBDA4_WIDTH`` of its floor on either side.
+_LAMBDA2_BRACKET = (-1.0 + 1e-6, 4.0)
+_LAMBDA3_BRACKET = (-3.0, 5.0)
+_LAMBDA4_WIDTH = 20.0
+
+#: Grid size of the coarse scan and x-tolerance of the bounded refinement.
+_N_GRID = 41
+_XATOL = 1e-8
+
 
 class CalibrationError(ModelError):
     """Raised when a calibration stage cannot be completed."""
@@ -102,45 +115,35 @@ class CalibrationResult:
 
 
 def _grid_then_refine(
-    objective: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n_grid: int = 41,
-    xatol: float = 1e-8,
+    objective: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, bool]:
     """Coarse grid scan followed by a bounded scalar refinement.
 
     Robust to mild non-unimodality; returns (argmin, min, at_boundary).
     """
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, _N_GRID)
     vals = np.array([objective(g) for g in grid])
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, n_grid - 1)]
+    b = grid[min(i + 1, _N_GRID - 1)]
     if a == b:
         return float(grid[i]), float(vals[i]), True
     res = minimize_scalar(
-        objective, bounds=(a, b), method="bounded", options={"xatol": xatol}
+        objective, bounds=(a, b), method="bounded", options={"xatol": _XATOL}
     )
     x = float(res.x)
     fx = float(res.fun)
     if vals[i] < fx:
         x, fx = float(grid[i]), float(vals[i])
-    at_boundary = x <= lo + 10 * xatol or x >= hi - 10 * xatol
+    at_boundary = x <= lo + 10 * _XATOL or x >= hi - 10 * _XATOL
     return x, fx, at_boundary
 
 
-def fit_lambda2(
-    inputs: CalibrationInput,
-    bracket: tuple[float, float] = (-1.0 + 1e-6, 4.0),
-) -> StageResult:
+def fit_lambda2(inputs: CalibrationInput) -> StageResult:
     """Least-squares fit of ``lambda2`` to the varswap-volatility term structure.
 
     Candidates where the implied varswap prices fail to be positive are
-    penalized rather than raised, so the scan can cross bad regions.  The
-    bracket ceiling is a configuration choice: pricing dynamics above a
-    critical premium grow along one eigenmode, which is legitimate for
-    finite maturities, so no stationarity cap is imposed.
+    penalized rather than raised, so the scan can cross bad regions.
     """
     mkt_vols = np.array([trip.vswap_vol for _, trip in inputs.market])
     expiries = inputs.expiries
@@ -157,7 +160,7 @@ def fit_lambda2(
         model_vols = np.sqrt(v / expiries)
         return float(np.sum((model_vols - mkt_vols) ** 2))
 
-    x, fx, boundary = _grid_then_refine(objective, bracket[0], bracket[1])
+    x, fx, boundary = _grid_then_refine(objective, *_LAMBDA2_BRACKET)
     if fx >= _PENALTY:
         raise CalibrationError("no admissible lambda2 found in the bracket")
     return StageResult(value=x, residual=fx, at_boundary=boundary)
@@ -176,7 +179,6 @@ def _stage_integrals(
 def fit_lambda3(
     inputs: CalibrationInput,
     lambda2: float,
-    bracket: tuple[float, float] = (-3.0, 5.0),
     _precomputed: tuple[object, list[ExpansionIntegrals]] | None = None,
 ) -> StageResult:
     """Least-squares fit of ``lambda3`` to the skew moment across expiries."""
@@ -199,7 +201,7 @@ def fit_lambda3(
             err += (skew - target) ** 2
         return err
 
-    x, fx, boundary = _grid_then_refine(objective, bracket[0], bracket[1])
+    x, fx, boundary = _grid_then_refine(objective, *_LAMBDA3_BRACKET)
     if fx >= _PENALTY:
         raise CalibrationError("no admissible lambda3 found in the bracket")
     return StageResult(value=x, residual=fx, at_boundary=boundary)
@@ -209,7 +211,6 @@ def fit_lambda4(
     inputs: CalibrationInput,
     lambda2: float,
     lambda3: float,
-    search_width: float = 20.0,
     _precomputed: tuple[object, list[ExpansionIntegrals]] | None = None,
 ) -> tuple[StageResult, bool, float]:
     """Fit ``lambda4`` to the kurtosis moment, respecting its floor.
@@ -239,7 +240,7 @@ def fit_lambda4(
         return err
 
     x, fx, boundary = _grid_then_refine(
-        objective, floor - search_width, floor + search_width
+        objective, floor - _LAMBDA4_WIDTH, floor + _LAMBDA4_WIDTH
     )
     if fx >= _PENALTY:
         raise CalibrationError("no admissible lambda4 found in the bracket")
@@ -251,11 +252,19 @@ def fit_lambda4(
     return StageResult(value=x, residual=fx, at_boundary=boundary), saturated, floor
 
 
+def _run_stage(name: str, fit: Callable, *args, **kwargs):
+    """Call one stage fit, turning a model or value failure into a
+    ``CalibrationError`` that names the stage."""
+    try:
+        return fit(*args, **kwargs)
+    except CalibrationError:
+        raise
+    except (ModelError, ValueError) as exc:
+        raise CalibrationError(f"{name} stage failed: {exc}") from exc
+
+
 def calibrate_sequential(
-    inputs: CalibrationInput,
-    mode: str = "fit_all",
-    lambda2_bracket: tuple[float, float] = (-1.0 + 1e-6, 4.0),
-    lambda3_bracket: tuple[float, float] = (-3.0, 5.0),
+    inputs: CalibrationInput, mode: str = "fit_all"
 ) -> CalibrationResult:
     """Run the three stages in order and assemble the calibrated premia.
 
@@ -265,36 +274,19 @@ def calibrate_sequential(
     """
     if mode not in ("fit_all", "saturate_kurtosis"):
         raise ValueError(f"unknown calibration mode {mode!r}")
-    try:
-        stage2 = fit_lambda2(inputs, bracket=lambda2_bracket)
-    except CalibrationError:
-        raise
-    except (ModelError, ValueError) as exc:
-        raise CalibrationError(f"lambda2 stage failed: {exc}") from exc
+    stage2 = _run_stage("lambda2", fit_lambda2, inputs)
 
     pre = _stage_integrals(inputs, stage2.value)
-    try:
-        stage3 = fit_lambda3(
-            inputs, stage2.value, bracket=lambda3_bracket, _precomputed=pre
-        )
-    except CalibrationError:
-        raise
-    except (ModelError, ValueError) as exc:
-        raise CalibrationError(f"lambda3 stage failed: {exc}") from exc
+    stage3 = _run_stage("lambda3", fit_lambda3, inputs, stage2.value, _precomputed=pre)
 
     floor = kurtosis_bound(stage2.value, stage3.value, inputs.noise, inputs.spec)
     if mode == "saturate_kurtosis":
         stage4 = StageResult(value=floor, residual=math.nan, at_boundary=False)
         saturated = True
     else:
-        try:
-            stage4, saturated, floor = fit_lambda4(
-                inputs, stage2.value, stage3.value, _precomputed=pre
-            )
-        except CalibrationError:
-            raise
-        except (ModelError, ValueError) as exc:
-            raise CalibrationError(f"lambda4 stage failed: {exc}") from exc
+        stage4, saturated, floor = _run_stage(
+            "lambda4", fit_lambda4, inputs, stage2.value, stage3.value, _precomputed=pre
+        )
 
     premia = RiskPremia(stage2.value, stage3.value, stage4.value)
     return CalibrationResult(

@@ -158,7 +158,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             "lengths": list(result.params.lengths),
             "kinds": [k.value for k in result.params.kinds],
         },
-        "spec": spec_to_dict(result.params.to_spec(base_length_days=args.base_length)),
+        "spec": spec_to_dict(result.params.to_spec()),
     }
     dump_json(args.out, payload)
     print(f"wrote {args.out} (nll={result.nll:.6f}, converged={result.converged})")
@@ -325,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", default="symmetric", help="comma list: symmetric|asymmetric")
     p.add_argument("--init-weights", default="0.2", help="starting weights, comma list")
     p.add_argument("--init-lengths", default="30", help="starting lengths (days), comma list")
-    p.add_argument("--base-length", type=float, default=1000.0, help="slow baseline filter length")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=3)
     add_noise(p)

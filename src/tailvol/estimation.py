@@ -31,13 +31,16 @@ from .filters import (
 __all__ = [
     "ReturnPanel",
     "FreeParams",
-    "ParamBounds",
     "FitResult",
     "pooled_nll",
     "fit_garch",
 ]
 
 _PENALTY = 1e8
+
+#: Box for the free weights and lengths (days) that ``fit_garch`` searches.
+_WEIGHT_RANGE = (0.0, 1.0)
+_LENGTH_RANGE = (1.5, 500.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,35 +104,15 @@ class FreeParams:
         k = len(kinds)
         return cls(weights=tuple(vec[:k]), lengths=tuple(vec[k:]), kinds=tuple(kinds))
 
-    def to_spec(
-        self, base_length_days: float = 1000.0, dt_years: float = 1.0 / 252.0
-    ) -> GarchSpec:
-        """Pricing-time spec: the frozen unit filter becomes a long EMA."""
-        filters = [FilterSpec(base_length_days, self.base_weight, FilterKind.SYMMETRIC)]
+    def to_spec(self) -> GarchSpec:
+        """The fitted model as a spec: the frozen unit filter is a constant
+        anchor (``length_days=math.inf``) of weight ``base_weight``."""
+        filters = [FilterSpec(math.inf, self.base_weight)]
         filters += [
             FilterSpec(l, w, k)
             for w, l, k in zip(self.weights, self.lengths, self.kinds)
         ]
-        return GarchSpec(filters=tuple(filters), dt_years=dt_years)
-
-
-@dataclass(frozen=True)
-class ParamBounds:
-    weight_lo: float = 0.0
-    weight_hi: float = 1.0
-    length_lo: float = 1.5
-    length_hi: float = 500.0
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.weight_lo < self.weight_hi <= 1.0):
-            raise ValueError("weight bounds must satisfy 0 <= lo < hi <= 1")
-        if not (1.0 <= self.length_lo < self.length_hi):
-            raise ValueError("length bounds must satisfy 1 <= lo < hi")
-
-    def contains(self, params: FreeParams) -> bool:
-        ok_w = all(self.weight_lo <= w <= self.weight_hi for w in params.weights)
-        ok_l = all(self.length_lo <= l <= self.length_hi for l in params.lengths)
-        return ok_w and ok_l and params.base_weight >= 0.0
+        return GarchSpec(filters=tuple(filters))
 
 
 @dataclass(frozen=True)
@@ -142,12 +125,15 @@ class FitResult:
     message: str = ""
 
 
-def _violation(params: FreeParams, bounds: ParamBounds) -> float:
+def _violation(params: FreeParams) -> float:
+    """Squared distance of ``params`` outside the search box (0 inside)."""
+    w_lo, w_hi = _WEIGHT_RANGE
+    l_lo, l_hi = _LENGTH_RANGE
     v = 0.0
     for w in params.weights:
-        v += max(bounds.weight_lo - w, 0.0) ** 2 + max(w - bounds.weight_hi, 0.0) ** 2
+        v += max(w_lo - w, 0.0) ** 2 + max(w - w_hi, 0.0) ** 2
     for l in params.lengths:
-        v += max(bounds.length_lo - l, 0.0) ** 2 + max(l - bounds.length_hi, 0.0) ** 2
+        v += max(l_lo - l, 0.0) ** 2 + max(l - l_hi, 0.0) ** 2
     v += max(-params.base_weight, 0.0) ** 2
     return v
 
@@ -180,9 +166,9 @@ def pooled_nll(params: FreeParams, panel: ReturnPanel, noise: NoiseModel) -> flo
     rather than raising, so derivative-free optimizers can probe freely.
     """
     if params.base_weight < 0.0 or any(w < 0.0 for w in params.weights):
-        return _PENALTY * (1.0 + _violation(params, ParamBounds()))
+        return _PENALTY * (1.0 + _violation(params))
     if any(l < 1.0 for l in params.lengths):
-        return _PENALTY * (1.0 + _violation(params, ParamBounds()))
+        return _PENALTY * (1.0 + _violation(params))
     total = 0.0
     for s in panel.series:
         nll = _series_nll(s.returns, params, noise)
@@ -196,10 +182,8 @@ def fit_garch(
     panel: ReturnPanel,
     noise: NoiseModel,
     init: FreeParams,
-    bounds: ParamBounds | None = None,
     seed: int = 0,
     n_restarts: int = 3,
-    tol: float = 1e-6,
 ) -> FitResult:
     """Minimize the pooled NLL with Nelder-Mead and random restarts.
 
@@ -207,8 +191,7 @@ def fit_garch(
     within the bounds box.  Returns the best point found, flagged as
     non-converged if no restart satisfied the tolerance.
     """
-    bounds = bounds or ParamBounds()
-    if not bounds.contains(init):
+    if _violation(init) > 0.0:
         raise ValueError("initial parameters violate the bounds")
     kinds = init.kinds
     k = len(kinds)
@@ -216,17 +199,17 @@ def fit_garch(
 
     def objective(vec: np.ndarray) -> float:
         p = FreeParams.from_vector(vec, kinds)
-        pen = _violation(p, bounds)
+        pen = _violation(p)
         if pen > 0.0:
             return _PENALTY * (1.0 + pen)
         return pooled_nll(p, panel, noise)
 
     starts = [init.to_vector()]
     for _ in range(max(n_restarts - 1, 0)):
-        w = rng.uniform(bounds.weight_lo, bounds.weight_hi, size=k)
+        w = rng.uniform(*_WEIGHT_RANGE, size=k)
         if w.sum() > 1.0:
             w = w / (w.sum() + 1e-9)
-        l = rng.uniform(bounds.length_lo, min(bounds.length_hi, 120.0), size=k)
+        l = rng.uniform(_LENGTH_RANGE[0], min(_LENGTH_RANGE[1], 120.0), size=k)
         starts.append(np.concatenate([w, l]))
 
     best = None
@@ -238,7 +221,7 @@ def fit_garch(
             objective,
             start,
             method="Nelder-Mead",
-            options={"fatol": tol, "xatol": 1e-6, "maxiter": 4000, "maxfev": 6000},
+            options={"fatol": 1e-6, "xatol": 1e-6, "maxiter": 4000, "maxfev": 6000},
         )
         n_iter += int(res.nit)
         if res.fun < best_val:

@@ -54,7 +54,12 @@ _GL_Z, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 
 @dataclass(frozen=True, eq=False)
 class ForwardVarianceCurve:
-    """Forward variance as a mixture of exponentials: sum_i w_i exp(-k_i t)."""
+    """Forward variance as a mixture of exponentials: sum_i w_i exp(-k_i t).
+
+    :meth:`from_state` gives the pricing-measure expectation of the
+    effective spot variance ``(1 + lambda2) nu`` at each horizon after the
+    state; at horizon 0 it is ``(1 + lambda2) nu_t``.
+    """
 
     weights: np.ndarray
     rates: np.ndarray

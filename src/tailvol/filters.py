@@ -41,10 +41,8 @@ __all__ = [
     "ReturnSeries",
     "FilterState",
     "NoiseModel",
-    "ema_update",
     "filter_path",
     "compute_filters",
-    "variance_forecast",
     "simulate_realworld",
     "simulate_panel_returns",
 ]
@@ -250,16 +248,6 @@ def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
     return np.clip(u, 1e-16, 1.0 - 1e-16)
 
 
-def ema_update(previous: float, x: float, length_days: float) -> float:
-    """One step of the EMA recursion ``(1 - 1/L) * previous + x / L``."""
-    if not (math.isfinite(previous) and math.isfinite(x)):
-        raise ValueError("EMA inputs must be finite")
-    if not (math.isfinite(length_days) and length_days >= 1.0):
-        raise ValueError(f"EMA length must be >= 1 day, got {length_days}")
-    w = 1.0 / length_days
-    return (1.0 - w) * previous + w * x
-
-
 def filter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray:
     """Run the EMA recursion over a driver sequence (vectorized via lfilter).
 
@@ -292,10 +280,12 @@ def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
 
 
 def _auto_seed(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
-    """Seed each filter with the sample variance of its first few returns."""
+    """Seed each moving filter with the sample variance of its first few
+    returns, and each constant filter, which never moves off its seed, with
+    the sample variance of the whole series."""
     seeds = np.empty(spec.n_filters)
     for i, f in enumerate(spec.filters):
-        n = int(min(f.length_days, 60.0))
+        n = returns.size if math.isinf(f.length_days) else int(min(f.length_days, 60.0))
         n = max(min(n, returns.size), 1)
         seeds[i] = max(float(np.var(returns[:n])) / spec.dt_years, VARIANCE_FLOOR)
     return seeds
@@ -308,9 +298,10 @@ def compute_filters(
 ) -> list[FilterState]:
     """Run all filters over a return series, one state per observation date.
 
-    With ``init=None`` every filter is seeded with the sample variance of the
-    first ``min(L_i, 60)`` returns and the first ``max(L_i)`` states, over
-    the finite lengths, are flagged as burn-in.  An explicit initial state
+    With ``init=None`` every moving filter is seeded with the sample
+    variance of the first ``min(L_i, 60)`` returns, a constant filter with
+    that of the whole series, and the first ``max(L_i)`` states, over the
+    finite lengths, are flagged as burn-in.  An explicit initial state
     suppresses the flag.
     """
     if init is not None and init.x.size != spec.n_filters:
@@ -333,13 +324,6 @@ def compute_filters(
         FilterState.from_levels(levels[k], spec, series.dates[k], burn_in=k < warmup)
         for k in range(len(series))
     ]
-
-
-def variance_forecast(state: FilterState, spec: GarchSpec) -> float:
-    """Weighted combination of filter levels, floored away from zero."""
-    if state.x.size != spec.n_filters:
-        raise ValueError("state does not match spec")
-    return max(float(spec.weights @ state.x), VARIANCE_FLOOR)
 
 
 def _step_filters(

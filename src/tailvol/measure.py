@@ -46,7 +46,6 @@ __all__ = [
     "omega_matrix",
     "eigen_from_omega",
     "omega_eigen",
-    "forward_variance",
     "varswap_price",
     "varswap_slope",
     "decay_integral",
@@ -418,23 +417,6 @@ def decay_integral(rate, tau):
     safe = np.where(tiny, 1.0, rate)
     out = -np.expm1(-safe * tau) / safe
     return np.where(tiny, tau, out)
-
-
-def forward_variance(
-    state: FilterState, eig: EigenSystem, premia: RiskPremia, horizon
-) -> np.ndarray | float:
-    """Forward variance quote for delivery ``horizon`` years after the state.
-
-    This is the pricing-measure expectation of the effective spot variance
-    ``(1 + lambda2) nu`` at the horizon; at zero horizon it equals
-    ``(1 + lambda2) nu_t``.
-    """
-    horizon = np.asarray(horizon, dtype=float)
-    if (horizon < 0.0).any():
-        raise ValueError("horizon must be >= 0")
-    coeffs = (1.0 + premia.lambda2) * eig.weights_tilde * eig.state_coords(state.x)
-    vals = np.exp(-np.multiply.outer(horizon, eig.rates)) @ coeffs
-    return float(vals) if vals.ndim == 0 else vals
 
 
 def varswap_slope(eig: EigenSystem, premia: RiskPremia, maturity) -> np.ndarray:

@@ -68,6 +68,12 @@ __all__ = [
     "realworld_drift_check",
 ]
 
+#: Smile quotes are kept only with absolute Black delta in this range.
+_SMILE_DELTA_RANGE = (0.001, 0.999)
+
+#: Years from the drift check's last day to the marked swap's maturity.
+_DRIFT_BUFFER_YEARS = 0.5
+
 
 @dataclass(frozen=True)
 class McConfig:
@@ -284,13 +290,14 @@ def chain_from_ensemble(
     paths: PathEnsemble,
     expiry: float,
     strikes,
-    rate: float = 0.0,
     use_control: bool = False,
 ) -> OptionChain:
     """Build a synthetic OTM option chain from the simulated ensemble.
 
-    The strike exactly at the forward (if present) is quoted as both a put
-    and a call so that strip integrals see a boundary node on each side.
+    The chain is quoted at forward 1 and zero rate, as the ensemble is
+    simulated, so its mids are the undiscounted mean payoffs.  The strike
+    exactly at the forward (if present) is quoted as both a put and a call
+    so that strip integrals see a boundary node on each side.
     Deep out-of-the-money prices are kept as-is (absolute noise is what
     matters for strip integrals); no implied vols are attached.
     """
@@ -301,17 +308,16 @@ def chain_from_ensemble(
         raise ValueError("strikes must be positive")
     forward = 1.0
     puts, calls = _strip_prices(s, strikes, forward)
-    disc = math.exp(-rate * expiry)
     quotes = []
     for k_, p_, c_ in zip(strikes, puts, calls):
         if k_ <= forward:
-            quotes.append(Quote(strike=k_, kind=OptionKind.PUT, mid=disc * p_))
+            quotes.append(Quote(strike=k_, kind=OptionKind.PUT, mid=p_))
         if k_ >= forward:
-            quotes.append(Quote(strike=k_, kind=OptionKind.CALL, mid=disc * c_))
+            quotes.append(Quote(strike=k_, kind=OptionKind.CALL, mid=c_))
     return OptionChain(
         expiry_years=float(paths.horizons[i]),
         forward=forward,
-        rate=rate,
+        rate=0.0,
         quotes=tuple(quotes),
     )
 
@@ -339,13 +345,12 @@ def smile(
     expiries,
     strike_grid,
     cfg: McConfig,
-    delta_range: tuple[float, float] = (0.001, 0.999),
 ) -> SmileSurface:
     """Monte Carlo implied-volatility smile on a strike grid.
 
     ``strike_grid`` is either one array shared by all expiries or a list of
     per-expiry arrays, quoted relative to the forward (= 1).  Strikes whose
-    absolute Black delta falls outside ``delta_range``, or whose price
+    absolute Black delta falls outside [0.001, 0.999], or whose price
     cannot be inverted, are dropped with a reason.
     """
     expiries = np.atleast_1d(np.asarray(expiries, dtype=float))
@@ -373,7 +378,7 @@ def smile(
                 dropped.append((float(t), float(k_), str(exc)))
                 continue
             adelta = abs(bs_delta(1.0, float(k_), float(t), vol, kind))
-            if not (delta_range[0] <= adelta <= delta_range[1]):
+            if not (_SMILE_DELTA_RANGE[0] <= adelta <= _SMILE_DELTA_RANGE[1]):
                 dropped.append((float(t), float(k_), "outside delta range"))
                 continue
             vega = bs_vega(1.0, float(k_), float(t), vol)
@@ -415,7 +420,6 @@ def realworld_drift_check(
     n_paths: int,
     n_days: int,
     seed: int,
-    maturity_buffer_years: float = 0.5,
 ) -> DriftCheckResult:
     """Mark a varswap at model value along real-world paths and compare the
     daily P&L drift with the premium prediction.
@@ -423,7 +427,8 @@ def realworld_drift_check(
     The paths are :func:`tailvol.filters.simulate_panel_returns` from
     ``state0``.  The book is long a varswap plus the accrued realized
     variance; the model value is ``g(tau) @ x`` (linear in the filter
-    levels, so no higher-order terms enter) and the book's fair one-day
+    levels, so no higher-order terms enter; the swap matures half a year
+    after the last day) and the book's fair one-day
     drift is ``-(sum_i g_i (delta_i - 1) / L_i + lambda2 dt) nu``.  The
     returned z-score tests the ensemble mean of the daily residuals, which
     are martingale differences under the model.
@@ -441,7 +446,7 @@ def realworld_drift_check(
         x[1:, i] = filter_path(drivers[:, i], f.length_days, state0.x[i])
     nu = np.maximum(np.einsum("i,dip->dp", spec.weights, x[:-1]), VARIANCE_FLOOR)
 
-    taus = n_days * dt + maturity_buffer_years - dt * np.arange(n_days + 1)
+    taus = n_days * dt + _DRIFT_BUFFER_YEARS - dt * np.arange(n_days + 1)
     g = varswap_slope(omega_eigen(spec, premia), premia, taus)
     value = np.einsum("di,dip->dp", g, x)
     pnl = np.diff(value, axis=0) + returns**2

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tailvol import calibration
 from tailvol.calibration import (
     CalibrationError,
     CalibrationInput,
@@ -20,6 +21,7 @@ from tailvol.expansion import (
     model_moments,
 )
 from tailvol.measure import (
+    ModelError,
     RiskPremia,
     kurtosis_bound,
     omega_eigen,
@@ -70,6 +72,19 @@ def test_unknown_mode_rejected(three_scale_spec, flat_state, gaussian_moments, m
     inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
     with pytest.raises(ValueError, match="mode"):
         calibrate_sequential(inputs, mode="bogus")
+
+
+def test_stage_failure_is_wrapped_with_its_name(
+    monkeypatch, three_scale_spec, flat_state, gaussian_moments, mild_premia
+):
+    def broken(*args, **kwargs):
+        raise ModelError("generator is defective")
+
+    monkeypatch.setattr(calibration, "fit_lambda3", broken)
+    market = _model_triples(three_scale_spec, flat_state, mild_premia, gaussian_moments)
+    inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
+    with pytest.raises(CalibrationError, match="lambda3 stage failed: generator is defective"):
+        calibrate_sequential(inputs)
 
 
 def test_fit_lambda2_recovers_generating_value(

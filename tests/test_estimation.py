@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from tailvol import estimation
 from tailvol.estimation import (
     DataError,
     FreeParams,
-    ParamBounds,
     ReturnPanel,
     fit_garch,
     pooled_nll,
@@ -19,6 +19,7 @@ from tailvol.filters import (
     GarchSpec,
     NoiseModel,
     ReturnSeries,
+    compute_filters,
     simulate_panel_returns,
 )
 
@@ -76,6 +77,7 @@ def test_free_params_base_weight_and_vector_round_trip():
 
 
 def test_free_params_to_spec_prepends_long_baseline():
+    # the baseline is the constant anchor the likelihood froze
     p = FreeParams(
         weights=(0.4, 0.5),
         lengths=(36.0, 6.0),
@@ -83,7 +85,7 @@ def test_free_params_to_spec_prepends_long_baseline():
     )
     spec = p.to_spec()
     assert isinstance(spec, GarchSpec)
-    assert spec.filters[0].length_days == 1000.0
+    assert spec.filters[0].length_days == math.inf
     assert spec.filters[0].weight == pytest.approx(0.1)
     assert spec.filters[0].kind is FilterKind.SYMMETRIC
     assert spec.filters[1].length_days == 36.0
@@ -92,20 +94,21 @@ def test_free_params_to_spec_prepends_long_baseline():
 
 
 def test_param_bounds_validation_and_contains():
-    with pytest.raises(ValueError):
-        ParamBounds(weight_lo=0.5, weight_hi=0.5)
-    with pytest.raises(ValueError):
-        ParamBounds(length_lo=0.5)
-    b = ParamBounds()
-    assert b.contains(_one_filter(0.4, 20.0))
-    assert not b.contains(_one_filter(0.4, 1000.0))
+    # the search box is a module constant: a nonempty weight range and
+    # lengths of at least one day, the conditions a GarchSpec needs
+    w_lo, w_hi = estimation._WEIGHT_RANGE
+    l_lo, l_hi = estimation._LENGTH_RANGE
+    assert 0.0 <= w_lo < w_hi <= 1.0
+    assert 1.0 <= l_lo < l_hi
+    assert estimation._violation(_one_filter(0.4, 20.0)) == 0.0
+    assert estimation._violation(_one_filter(0.4, 1000.0)) > 0.0
     # weights may each sit in [0, 1] yet leave no room for the base filter
     two = FreeParams(
         weights=(0.6, 0.7),
         lengths=(10.0, 20.0),
         kinds=(FilterKind.SYMMETRIC, FilterKind.SYMMETRIC),
     )
-    assert not b.contains(two)
+    assert estimation._violation(two) > 0.0
 
 
 def test_pooled_nll_zero_weight_is_iid_gaussian_loglik():
@@ -205,3 +208,26 @@ def test_fit_garch_rejects_out_of_bounds_init():
     panel = _clustered_panel(n_series=1, n_days=100)
     with pytest.raises(ValueError, match="bounds"):
         fit_garch(panel, NoiseModel(), init=_one_filter(0.4, 1200.0))
+    # weights may each sit in [0, 1] yet leave no room for the base filter
+    two = FreeParams(
+        weights=(0.6, 0.7),
+        lengths=(10.0, 20.0),
+        kinds=(FilterKind.SYMMETRIC, FilterKind.SYMMETRIC),
+    )
+    with pytest.raises(ValueError, match="bounds"):
+        fit_garch(panel, NoiseModel(), init=two)
+
+
+def test_fitted_spec_anchors_at_the_filtered_series_variance():
+    # estimation fits the anchor at the unit variance of each normalized
+    # series; run over any series, the fitted spec's constant filter sits
+    # at that series' full-sample variance per unit time
+    panel = _clustered_panel(n_series=2, n_days=400)
+    res = fit_garch(panel, NoiseModel(), init=_one_filter(0.3, 20.0), n_restarts=1)
+    spec = res.params.to_spec()
+    rng = np.random.default_rng(5)
+    raw = np.concatenate([rng.normal(0.0, 0.002, 60), rng.normal(0.0, 0.015, 900)])
+    states = compute_filters(_series(raw), spec)
+    want = float(np.var(raw)) / spec.dt_years
+    assert all(st.x[0] == pytest.approx(want, rel=1e-12) for st in states)
+    assert spec.filters[0].weight == pytest.approx(res.params.base_weight, abs=0.0)

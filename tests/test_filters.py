@@ -18,11 +18,9 @@ from tailvol.filters import (
     NoiseModel,
     ReturnSeries,
     compute_filters,
-    ema_update,
     filter_path,
     simulate_panel_returns,
     simulate_realworld,
-    variance_forecast,
 )
 
 
@@ -31,19 +29,12 @@ def _dates(n, start=dt.date(2020, 1, 1)):
 
 
 def test_ema_update_hand_value():
-    # (1 - 1/4) * 2 + (1/4) * 6 = 1.5 + 1.5
-    assert ema_update(2.0, 6.0, 4.0) == pytest.approx(3.0, abs=0.0)
+    # one step of filter_path: (1 - 1/4) * 2 + (1/4) * 6 = 1.5 + 1.5
+    assert filter_path(np.array([6.0]), 4.0, 2.0)[0] == pytest.approx(3.0, abs=0.0)
 
 
 def test_ema_update_length_one_forgets_everything():
-    assert ema_update(123.0, 7.0, 1.0) == pytest.approx(7.0)
-
-
-def test_ema_update_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        ema_update(float("nan"), 1.0, 10.0)
-    with pytest.raises(ValueError):
-        ema_update(1.0, 1.0, 0.5)
+    assert filter_path(np.array([7.0]), 1.0, 123.0)[0] == pytest.approx(7.0)
 
 
 @given(
@@ -146,6 +137,22 @@ def test_compute_filters_constant_anchor_sets_no_warm_up():
     assert all(s.x[0] == states[0].x[0] for s in states)
 
 
+def test_compute_filters_seeds_constant_filter_from_whole_series():
+    # a constant filter never leaves its seed, so a calm start must not pin
+    # it: 60 returns at 3% vol, then 2000 at 20% vol
+    rng = np.random.default_rng(11)
+    dt_y = 1.0 / 252.0
+    rets = np.concatenate(
+        [rng.normal(0.0, 0.03 * math.sqrt(dt_y), 60), rng.normal(0.0, 0.2 * math.sqrt(dt_y), 2000)]
+    )
+    spec = GarchSpec(filters=(FilterSpec(math.inf, 0.5), FilterSpec(36.0, 0.5)), dt_years=dt_y)
+    states = compute_filters(ReturnSeries(dates=_dates(rets.size), returns=rets), spec)
+    assert states[-1].x[0] == pytest.approx(float(np.var(rets)) / dt_y, rel=1e-12)
+    # the moving filter keeps its seed from the first min(L, 60) returns
+    first = filter_path(rets[:1] ** 2 / dt_y, 36.0, float(np.var(rets[:36])) / dt_y)[0]
+    assert states[0].x[1] == pytest.approx(first, rel=1e-12)
+
+
 def test_compute_filters_short_sample_warns_all_burn_in(three_scale_spec):
     series = ReturnSeries(dates=_dates(100), returns=np.full(100, 0.01))
     with pytest.warns(UserWarning, match="warm-up"):
@@ -154,18 +161,14 @@ def test_compute_filters_short_sample_warns_all_burn_in(three_scale_spec):
 
 
 def test_variance_forecast_is_weighted_sum(three_scale_spec):
-    state = FilterState(
-        x=np.array([0.02, 0.05, 0.10]), nu=0.01, as_of=dt.date(2024, 1, 2)
-    )
+    state = FilterState.from_levels([0.02, 0.05, 0.10], three_scale_spec, dt.date(2024, 1, 2))
     expect = 0.1 * 0.02 + 0.4 * 0.05 + 0.5 * 0.10
-    assert variance_forecast(state, three_scale_spec) == pytest.approx(expect)
+    assert state.nu == pytest.approx(expect)
 
 
 def test_variance_forecast_floors_at_zero(three_scale_spec):
-    state = FilterState(
-        x=np.array([0.0, 0.0, 0.0]), nu=VARIANCE_FLOOR, as_of=dt.date(2024, 1, 2)
-    )
-    assert variance_forecast(state, three_scale_spec) == pytest.approx(VARIANCE_FLOOR)
+    state = FilterState.from_levels([0.0, 0.0, 0.0], three_scale_spec, dt.date(2024, 1, 2))
+    assert state.nu == pytest.approx(VARIANCE_FLOOR)
 
 
 def test_garch_spec_weights_must_sum_to_one():
@@ -181,6 +184,11 @@ def test_garch_spec_rejects_short_lengths():
 def test_return_series_validates_lengths():
     with pytest.raises(ValueError):
         ReturnSeries(dates=_dates(3), returns=np.array([0.01, 0.02]))
+
+
+def test_return_series_rejects_non_finite_returns():
+    with pytest.raises(ValueError, match="non-finite return at position 1"):
+        ReturnSeries(dates=_dates(3), returns=np.array([0.01, math.nan, 0.02]))
 
 
 def test_noise_model_student_t_unit_variance():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from tailvol.expansion import ForwardVarianceCurve
 from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel
 from tailvol.measure import (
     ModelError,
@@ -15,7 +16,6 @@ from tailvol.measure import (
     decay_integral,
     eigen_from_omega,
     filter_cov_matrix,
-    forward_variance,
     kurtosis_bound,
     noise_moments,
     omega_eigen,
@@ -319,7 +319,7 @@ def test_decay_integral_limits():
 
 def test_forward_variance_at_zero_horizon(three_scale_spec, flat_state, mild_premia):
     eig = omega_eigen(three_scale_spec, mild_premia)
-    f0 = forward_variance(flat_state, eig, mild_premia, 0.0)
+    f0 = ForwardVarianceCurve.from_state(flat_state, eig, mild_premia)(0.0)
     assert f0 == pytest.approx((1.0 + mild_premia.lambda2) * 0.04, rel=1e-10)
 
 
@@ -327,9 +327,8 @@ def test_varswap_price_integrates_forward_variance(three_scale_spec, flat_state,
     eig = omega_eigen(three_scale_spec, mild_premia)
     maturity = 0.7
     val = varswap_price(flat_state, eig, mild_premia, maturity)
-    quad_val, err = quad(
-        lambda t: forward_variance(flat_state, eig, mild_premia, t), 0.0, maturity
-    )
+    curve = ForwardVarianceCurve.from_state(flat_state, eig, mild_premia)
+    quad_val, err = quad(curve, 0.0, maturity)
     assert val == pytest.approx(quad_val, rel=1e-9)
 
 
