@@ -11,6 +11,12 @@ So the premia are fitted in three scalar least-squares stages, each on its
 own moment across all expiries.  The expansion integrals depend on the
 state and on ``lambda2`` only, and are computed once after the first stage.
 
+The variance-swap price is not polynomial in ``lambda2``, so the first stage
+scans a grid and refines.  The other two are solved, not searched: the skew
+moment is quadratic in ``lambda3`` and the kurtosis moment affine in
+``lambda4``, so each stage evaluates the model's own moments at degree + 1
+premia and minimizes the polynomial least squares exactly.
+
 The kurtosis stage is constrained by the consistency floor on ``lambda4``;
 if the unconstrained optimum falls below the floor the result saturates
 there (and a calibration mode exists that simply pins ``lambda4`` to the
@@ -24,13 +30,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy.optimize import minimize_scalar
 
 from .expansion import (
     ExpansionIntegrals,
     ForwardVarianceCurve,
     ImpliedMomentTriple,
+    coefficients_from_covariances,
     expansion_integrals,
+    model_moments,
 )
 from .filters import FilterState, GarchSpec
 from .measure import (
@@ -57,16 +66,16 @@ __all__ = [
 
 _PENALTY = 1e12
 
-#: Search intervals of the scalar stages.  The ``lambda2`` ceiling is a
+#: Intervals of the scalar stages.  The ``lambda2`` ceiling is a
 #: configuration choice: pricing dynamics above a critical premium grow along
 #: one eigenmode, which is legitimate for finite maturities, so no
-#: stationarity cap is imposed.  ``lambda4`` is searched within
+#: stationarity cap is imposed.  ``lambda4`` is fitted within
 #: ``_LAMBDA4_WIDTH`` of its floor on either side.
 _LAMBDA2_BRACKET = (-1.0 + 1e-6, 4.0)
 _LAMBDA3_BRACKET = (-3.0, 5.0)
 _LAMBDA4_WIDTH = 20.0
 
-#: Grid size of the coarse scan and x-tolerance of the bounded refinement.
+#: Grid size of the ``lambda2`` scan and x-tolerance of its refinement.
 _N_GRID = 41
 _XATOL = 1e-8
 
@@ -176,34 +185,58 @@ def _stage_integrals(
     return eig, integrals
 
 
+def _moment_polynomials(
+    eig, integrals, covariances: Callable, moment: str, lo: float, hi: float, degree: int
+) -> list[Polynomial]:
+    """Per-expiry polynomials in one premium through the model's ``moment``.
+
+    ``covariances(premium)`` gives the ``(spot_cov, cov)`` pair that
+    :func:`coefficients_from_covariances` contracts; the moment is evaluated
+    at ``degree + 1`` equally spaced nodes of [lo, hi] and interpolated,
+    which is exact when it is a polynomial of that degree in the premium.
+    """
+    nodes = np.linspace(lo, hi, degree + 1)
+    values = np.array([
+        [getattr(model_moments(coefficients_from_covariances(eig, *covs, ints)), moment)
+         for ints in integrals]
+        for covs in map(covariances, nodes)
+    ])
+    # one fit for all expiries, in the window [-1, 1] the domain maps the nodes to
+    window = np.linspace(-1.0, 1.0, degree + 1)
+    coefs = np.polynomial.polynomial.polyfit(window, values, degree)
+    return [Polynomial(c, domain=(lo, hi)) for c in coefs.T]
+
+
+def _squared_error(polys: list[Polynomial], targets, x):
+    return sum((p(x) - t) ** 2 for p, t in zip(polys, targets))
+
+
+def _least_squares(polys: list[Polynomial], targets, lo: float, hi: float):
+    """Exact minimum of :func:`_squared_error` over [lo, hi], among the
+    stationary points inside and the two ends: (argmin, min, at_boundary)."""
+    objective = sum((p - t) ** 2 for p, t in zip(polys, targets))
+    cands = np.append(np.clip(objective.deriv().roots().real, lo, hi), (lo, hi))
+    errs = _squared_error(polys, targets, cands)
+    x = float(cands[int(np.argmin(errs))])
+    return x, float(np.min(errs)), x in (lo, hi)
+
+
 def fit_lambda3(
     inputs: CalibrationInput,
     lambda2: float,
     _precomputed: tuple[object, list[ExpansionIntegrals]] | None = None,
 ) -> StageResult:
-    """Least-squares fit of ``lambda3`` to the skew moment across expiries."""
+    """Least-squares fit of ``lambda3`` to the skew moment across expiries,
+    solved exactly from three evaluations of that quadratic in ``lambda3``."""
     eig, integrals = _precomputed or _stage_integrals(inputs, lambda2)
-    mkt_skew = np.array([trip.skew_m for _, trip in inputs.market])
+    no_cov = np.zeros((inputs.spec.n_filters,) * 2)  # skew_m does not read cff
 
-    def objective(lam3: float) -> float:
-        try:
-            xi_rho = spot_cov_products(inputs.spec, lambda2, lam3, inputs.noise)
-        except ModelError:
-            return _PENALTY
-        spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
-        err = 0.0
-        for (t, _), ints, target in zip(inputs.market, integrals, mkt_skew):
-            if ints.total_variance <= 0.0:
-                return _PENALTY
-            cxf = float(spot_loads @ ints.jxf)
-            cmu = float(spot_loads @ ints.jmu @ spot_loads)
-            skew = (cxf + cmu) / (math.sqrt(t) * ints.total_variance**1.5)
-            err += (skew - target) ** 2
-        return err
+    def covariances(lam3: float):
+        return spot_cov_products(inputs.spec, lambda2, lam3, inputs.noise), no_cov
 
-    x, fx, boundary = _grid_then_refine(objective, *_LAMBDA3_BRACKET)
-    if fx >= _PENALTY:
-        raise CalibrationError("no admissible lambda3 found in the bracket")
+    polys = _moment_polynomials(eig, integrals, covariances, "skew_m", *_LAMBDA3_BRACKET, 2)
+    targets = [trip.skew_m for _, trip in inputs.market]
+    x, fx, boundary = _least_squares(polys, targets, *_LAMBDA3_BRACKET)
     return StageResult(value=x, residual=fx, at_boundary=boundary)
 
 
@@ -215,40 +248,24 @@ def fit_lambda4(
 ) -> tuple[StageResult, bool, float]:
     """Fit ``lambda4`` to the kurtosis moment, respecting its floor.
 
-    The unconstrained optimum is located first (the covariance matrix is a
-    polynomial in ``lambda4``, defined on both sides of the floor); if it
+    The kurtosis moment is affine in ``lambda4`` on both sides of the floor,
+    so two evaluations give the unconstrained optimum exactly; if it
     violates the floor, the floor value is returned with a saturation flag.
     """
     eig, integrals = _precomputed or _stage_integrals(inputs, lambda2)
     floor = kurtosis_bound(lambda2, lambda3, inputs.noise, inputs.spec)
-    xi_rho = spot_cov_products(inputs.spec, lambda2, lambda3, inputs.noise)
-    spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
-    mkt_kurt = np.array([trip.kurt_m for _, trip in inputs.market])
-    cmu = [float(spot_loads @ ints.jmu @ spot_loads) for ints in integrals]
+    spot_cov = spot_cov_products(inputs.spec, lambda2, lambda3, inputs.noise)
 
-    def objective(lam4: float) -> float:
-        cov = filter_cov_matrix(inputs.spec, lam4, inputs.noise)
-        m = eig.u_inv @ cov @ eig.u_inv.T
-        cov_loads = np.outer(eig.weights_tilde, eig.weights_tilde) * m
-        err = 0.0
-        for (t, _), ints, cm, target in zip(inputs.market, integrals, cmu, mkt_kurt):
-            if ints.total_variance <= 0.0:
-                return _PENALTY
-            cff = float(np.sum(cov_loads * ints.jff))
-            kurt = (cm + 0.25 * cff) / (math.sqrt(t) * ints.total_variance**2.5)
-            err += (kurt - target) ** 2
-        return err
+    def covariances(lam4: float):
+        return spot_cov, filter_cov_matrix(inputs.spec, lam4, inputs.noise)
 
-    x, fx, boundary = _grid_then_refine(
-        objective, floor - _LAMBDA4_WIDTH, floor + _LAMBDA4_WIDTH
-    )
-    if fx >= _PENALTY:
-        raise CalibrationError("no admissible lambda4 found in the bracket")
+    lo, hi = floor - _LAMBDA4_WIDTH, floor + _LAMBDA4_WIDTH
+    polys = _moment_polynomials(eig, integrals, covariances, "kurt_m", lo, hi, 1)
+    targets = [trip.kurt_m for _, trip in inputs.market]
+    x, fx, boundary = _least_squares(polys, targets, lo, hi)
     saturated = x < floor
     if saturated:
-        x = floor
-        fx = objective(floor)
-        boundary = False
+        x, fx, boundary = floor, float(_squared_error(polys, targets, floor)), False
     return StageResult(value=x, residual=fx, at_boundary=boundary), saturated, floor
 
 

@@ -122,7 +122,6 @@ class FitResult:
     converged: bool
     n_iter: int
     n_restarts: int
-    message: str = ""
 
 
 def _violation(params: FreeParams) -> float:
@@ -228,13 +227,10 @@ def fit_garch(
             best_val = float(res.fun)
             best = res.x
             converged = bool(res.success)
-    params = FreeParams.from_vector(best, kinds)
-    message = "" if converged else "optimizer did not meet tolerance; best point returned"
     return FitResult(
-        params=params,
+        params=FreeParams.from_vector(best, kinds),
         nll=best_val,
         converged=converged,
         n_iter=n_iter,
         n_restarts=len(starts),
-        message=message,
     )

@@ -42,7 +42,7 @@ __all__ = [
     "ImpliedMomentTriple",
     "expansion_integrals",
     "expansion_coefficients",
-    "coefficients_from_loadings",
+    "coefficients_from_covariances",
     "psi",
     "model_moments",
     "atm_skew",
@@ -208,15 +208,9 @@ def expansion_integrals(
 
 @dataclass(frozen=True, eq=False)
 class ExpansionCoefficients:
-    """Expansion coefficients at one maturity.
+    """Expansion coefficients at one maturity: the contracted ``cxf``,
+    ``cff`` and ``cmu`` and the variance-swap price ``v``."""
 
-    ``a`` and ``b`` are the per-eigenmode loading vector/matrix (the rate
-    -normalized spot and variance covariance loadings); ``cxf``, ``cff`` and
-    ``cmu`` the contracted coefficients; ``v`` the variance-swap price.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
     cxf: float
     cff: float
     cmu: float
@@ -224,29 +218,26 @@ class ExpansionCoefficients:
     maturity: float
 
 
-def coefficients_from_loadings(
-    spot_loads: np.ndarray,
-    cov_loads: np.ndarray,
+def coefficients_from_covariances(
+    eig: EigenSystem,
+    spot_cov: np.ndarray,
+    cov: np.ndarray,
     integrals: ExpansionIntegrals,
 ) -> ExpansionCoefficients:
-    """Contract eigenmode loadings with precomputed integrals.
+    """Contract spot/filter products ``xi_i rho_i`` and filter-factor
+    covariances ``xi_k xi_l rho_kl`` with precomputed integrals.
 
-    ``spot_loads`` is the vector ``a_i = wt_i * (U^-1 (xi o rho))_i`` and
-    ``cov_loads`` the matrix ``b_ij = wt_i wt_j (U^-1 C U^-T)_ij`` with C the
-    filter-factor covariance; both are in the rate-normalized convention
-    matching :class:`ExpansionIntegrals`.
+    Both are moved to the eigenbasis in the rate-normalized convention of
+    :class:`ExpansionIntegrals`, as ``a = wt * (U^-1 spot_cov)`` and
+    ``b = wt wt^T * (U^-1 cov U^-T)``; the coefficients are quadratic in
+    ``a`` and linear in ``b``.
     """
-    a = np.asarray(spot_loads, dtype=float)
-    b = np.asarray(cov_loads, dtype=float)
-    cxf = float(a @ integrals.jxf)
-    cff = float(np.sum(b * integrals.jff))
-    cmu = float(a @ integrals.jmu @ a)
+    a = eig.weights_tilde * (eig.u_inv @ spot_cov)
+    b = np.outer(eig.weights_tilde, eig.weights_tilde) * (eig.u_inv @ cov @ eig.u_inv.T)
     return ExpansionCoefficients(
-        a=a,
-        b=b,
-        cxf=cxf,
-        cff=cff,
-        cmu=cmu,
+        cxf=float(a @ integrals.jxf),
+        cff=float(np.sum(b * integrals.jff)),
+        cmu=float(a @ integrals.jmu @ a),
         v=integrals.total_variance,
         maturity=integrals.maturity,
     )
@@ -256,13 +247,10 @@ def expansion_coefficients(
     eig: EigenSystem, params: PricingParams, integrals: ExpansionIntegrals
 ) -> ExpansionCoefficients:
     """Coefficients for a full set of pricing parameters."""
-    xi_rho = params.xi * params.rho_spot
-    spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
-    loads = pca_loadings(params)
-    cov = (params.xi[:, None] * loads) @ (params.xi[:, None] * loads).T
-    m = eig.u_inv @ cov @ eig.u_inv.T
-    cov_loads = np.outer(eig.weights_tilde, eig.weights_tilde) * m
-    return coefficients_from_loadings(spot_loads, cov_loads, integrals)
+    loads = params.xi[:, None] * pca_loadings(params)
+    return coefficients_from_covariances(
+        eig, params.xi * params.rho_spot, loads @ loads.T, integrals
+    )
 
 
 def psi(alpha, coeffs: ExpansionCoefficients) -> np.ndarray | float:

@@ -230,7 +230,7 @@ class NoiseModel:
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.family == "gaussian":
-            return ndtri(_open_uniform(rng, size))
+            return _standard_normals(rng, size)
         return rng.standard_t(self.dof, size=size) * self.t_scale
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
@@ -242,10 +242,11 @@ class NoiseModel:
         return student_t.logpdf(z, self.dof, scale=self.t_scale)
 
 
-def _open_uniform(rng: np.random.Generator, size) -> np.ndarray:
-    """Uniforms clipped into the open interval so ndtri never returns inf."""
-    u = rng.random(size)
-    return np.clip(u, 1e-16, 1.0 - 1e-16)
+def _standard_normals(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard normals by inverse CDF, the one source of Gaussian draws in
+    the package.  Uniforms are clipped into the open interval so ndtri never
+    returns inf."""
+    return ndtri(np.clip(rng.random(size), 1e-16, 1.0 - 1e-16))
 
 
 def filter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray:

@@ -289,6 +289,8 @@ def spot_cov_products(
     These do not depend on ``lambda4``: the kurtosis premium cancels between
     the vol-of-vol and the correlation.  Having them separately lets the
     skew stage of a calibration run before any kurtosis premium is chosen.
+    They are affine in ``lambda3``, which makes the model's skew moment a
+    quadratic in it that the skew stage solves exactly.
     """
     d2 = 1.0 + lambda2
     if d2 <= 0.0:
@@ -304,8 +306,10 @@ def filter_cov_matrix(
 ) -> np.ndarray:
     """The matrix ``xi_k xi_l rho_kl`` of filter-factor covariances.
 
-    Written without square roots so it stays well-defined even below the
-    kurtosis floor, which keeps calibration objectives smooth.
+    Written without square roots, it is affine in ``lambda4`` on both sides
+    of the kurtosis floor, so the model's kurtosis moment is affine in
+    ``lambda4`` too and the kurtosis stage of a calibration solves it
+    exactly, even where the optimum falls below the floor.
     """
     asym = spec.is_asymmetric
     s_arg = mom.m4 - 1.0 + lambda4

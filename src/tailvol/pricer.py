@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .expansion import ForwardVarianceCurve
 from .filters import (
@@ -41,6 +40,7 @@ from .filters import (
     GarchSpec,
     NoiseModel,
     _filter_drivers,
+    _standard_normals,
     filter_path,
     simulate_panel_returns,
 )
@@ -133,8 +133,7 @@ class PathEnsemble:
 def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
     """Deterministic standard normals for one work unit, via inverse CDF."""
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    u = np.random.Generator(bits).random(shape)
-    return ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+    return _standard_normals(np.random.Generator(bits), shape)
 
 
 def _mean_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -268,13 +267,11 @@ def price_european(
     return disc * mean, disc * se
 
 
-def _strip_prices(
-    s: np.ndarray, strikes: np.ndarray, forward: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean OTM payoffs for many strikes at once via sorted cumulative sums.
+def _strip_prices(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean put and call payoffs for many strikes at once via sorted
+    cumulative sums.
 
-    Returns (put prices for strikes <= forward, call prices for the rest)
-    concatenated in strike order to match ``strikes``.
+    Returns (put prices, call prices), each aligned with ``strikes``.
     """
     order = np.sort(s)
     csum = np.concatenate(([0.0], np.cumsum(order)))
@@ -307,7 +304,7 @@ def chain_from_ensemble(
     if (strikes <= 0.0).any():
         raise ValueError("strikes must be positive")
     forward = 1.0
-    puts, calls = _strip_prices(s, strikes, forward)
+    puts, calls = _strip_prices(s, strikes)
     quotes = []
     for k_, p_, c_ in zip(strikes, puts, calls):
         if k_ <= forward:
@@ -406,10 +403,6 @@ class DriftCheckResult:
     stderr: float
     z_score: float
     n_path_days: int
-
-    @property
-    def within(self) -> float:
-        return abs(self.z_score)
 
 
 def realworld_drift_check(

@@ -143,8 +143,6 @@ def test_criterion_2_cumulant_normalization(capsys):
     worst = 0.0
     for _ in range(1000):
         co = ExpansionCoefficients(
-            a=np.zeros(1),
-            b=np.zeros((1, 1)),
             cxf=float(rng.uniform(-1.0, 1.0)),
             cff=float(rng.uniform(0.0, 2.0)),
             cmu=float(rng.uniform(-1.0, 1.0)),

@@ -16,16 +16,21 @@ from tailvol.calibration import (
 from tailvol.expansion import (
     ForwardVarianceCurve,
     ImpliedMomentTriple,
+    coefficients_from_covariances,
     expansion_coefficients,
     expansion_integrals,
     model_moments,
 )
+from tailvol.filters import NoiseModel
 from tailvol.measure import (
     ModelError,
     RiskPremia,
+    filter_cov_matrix,
     kurtosis_bound,
+    noise_moments,
     omega_eigen,
     pricing_params,
+    spot_cov_products,
 )
 
 EXPIRIES = (1.0 / 12.0, 0.25, 0.5)
@@ -182,9 +187,6 @@ def test_fit_lambda4_saturates_when_market_kurtosis_is_too_low(
 
 def test_noise_model_feeds_through_to_fits(three_scale_spec, flat_state):
     # heavier-tailed shocks change the floor and the recovered premia scale
-    from tailvol.filters import NoiseModel
-    from tailvol.measure import noise_moments
-
     mom_t = noise_moments(NoiseModel(family="student_t", dof=8.0))
     gen = RiskPremia(0.2, 0.3, 1.2)
     market = _model_triples(three_scale_spec, flat_state, gen, mom_t)
@@ -193,3 +195,151 @@ def test_noise_model_feeds_through_to_fits(three_scale_spec, flat_state):
     assert res.premia.lambda2 == pytest.approx(0.2, abs=1e-6)
     assert res.premia.lambda3 == pytest.approx(0.3, abs=1e-5)
     assert res.premia.lambda4 == pytest.approx(1.2, abs=1e-4)
+
+
+# --- the exact skew and kurtosis stages against a grid-plus-Brent oracle ------
+
+
+def _oracle_fit_lambda3(inputs, lambda2, pre):
+    """The skew stage as a grid scan plus bounded Brent refinement of a
+    hand-written skew objective: the implementation the exact solve replaced,
+    less its penalty branches, which these markets never reach."""
+    eig, integrals = pre
+    mkt_skew = np.array([trip.skew_m for _, trip in inputs.market])
+
+    def objective(lam3):
+        xi_rho = spot_cov_products(inputs.spec, lambda2, lam3, inputs.noise)
+        spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
+        err = 0.0
+        for (t, _), ints, target in zip(inputs.market, integrals, mkt_skew):
+            cxf = float(spot_loads @ ints.jxf)
+            cmu = float(spot_loads @ ints.jmu @ spot_loads)
+            skew = (cxf + cmu) / (math.sqrt(t) * ints.total_variance**1.5)
+            err += (skew - target) ** 2
+        return err
+
+    x, fx, boundary = calibration._grid_then_refine(objective, *calibration._LAMBDA3_BRACKET)
+    return StageResult(value=x, residual=fx, at_boundary=boundary)
+
+
+def _oracle_fit_lambda4(inputs, lambda2, lambda3, pre):
+    """The kurtosis stage as a grid scan plus bounded Brent refinement,
+    saturating at the floor."""
+    eig, integrals = pre
+    floor = kurtosis_bound(lambda2, lambda3, inputs.noise, inputs.spec)
+    xi_rho = spot_cov_products(inputs.spec, lambda2, lambda3, inputs.noise)
+    spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
+    mkt_kurt = np.array([trip.kurt_m for _, trip in inputs.market])
+    cmu = [float(spot_loads @ ints.jmu @ spot_loads) for ints in integrals]
+
+    def objective(lam4):
+        cov = filter_cov_matrix(inputs.spec, lam4, inputs.noise)
+        m = eig.u_inv @ cov @ eig.u_inv.T
+        cov_loads = np.outer(eig.weights_tilde, eig.weights_tilde) * m
+        err = 0.0
+        for (t, _), ints, cm, target in zip(inputs.market, integrals, cmu, mkt_kurt):
+            cff = float(np.sum(cov_loads * ints.jff))
+            kurt = (cm + 0.25 * cff) / (math.sqrt(t) * ints.total_variance**2.5)
+            err += (kurt - target) ** 2
+        return err
+
+    width = calibration._LAMBDA4_WIDTH
+    x, fx, boundary = calibration._grid_then_refine(objective, floor - width, floor + width)
+    saturated = x < floor
+    if saturated:
+        x, fx, boundary = floor, objective(floor), False
+    return StageResult(value=x, residual=fx, at_boundary=boundary), saturated, floor
+
+
+def _round_trip_markets(spec, state):
+    """(label, inputs, lambda2) for the round-trip markets above and the
+    saturating one, each with the generating lambda2."""
+    gauss = noise_moments(NoiseModel())
+    student = noise_moments(NoiseModel(family="student_t", dof=8.0))
+    out = []
+    for label, gen, mom in (
+        ("mild", RiskPremia(0.3, 0.5, 1.0), gauss),
+        ("negative skew", RiskPremia(0.1, -0.4, 0.8), gauss),
+        ("student t", RiskPremia(0.2, 0.3, 1.2), student),
+    ):
+        out.append((label, _inputs(spec, state, mom, _model_triples(spec, state, gen, mom)),
+                    gen.lambda2))
+    floor = kurtosis_bound(0.3, 0.5, gauss, spec)
+    at_floor = _model_triples(spec, state, RiskPremia(0.3, 0.5, floor), gauss)
+    low = tuple((t, dataclasses.replace(trip, kurt_m=trip.kurt_m - 0.05)) for t, trip in at_floor)
+    out.append(("saturating", _inputs(spec, state, gauss, low), 0.3))
+    return out
+
+
+def test_exact_stages_match_the_oracle_on_the_round_trip_markets(three_scale_spec, flat_state):
+    for label, inputs, lam2 in _round_trip_markets(three_scale_spec, flat_state):
+        pre = calibration._stage_integrals(inputs, lam2)
+        new3 = calibration.fit_lambda3(inputs, lam2, _precomputed=pre)
+        old3 = _oracle_fit_lambda3(inputs, lam2, pre)
+        assert new3.value == pytest.approx(old3.value, abs=1e-7), label
+        new4, new_sat, _ = fit_lambda4(inputs, lam2, new3.value, _precomputed=pre)
+        old4, old_sat, _ = _oracle_fit_lambda4(inputs, lam2, new3.value, pre)
+        assert new4.value == pytest.approx(old4.value, abs=1e-7), label
+        assert new_sat == old_sat == (label == "saturating")
+
+
+def test_exact_stages_never_fit_worse_than_the_oracle(three_scale_spec, flat_state):
+    # perturbed targets the model cannot fit exactly: skews and kurtoses
+    # jittered per expiry, some far enough to saturate the floor or pin a
+    # bracket end
+    _, inputs, lam2 = _round_trip_markets(three_scale_spec, flat_state)[0]
+    pre = calibration._stage_integrals(inputs, lam2)
+    rng = np.random.default_rng(2024)
+    for _ in range(24):
+        market = tuple(
+            (t, dataclasses.replace(
+                trip,
+                skew_m=trip.skew_m * (1.0 + rng.normal(0.0, 0.5)),
+                kurt_m=trip.kurt_m * (1.0 + rng.normal(0.0, 0.5)),
+            ))
+            for t, trip in inputs.market
+        )
+        jittered = dataclasses.replace(inputs, market=market)
+        new3 = calibration.fit_lambda3(jittered, lam2, _precomputed=pre)
+        old3 = _oracle_fit_lambda3(jittered, lam2, pre)
+        assert new3.residual <= old3.residual + 1e-12
+        new4, _, _ = fit_lambda4(jittered, lam2, new3.value, _precomputed=pre)
+        old4, _, _ = _oracle_fit_lambda4(jittered, lam2, new3.value, pre)
+        assert new4.residual <= old4.residual + 1e-12
+
+
+def test_stage_polynomials_are_the_model_moments(
+    monkeypatch, three_scale_spec, flat_state, gaussian_moments, mild_premia
+):
+    # the stages are exact only because skew_m is quadratic in lambda3 and
+    # kurt_m affine in lambda4: the interpolants must reproduce the model
+    # between and beyond their nodes, below the kurtosis floor included
+    fitted = []
+    original = calibration._moment_polynomials
+
+    def spy(*args, **kwargs):
+        fitted.append(original(*args, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(calibration, "_moment_polynomials", spy)
+    market = _model_triples(three_scale_spec, flat_state, mild_premia, gaussian_moments)
+    inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
+    lam2, lam3 = mild_premia.lambda2, mild_premia.lambda3
+    eig, integrals = pre = calibration._stage_integrals(inputs, lam2)
+    calibration.fit_lambda3(inputs, lam2, _precomputed=pre)
+    fit_lambda4(inputs, lam2, lam3, _precomputed=pre)
+    skew_polys, kurt_polys = fitted
+    floor = kurtosis_bound(lam2, lam3, gaussian_moments, three_scale_spec)
+
+    def model(l3, l4):
+        spot_cov = spot_cov_products(three_scale_spec, lam2, l3, gaussian_moments)
+        cov = filter_cov_matrix(three_scale_spec, l4, gaussian_moments)
+        return [model_moments(coefficients_from_covariances(eig, spot_cov, cov, ints))
+                for ints in integrals]
+
+    for l3 in (-2.7, -1.3, 0.05, 0.5, 2.2, 4.9):
+        for poly, trip in zip(skew_polys, model(l3, 1.0)):
+            assert poly(l3) == pytest.approx(trip.skew_m, rel=1e-12)
+    for l4 in floor + np.array([-19.5, -7.0, -0.3, 0.4, 3.0, 18.0]):
+        for poly, trip in zip(kurt_polys, model(lam3, l4)):
+            assert poly(l4) == pytest.approx(trip.kurt_m, rel=1e-12)

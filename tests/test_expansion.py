@@ -12,8 +12,8 @@ from tailvol.expansion import (
     ForwardVarianceCurve,
     atm_skew,
     expansion_coefficients,
+    coefficients_from_covariances,
     expansion_integrals,
-    coefficients_from_loadings,
     model_moments,
     psi,
 )
@@ -22,9 +22,11 @@ from tailvol.measure import (
     ModelError,
     RiskPremia,
     decay_integral,
+    filter_cov_matrix,
     noise_moments,
     omega_eigen,
     pricing_params,
+    spot_cov_products,
     varswap_price,
 )
 
@@ -223,7 +225,7 @@ def test_integrals_reject_curve_negative_between_outer_nodes():
 @settings(max_examples=300, deadline=None)
 def test_psi_vanishes_at_zero_and_one(cxf, cff, cmu, v, alpha):
     co = ExpansionCoefficients(
-        a=np.zeros(1), b=np.zeros((1, 1)), cxf=cxf, cff=cff, cmu=cmu, v=v, maturity=0.5
+        cxf=cxf, cff=cff, cmu=cmu, v=v, maturity=0.5
     )
     assert psi(0.0, co) == 0.0
     assert psi(1.0, co) == 0.0
@@ -234,7 +236,7 @@ def test_psi_vanishes_at_zero_and_one(cxf, cff, cmu, v, alpha):
 
 def test_psi_quadratic_part_only():
     co = ExpansionCoefficients(
-        a=np.zeros(1), b=np.zeros((1, 1)), cxf=0.0, cff=0.0, cmu=0.0, v=0.08, maturity=1.0
+        cxf=0.0, cff=0.0, cmu=0.0, v=0.08, maturity=1.0
     )
     # pure Black-Scholes: psi(alpha) = alpha (alpha - 1) V / 2
     assert psi(2.0, co) == pytest.approx(0.08)
@@ -243,7 +245,7 @@ def test_psi_quadratic_part_only():
 
 def test_model_moments_lognormal_limit():
     co = ExpansionCoefficients(
-        a=np.zeros(1), b=np.zeros((1, 1)), cxf=0.0, cff=0.0, cmu=0.0, v=0.01, maturity=0.25
+        cxf=0.0, cff=0.0, cmu=0.0, v=0.01, maturity=0.25
     )
     trip = model_moments(co)
     assert trip.vswap_vol == pytest.approx(0.2, rel=1e-12)
@@ -313,19 +315,38 @@ def test_zero_spot_correlation_kills_first_order_terms():
     assert co.cff > 0.0
 
 
-def test_coefficients_from_loadings_contracts_correctly(two_mode_curve):
-    ints = expansion_integrals(two_mode_curve, 0.5)
-    a = np.array([0.2, -0.1])
-    b = np.array([[0.5, 0.1], [0.1, 0.3]])
-    co = coefficients_from_loadings(a, b, ints)
-    assert co.cxf == pytest.approx(float(a @ ints.jxf), rel=1e-14)
-    assert co.cff == pytest.approx(float(np.sum(b * ints.jff)), rel=1e-14)
-    assert co.cmu == pytest.approx(float(a @ ints.jmu @ a), rel=1e-14)
+def test_coefficients_from_covariances_contracts_in_the_eigenbasis():
+    spec, premia, eig, params, curve = _paper_style_setup()
+    ints = expansion_integrals(curve, 0.5)
+    spot_cov = np.array([0.2, -0.1, 0.3])
+    cov = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.4]])
+    co = coefficients_from_covariances(eig, spot_cov, cov, ints)
+    # eigenbasis loadings a = wt * U^-1 s and b = wt wt^T * U^-1 C U^-T
+    a = eig.weights_tilde * np.linalg.solve(eig.u, spot_cov)
+    b = np.outer(eig.weights_tilde, eig.weights_tilde) * np.linalg.solve(
+        eig.u, np.linalg.solve(eig.u, cov).T
+    )
+    assert co.cxf == pytest.approx(float(a @ ints.jxf), rel=1e-12)
+    assert co.cff == pytest.approx(float(np.sum(b * ints.jff)), rel=1e-12)
+    assert co.cmu == pytest.approx(float(a @ ints.jmu @ a), rel=1e-12)
+    assert (co.v, co.maturity) == (ints.total_variance, 0.5)
+    # the closed-form covariances the calibration stages contract give the
+    # coefficients of the full pricing parameters
+    mom = noise_moments(NoiseModel())
+    staged = coefficients_from_covariances(
+        eig,
+        spot_cov_products(spec, premia.lambda2, premia.lambda3, mom),
+        filter_cov_matrix(spec, premia.lambda4, mom),
+        ints,
+    )
+    full = expansion_coefficients(eig, params, ints)
+    for name in ("cxf", "cff", "cmu"):
+        assert getattr(staged, name) == pytest.approx(getattr(full, name), rel=1e-12)
 
 
 def test_model_moments_rejects_nonpositive_variance():
     co = ExpansionCoefficients(
-        a=np.zeros(1), b=np.zeros((1, 1)), cxf=0.0, cff=0.0, cmu=0.0, v=0.0, maturity=1.0
+        cxf=0.0, cff=0.0, cmu=0.0, v=0.0, maturity=1.0
     )
     with pytest.raises(ModelError):
         model_moments(co)

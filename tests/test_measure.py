@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -300,6 +300,52 @@ def test_omega_matrix_layout():
         ]
     )
     np.testing.assert_allclose(om, expect, rtol=1e-14)
+
+
+@st.composite
+def _filter_banks(draw):
+    """1-5 filters of distinct whole-day lengths, the first optionally a
+    constant anchor, either kind, non-negative weights summing to one.
+
+    Weights are zero or above 1e-12: below about 1e-30 the eigensolver's
+    balancing returns eigenvectors that fail the reconstruction check, a
+    false alarm recorded in CHANGES.md rather than exercised here.
+    """
+    n = draw(st.integers(1, 5))
+    lengths = [float(x) for x in draw(st.lists(st.integers(1, 2000), min_size=n, max_size=n,
+                                               unique=True))]
+    if draw(st.booleans()):
+        lengths[0] = math.inf
+    weight = st.one_of(st.just(0.0), st.floats(1e-12, 1.0))
+    raw = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    weights = raw / raw.sum() if raw.sum() > 0.0 else np.full(n, 1.0 / n)
+    kinds = draw(st.lists(st.sampled_from(FilterKind), min_size=n, max_size=n))
+    return GarchSpec(
+        filters=tuple(FilterSpec(l, float(w), k) for l, w, k in zip(lengths, weights, kinds)),
+        dt_years=DT,
+    )
+
+
+@given(spec=_filter_banks(), lam2=st.floats(-0.5, 4.0))
+@settings(max_examples=300, deadline=None)
+def test_omega_spectrum_is_real_for_nonnegative_weights(spec, lam2):
+    # Omega = Theta (I - delta alpha^T) with delta, alpha >= 0 has a real
+    # spectrum, so the complex-spectrum error must not fire.  Where two rates
+    # coincide Omega can be defective and must raise instead: a constant
+    # anchor whose moving filters have sum_i alpha_i delta_i = 1 (two rates
+    # vanish, test_garch11_defective_generator_raises), or a filter with
+    # alpha_i delta_i = 0, whose rate theta_i can equal one of the others
+    # (1-day weight 1 and 2-day weight 0 at lambda2 = -0.5 give
+    # [[126, 0], [-63, 126]]).  Near-repeated spectra, where the eigenvectors
+    # degenerate, are left out.
+    delta = np.where(spec.is_asymmetric, 1.0 + 2.0 * lam2, 1.0 + lam2)
+    theta = 1.0 / (spec.lengths * spec.dt_years)
+    ev = np.sort(np.linalg.eigvals(omega_matrix(theta, delta, spec.weights)).real)
+    assume(np.all(np.diff(ev) > 1e-6 * max(np.max(np.abs(ev)), 1.0)))
+    eig = omega_eigen(spec, RiskPremia(lam2, 0.0, 0.0))
+    assert np.isrealobj(eig.rates) and np.isrealobj(eig.u)
+    assert np.all(np.isfinite(eig.rates))
+    assert np.all(np.diff(eig.rates) >= 0.0)
 
 
 # ---------------------------------------------------------------- decay integral

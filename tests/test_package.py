@@ -51,3 +51,42 @@ def test_modules_import_no_unused_names():
     src = pathlib.Path(tailvol.__file__).parent
     unused = {path.name: _unused_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Parameters of a function or lambda that its body never reads, as
+    ``function.parameter (line n)``; ``self`` and ``cls`` are exempt, and a
+    read in a nested function counts."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                name.id for stmt in body for name in ast.walk(stmt)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+            }
+            out += [
+                f"{getattr(node, 'name', '<lambda>')}.{arg.arg} (line {arg.lineno})"
+                for arg in params if arg.arg not in read | {"self", "cls"}
+            ]
+    return out
+
+
+def test_unread_parameter_check_flags_a_stray_parameter():
+    source = (
+        "def f(a, b, *, c=1):\n    return a + c\n"
+        "class K:\n    def m(self, x):\n        return lambda y: x\n"
+        "def g(z, **kw):\n    def h():\n        return z\n    return h\n"
+    )
+    assert _unread_parameters(source) == [
+        "f.b (line 1)", "g.kw (line 6)", "<lambda>.y (line 5)"
+    ]
+
+
+def test_functions_read_every_parameter():
+    src = pathlib.Path(tailvol.__file__).parent
+    unread = {path.name: _unread_parameters(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: params for name, params in unread.items() if params} == {}
