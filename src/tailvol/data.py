@@ -47,7 +47,6 @@ __all__ = [
     "premia_to_dict",
     "premia_from_dict",
     "noise_to_dict",
-    "noise_from_dict",
     "write_states_csv",
 ]
 
@@ -309,17 +308,6 @@ def noise_to_dict(noise: NoiseModel) -> dict:
     if noise.dof is not None:
         out["dof"] = noise.dof
     return out
-
-
-def noise_from_dict(obj: dict) -> NoiseModel:
-    try:
-        dof = obj.get("dof")
-        return NoiseModel(
-            family=obj.get("family", "gaussian"),
-            dof=float(dof) if dof is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"bad noise model: {exc}") from exc
 
 
 def write_states_csv(path: str | Path, states: Iterable[FilterState]) -> None:

@@ -7,12 +7,16 @@ free parameters are the weights and lengths of the remaining filters, with
 the first weight implied by the sum-to-one constraint.  The pooled objective
 averages the negative log-likelihood within each series, weighting series
 equally regardless of sample size.
+
+The search runs on a box: the weights are written as stick-breaking
+fractions in [0, 1] and the lengths keep to ``_LENGTH_RANGE``, so every
+point the optimizer tries is a valid model.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +29,7 @@ from .filters import (
     GarchSpec,
     NoiseModel,
     ReturnSeries,
+    _filter_drivers,
     filter_path,
 )
 
@@ -36,10 +41,7 @@ __all__ = [
     "fit_garch",
 ]
 
-_PENALTY = 1e8
-
-#: Box for the free weights and lengths (days) that ``fit_garch`` searches.
-_WEIGHT_RANGE = (0.0, 1.0)
+#: Range of the free lengths (days) that ``fit_garch`` searches.
 _LENGTH_RANGE = (1.5, 500.0)
 
 
@@ -124,57 +126,59 @@ class FitResult:
     n_restarts: int
 
 
-def _violation(params: FreeParams) -> float:
-    """Squared distance of ``params`` outside the search box (0 inside)."""
-    w_lo, w_hi = _WEIGHT_RANGE
-    l_lo, l_hi = _LENGTH_RANGE
-    v = 0.0
-    for w in params.weights:
-        v += max(w_lo - w, 0.0) ** 2 + max(w - w_hi, 0.0) ** 2
-    for l in params.lengths:
-        v += max(l_lo - l, 0.0) ** 2 + max(l - l_hi, 0.0) ** 2
-    v += max(-params.base_weight, 0.0) ** 2
-    return v
+def _stick_weights(u: np.ndarray) -> np.ndarray:
+    """Weights from stick-breaking fractions, ``w_i = u_i prod_{j<i} (1 - u_j)``.
+
+    For ``u`` in the unit cube each weight and the remainder
+    ``1 - sum(w) = prod_j (1 - u_j)`` left to the constant anchor lie in
+    [0, 1].
+    """
+    return u * np.concatenate(([1.0], np.cumprod(1.0 - u[:-1])))
 
 
-def _series_nll(
-    returns: np.ndarray, params: FreeParams, noise: NoiseModel
-) -> float:
-    """Average NLL of one normalized series; +inf if the variance path dies."""
-    nu = np.full(returns.size, params.base_weight)
-    for w, l, kind in zip(params.weights, params.lengths, params.kinds):
-        if kind is FilterKind.ASYMMETRIC:
-            driver = 2.0 * returns**2 * (returns < 0.0)
-        else:
-            driver = returns**2
-        # Filters are seeded at 1, the unconditional level of a normalized
-        # series, so the first forecast uses nu = 1.
-        nu += w * filter_path(driver, l, 1.0)
-    nu_prev = np.concatenate(([1.0], nu[:-1]))
+def _stick_fractions(weights: Sequence[float]) -> np.ndarray:
+    """Inverse of :func:`_stick_weights`; fractions after the stick is used
+    up are 0."""
+    u, rest = [], 1.0
+    for w in weights:
+        u.append(w / rest if rest > 0.0 else 0.0)
+        rest *= 1.0 - u[-1]
+    return np.array(u)
+
+
+def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel) -> float:
+    """Summed average NLL of equal-length normalized series, the columns of
+    ``returns``, under a unit-dt spec; +inf if a variance path dies."""
+    drivers = _filter_drivers(returns, spec)
+    # Filters are seeded at 1, the unconditional level of a normalized
+    # series, so the first forecast uses nu = 1.
+    nu = sum(
+        f.weight * filter_path(drivers[:, i], f.length_days, 1.0)
+        for i, f in enumerate(spec.filters)
+    )
+    nu_prev = np.concatenate((np.ones((1, returns.shape[1])), nu[:-1]))
     if (nu_prev <= 0.0).any():
         return math.inf
     z = returns / np.sqrt(nu_prev)
     terms = 0.5 * np.log(nu_prev) - noise.log_density(z)
-    return float(np.mean(terms))
+    return float(np.sum(terms)) / returns.shape[0]
 
 
 def pooled_nll(params: FreeParams, panel: ReturnPanel, noise: NoiseModel) -> float:
     """Sum over series of per-series average negative log-likelihood.
 
-    Out-of-bounds or degenerate parameter vectors return a large penalty
-    rather than raising, so derivative-free optimizers can probe freely.
+    Series of equal length run through the filters together.  Raises
+    ``ValueError`` on a negative weight or base weight (the base weight may
+    miss zero by rounding, as stick-breaking weights do) and, from
+    ``GarchSpec``, on a length under one day.
     """
-    if params.base_weight < 0.0 or any(w < 0.0 for w in params.weights):
-        return _PENALTY * (1.0 + _violation(params))
-    if any(l < 1.0 for l in params.lengths):
-        return _PENALTY * (1.0 + _violation(params))
-    total = 0.0
+    if min(params.weights) < 0.0 or params.base_weight < -1e-12:
+        raise ValueError(f"negative weight in {params.weights} or {params.base_weight}")
+    spec = replace(params.to_spec(), dt_years=1.0)
+    by_length: dict[int, list[np.ndarray]] = {}
     for s in panel.series:
-        nll = _series_nll(s.returns, params, noise)
-        if not math.isfinite(nll):
-            return _PENALTY
-        total += nll
-    return total
+        by_length.setdefault(len(s), []).append(s.returns)
+    return sum(_series_nll(np.column_stack(g), spec, noise) for g in by_length.values())
 
 
 def fit_garch(
@@ -184,53 +188,46 @@ def fit_garch(
     seed: int = 0,
     n_restarts: int = 3,
 ) -> FitResult:
-    """Minimize the pooled NLL with Nelder-Mead and random restarts.
+    """Minimize the pooled NLL over a box with L-BFGS-B and random restarts.
 
-    The first start is ``init``; the remaining restarts perturb it uniformly
-    within the bounds box.  Returns the best point found, flagged as
-    non-converged if no restart satisfied the tolerance.
+    The search variables are the stick-breaking fractions of the weights
+    (see :func:`_stick_weights`) in [0, 1] and the lengths in
+    ``_LENGTH_RANGE``; gradients are finite differences that stay inside the
+    box.  The first start is ``init``; each further restart draws the
+    fractions uniformly from [0, 1] and the lengths uniformly from
+    ``_LENGTH_RANGE`` capped at 120 days.  Returns the best restart:
+    ``converged`` is its L-BFGS-B success flag and ``n_iter`` counts the
+    L-BFGS-B iterations of all restarts.
     """
-    if _violation(init) > 0.0:
-        raise ValueError("initial parameters violate the bounds")
     kinds = init.kinds
     k = len(kinds)
+    bounds = [(0.0, 1.0)] * k + [_LENGTH_RANGE] * k
+    lo, hi = np.array(bounds).T
+    first = np.concatenate([_stick_fractions(init.weights), init.lengths])
+    if not ((lo <= first) & (first <= hi)).all():
+        raise ValueError("initial parameters violate the bounds")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-    def objective(vec: np.ndarray) -> float:
-        p = FreeParams.from_vector(vec, kinds)
-        pen = _violation(p)
-        if pen > 0.0:
-            return _PENALTY * (1.0 + pen)
-        return pooled_nll(p, panel, noise)
-
-    starts = [init.to_vector()]
-    for _ in range(max(n_restarts - 1, 0)):
-        w = rng.uniform(*_WEIGHT_RANGE, size=k)
-        if w.sum() > 1.0:
-            w = w / (w.sum() + 1e-9)
-        l = rng.uniform(_LENGTH_RANGE[0], min(_LENGTH_RANGE[1], 120.0), size=k)
-        starts.append(np.concatenate([w, l]))
-
-    best = None
-    best_val = math.inf
-    converged = False
-    n_iter = 0
-    for start in starts:
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"fatol": 1e-6, "xatol": 1e-6, "maxiter": 4000, "maxfev": 6000},
+    def params_at(vec: np.ndarray) -> FreeParams:
+        return FreeParams.from_vector(
+            np.concatenate([_stick_weights(vec[:k]), vec[k:]]), kinds
         )
-        n_iter += int(res.nit)
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best = res.x
-            converged = bool(res.success)
+
+    starts = [first]
+    for _ in range(max(n_restarts - 1, 0)):
+        u = rng.uniform(0.0, 1.0, size=k)
+        l = rng.uniform(_LENGTH_RANGE[0], min(_LENGTH_RANGE[1], 120.0), size=k)
+        starts.append(np.concatenate([u, l]))
+
+    def objective(vec: np.ndarray) -> float:
+        return pooled_nll(params_at(vec), panel, noise)
+
+    fits = [minimize(objective, x0, method="L-BFGS-B", bounds=bounds) for x0 in starts]
+    best = min(fits, key=lambda res: res.fun)
     return FitResult(
-        params=FreeParams.from_vector(best, kinds),
-        nll=best_val,
-        converged=converged,
-        n_iter=n_iter,
+        params=params_at(best.x),
+        nll=float(best.fun),
+        converged=bool(best.success),
+        n_iter=sum(int(res.nit) for res in fits),
         n_restarts=len(starts),
     )

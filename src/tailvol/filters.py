@@ -237,9 +237,12 @@ class NoiseModel:
         z = np.asarray(z, dtype=float)
         if self.family == "gaussian":
             return -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-        from scipy.stats import t as student_t
-
-        return student_t.logpdf(z, self.dof, scale=self.t_scale)
+        nu = self.dof
+        const = (
+            math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)
+            - 0.5 * math.log((nu - 2.0) * math.pi)
+        )
+        return const - 0.5 * (nu + 1.0) * np.log1p(z * z / (nu - 2.0))
 
 
 def _standard_normals(rng: np.random.Generator, size) -> np.ndarray:
@@ -269,7 +272,8 @@ def filter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray
 
 
 def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
-    """Per-filter input sequences, annualized: shape (n_obs, n_filters)."""
+    """Per-filter input sequences, annualized: shape (n_obs, n_filters), or
+    (n_obs, n_filters, n_series) for 2-d returns of shape (n_obs, n_series)."""
     r2 = returns**2 / spec.dt_years
     cols = []
     for f in spec.filters:

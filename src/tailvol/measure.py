@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .filters import FilterState, GarchSpec, NoiseModel
 
@@ -99,16 +98,20 @@ class NoiseMoments:
 
 
 def noise_moments(noise: NoiseModel) -> NoiseMoments:
-    """Moments of the standardized noise: closed form for Gaussian,
-    quadrature otherwise (relative accuracy well below 1e-8)."""
+    """Moments of the standardized noise, in closed form.
+
+    For a unit-variance Student-t with ``nu`` degrees of freedom,
+    ``m4 = 3 (nu - 2) / (nu - 4)`` and
+    ``m3_minus = -(nu - 2)^{3/2} Gamma((nu - 3) / 2) / (2 sqrt(pi) Gamma(nu / 2))``.
+    """
     if noise.family == "gaussian":
         return NoiseMoments(m4=3.0, m3_minus=-math.sqrt(2.0 / math.pi))
-    from scipy.stats import t as student_t
-
-    dist = student_t(noise.dof, scale=noise.t_scale)
-    m4 = 2.0 * quad(lambda x: x**4 * dist.pdf(x), 0.0, np.inf, epsrel=1e-11)[0]
-    m3m = quad(lambda x: x**3 * dist.pdf(x), -np.inf, 0.0, epsrel=1e-11)[0]
-    return NoiseMoments(m4=m4, m3_minus=m3m)
+    nu = noise.dof
+    ratio = math.exp(math.lgamma((nu - 3.0) / 2.0) - math.lgamma(nu / 2.0))
+    return NoiseMoments(
+        m4=3.0 * (nu - 2.0) / (nu - 4.0),
+        m3_minus=-0.5 * (nu - 2.0) ** 1.5 * ratio / math.sqrt(math.pi),
+    )
 
 
 @dataclass(frozen=True)
@@ -126,13 +129,17 @@ class PremiaCheck:
         return not self.violations
 
 
-def _correlations(
+def validate_premia(
     spec: GarchSpec, premia: RiskPremia, mom: NoiseMoments
-) -> tuple[float, float, float, float, list[str]]:
-    """Spot/filter and filter/filter correlations plus violated conditions.
+) -> PremiaCheck:
+    """Check every consistency condition the premia must satisfy.
 
-    For a spec with only one kind of filter the cross-correlations are
-    degenerate; they are reported as 1 (all filters share one factor).
+    Violation names: ``rho_plus_bound`` (spot/symmetric correlation),
+    ``rho_minus_bound`` (spot/asymmetric), ``rho_cross_bound`` and
+    ``rho_cross_resid_bound`` (symmetric/asymmetric coupling, the latter
+    equivalent to the kurtosis-premium floor).  For a spec with only one
+    kind of filter the cross-correlations are degenerate; they are reported
+    as 1 (all filters share one factor).
     """
     violations: list[str] = []
     d2 = 1.0 + premia.lambda2
@@ -173,20 +180,6 @@ def _correlations(
             rho_bar = (rho_cross - rho_plus * rho_minus) / math.sqrt(den)
             if abs(rho_bar) > 1.0 + _BOUND_TOL:
                 violations.append("rho_cross_resid_bound")
-    return rho_plus, rho_minus, rho_cross, rho_bar, violations
-
-
-def validate_premia(
-    spec: GarchSpec, premia: RiskPremia, mom: NoiseMoments
-) -> PremiaCheck:
-    """Check every consistency condition the premia must satisfy.
-
-    Violation names: ``rho_plus_bound`` (spot/symmetric correlation),
-    ``rho_minus_bound`` (spot/asymmetric), ``rho_cross_bound`` and
-    ``rho_cross_resid_bound`` (symmetric/asymmetric coupling, the latter
-    equivalent to the kurtosis-premium floor).
-    """
-    rho_plus, rho_minus, rho_cross, rho_bar, violations = _correlations(spec, premia, mom)
     return PremiaCheck(
         violations=tuple(violations),
         rho_plus=rho_plus,

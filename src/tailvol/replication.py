@@ -34,7 +34,6 @@ __all__ = [
     "OptionKind",
     "Quote",
     "OptionChain",
-    "QuadratureWeights",
     "trapezoid_weights",
     "bs_price",
     "bs_delta",
@@ -97,13 +96,7 @@ class OptionChain:
         return [q for q in self.quotes if q.kind is kind]
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureWeights:
-    x: np.ndarray
-    weights: np.ndarray
-
-
-def trapezoid_weights(x) -> QuadratureWeights:
+def trapezoid_weights(x) -> np.ndarray:
     """Trapezoid quadrature weights on a strictly increasing grid."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -115,7 +108,7 @@ def trapezoid_weights(x) -> QuadratureWeights:
     w[-1] = 0.5 * (x[-1] - x[-2])
     if x.size > 2:
         w[1:-1] = 0.5 * (x[2:] - x[:-2])
-    return QuadratureWeights(x=x, weights=w)
+    return w
 
 
 def _d1(forward: float, strike: float, expiry: float, vol: float) -> float:
@@ -276,7 +269,7 @@ def _side_integrals(
     """Trapezoid strike integrals of (1, 1 - log(K/F), K/F - 1) * O(K)/K^2."""
     k = np.array([q.strike for q in quotes])
     p = np.array([q.mid for q in quotes])
-    w = trapezoid_weights(k).weights
+    w = trapezoid_weights(k)
     base = w * p / k**2
     logm = np.log(k / forward)
     return (

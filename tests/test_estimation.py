@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
+from scipy.optimize import minimize
 
 from tailvol import estimation
 from tailvol.estimation import (
     DataError,
+    FitResult,
     FreeParams,
     ReturnPanel,
     fit_garch,
@@ -94,21 +98,44 @@ def test_free_params_to_spec_prepends_long_baseline():
 
 
 def test_param_bounds_validation_and_contains():
-    # the search box is a module constant: a nonempty weight range and
-    # lengths of at least one day, the conditions a GarchSpec needs
-    w_lo, w_hi = estimation._WEIGHT_RANGE
+    # the search box: stick-breaking fractions in [0, 1] and lengths of at
+    # least one day, the conditions a GarchSpec needs
     l_lo, l_hi = estimation._LENGTH_RANGE
-    assert 0.0 <= w_lo < w_hi <= 1.0
     assert 1.0 <= l_lo < l_hi
-    assert estimation._violation(_one_filter(0.4, 20.0)) == 0.0
-    assert estimation._violation(_one_filter(0.4, 1000.0)) > 0.0
-    # weights may each sit in [0, 1] yet leave no room for the base filter
-    two = FreeParams(
-        weights=(0.6, 0.7),
-        lengths=(10.0, 20.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.SYMMETRIC),
-    )
-    assert estimation._violation(two) > 0.0
+    u = estimation._stick_fractions((0.3, 0.45))
+    np.testing.assert_allclose(u, [0.3, 0.45 / 0.7], rtol=1e-15)
+    np.testing.assert_allclose(estimation._stick_weights(u), [0.3, 0.45], rtol=1e-15)
+    # a used-up stick leaves later fractions at 0
+    np.testing.assert_array_equal(estimation._stick_fractions((1.0, 0.0)), [1.0, 0.0])
+    # a negative weight, or weights that each sit in [0, 1] yet leave no
+    # room for the base filter, fall outside the cube
+    assert estimation._stick_fractions((-0.1,))[0] < 0.0
+    assert estimation._stick_fractions((0.6, 0.7))[1] > 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_stick_breaking_maps_the_cube_into_the_simplex(u):
+    w = estimation._stick_weights(np.array(u))
+    assert ((0.0 <= w) & (w <= 1.0)).all()
+    # the base weight misses zero by no more than pooled_nll tolerates
+    assert math.fsum(w) <= 1.0 + 1e-12
+    params = FreeParams(weights=tuple(w), lengths=(10.0,) * len(u), kinds=("symmetric",) * len(u))
+    assert params.base_weight >= -1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0.0, 0.999), min_size=1, max_size=6))
+def test_stick_breaking_round_trips_interior_points(u):
+    # the inverse divides by the stick left over, so its error grows like
+    # eps / prod(1 - u); interior points keep at least 1% of the stick
+    # (atol only forgives fractions that underflow when multiplied)
+    assume(np.prod(1.0 - np.array(u)) >= 0.01)
+    w = estimation._stick_weights(np.array(u))
+    back = estimation._stick_fractions(w)
+    np.testing.assert_allclose(back, u, rtol=1e-12, atol=1e-300)
+    # and the map undoes its inverse on the weights to rounding
+    np.testing.assert_allclose(estimation._stick_weights(back), w, rtol=1e-15, atol=1e-300)
 
 
 def test_pooled_nll_zero_weight_is_iid_gaussian_loglik():
@@ -151,21 +178,26 @@ def test_pooled_nll_matches_hand_recursion():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_pooled_nll_penalizes_invalid_regions():
+def test_pooled_nll_raises_on_invalid_params():
     rng = np.random.default_rng(9)
     panel = _panel_from_arrays([rng.standard_normal(100)])
     noise = NoiseModel()
-    assert pooled_nll(_one_filter(-0.1, 10.0), panel, noise) >= 1e8
-    assert pooled_nll(_one_filter(0.4, 0.5), panel, noise) >= 1e8
+    with pytest.raises(ValueError, match="negative weight"):
+        pooled_nll(_one_filter(-0.1, 10.0), panel, noise)
     over = FreeParams(
         weights=(0.6, 0.7),
         lengths=(10.0, 20.0),
         kinds=(FilterKind.SYMMETRIC, FilterKind.SYMMETRIC),
     )
-    assert pooled_nll(over, panel, noise) >= 1e8
+    with pytest.raises(ValueError, match="negative weight"):
+        pooled_nll(over, panel, noise)
+    with pytest.raises(ValueError, match=">= 1 day"):
+        pooled_nll(_one_filter(0.4, 0.5), panel, noise)
 
 
-def _clustered_panel(weight=0.45, length=12.0, n_series=6, n_days=1500, seed=321):
+def _clustered_panel(
+    weight=0.45, length=12.0, n_series=6, n_days=1500, seed=321, noise=NoiseModel()
+):
     gen = GarchSpec(
         filters=(
             FilterSpec(math.inf, 1.0 - weight, FilterKind.SYMMETRIC),
@@ -173,9 +205,7 @@ def _clustered_panel(weight=0.45, length=12.0, n_series=6, n_days=1500, seed=321
         ),
         dt_years=1.0,
     )
-    panel_raw = simulate_panel_returns(
-        gen, np.ones(2), NoiseModel(), n_days, n_series, seed
-    )
+    panel_raw = simulate_panel_returns(gen, np.ones(2), noise, n_days, n_series, seed)
     return _panel_from_arrays([panel_raw[:, j] for j in range(n_series)])
 
 
@@ -231,3 +261,118 @@ def test_fitted_spec_anchors_at_the_filtered_series_variance():
     want = float(np.var(raw)) / spec.dt_years
     assert all(st.x[0] == pytest.approx(want, rel=1e-12) for st in states)
     assert spec.filters[0].weight == pytest.approx(res.params.base_weight, abs=0.0)
+
+
+# --------------------------------------------------- Nelder-Mead oracle
+
+_PENALTY = 1e8
+_WEIGHT_RANGE = (0.0, 1.0)
+
+
+def _violation(params):
+    """Squared distance of ``params`` outside the search box (0 inside)."""
+    w_lo, w_hi = _WEIGHT_RANGE
+    l_lo, l_hi = estimation._LENGTH_RANGE
+    v = 0.0
+    for w in params.weights:
+        v += max(w_lo - w, 0.0) ** 2 + max(w - w_hi, 0.0) ** 2
+    for l in params.lengths:
+        v += max(l_lo - l, 0.0) ** 2 + max(l - l_hi, 0.0) ** 2
+    v += max(-params.base_weight, 0.0) ** 2
+    return v
+
+
+def _nelder_mead_fit(panel, noise, init, seed=0, n_restarts=3):
+    """The earlier fit: Nelder-Mead on weights and lengths, with the box
+    enforced by a penalty; the oracle for the box-constrained search."""
+    kinds = init.kinds
+    k = len(kinds)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+    def objective(vec):
+        p = FreeParams.from_vector(vec, kinds)
+        pen = _violation(p)
+        if pen > 0.0:
+            return _PENALTY * (1.0 + pen)
+        return pooled_nll(p, panel, noise)
+
+    starts = [init.to_vector()]
+    for _ in range(max(n_restarts - 1, 0)):
+        w = rng.uniform(*_WEIGHT_RANGE, size=k)
+        if w.sum() > 1.0:
+            w = w / (w.sum() + 1e-9)
+        l = rng.uniform(estimation._LENGTH_RANGE[0], min(estimation._LENGTH_RANGE[1], 120.0), size=k)
+        starts.append(np.concatenate([w, l]))
+
+    best, best_val, converged, n_iter = None, math.inf, False, 0
+    for start in starts:
+        res = minimize(
+            objective,
+            start,
+            method="Nelder-Mead",
+            options={"fatol": 1e-6, "xatol": 1e-6, "maxiter": 4000, "maxfev": 6000},
+        )
+        n_iter += int(res.nit)
+        if res.fun < best_val:
+            best_val, best, converged = float(res.fun), res.x, bool(res.success)
+    return FitResult(
+        params=FreeParams.from_vector(best, kinds),
+        nll=best_val,
+        converged=converged,
+        n_iter=n_iter,
+        n_restarts=len(starts),
+    )
+
+
+def _sym_asym(weights, lengths):
+    return FreeParams(
+        weights=weights, lengths=lengths, kinds=(FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC)
+    )
+
+
+def _three_filter_panel(anchor_length, n_days, n_series, seed):
+    """Unit-variance panel from the 0.1 / 0.4 / 0.5 sym-sym-asym model."""
+    gen = GarchSpec(
+        filters=(
+            FilterSpec(anchor_length, 0.1, FilterKind.SYMMETRIC),
+            FilterSpec(36.0, 0.4, FilterKind.SYMMETRIC),
+            FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC),
+        ),
+        dt_years=1.0,
+    )
+    raw = simulate_panel_returns(gen, np.ones(3), NoiseModel(), n_days, n_series, seed)
+    return _panel_from_arrays([raw[:, j] for j in range(n_series)])
+
+
+_ORACLE_CASES = {
+    "clustered-gaussian": lambda: (_clustered_panel(), NoiseModel(), _one_filter(0.2, 30.0), 1, 1),
+    "clustered-student-t6": lambda: (
+        _clustered_panel(noise=NoiseModel("student_t", dof=6.0)),
+        NoiseModel("student_t", dof=6.0), _one_filter(0.2, 30.0), 1, 1,
+    ),
+    # the acceptance scorecard's criterion 9 panel and fit
+    "criterion-9": lambda: (
+        _three_filter_panel(math.inf, 5000, 28, 2718), NoiseModel(),
+        _sym_asym((0.3, 0.3), (20.0, 10.0)), 5, 2,
+    ),
+    # shaped like the benchmark's CLI loop: 4 x 2500 days, default restarts
+    **{
+        f"cli-loop-{seed}": (lambda seed=seed: (
+            _three_filter_panel(1000.0, 2500, 4, seed), NoiseModel(),
+            _sym_asym((0.3, 0.3), (30.0, 10.0)), 0, 3,
+        ))
+        for seed in (1, 2027, 7)
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_fit_garch_matches_nelder_mead_oracle(case):
+    panel, noise, init, seed, n_restarts = _ORACLE_CASES[case]()
+    oracle = _nelder_mead_fit(panel, noise, init, seed=seed, n_restarts=n_restarts)
+    res = fit_garch(panel, noise, init, seed=seed, n_restarts=n_restarts)
+    assert res.nll <= oracle.nll + 1e-9 * abs(oracle.nll)
+    assert res.converged
+    # both land on the same optimum
+    np.testing.assert_allclose(res.params.weights, oracle.params.weights, rtol=1e-3)
+    np.testing.assert_allclose(res.params.lengths, oracle.params.lengths, rtol=1e-3)

@@ -203,6 +203,21 @@ def test_noise_model_rejects_low_dof():
         NoiseModel("student_t", dof=2.0)
 
 
+def test_noise_model_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown noise family 'cauchy'"):
+        NoiseModel("cauchy")
+
+
+@pytest.mark.parametrize("dof", [4.5, 5.0, 8.0, 30.0])
+def test_student_t_log_density_matches_scipy(dof):
+    from scipy.stats import t as student_t
+
+    noise = NoiseModel("student_t", dof=dof)
+    z = np.linspace(-40.0, 40.0, 801)
+    want = student_t.logpdf(z, dof, scale=noise.t_scale)
+    np.testing.assert_allclose(noise.log_density(z), want, rtol=1e-12)
+
+
 def test_simulate_realworld_reproducible(three_scale_spec, flat_state):
     noise = NoiseModel()
     a_series, a_states = simulate_realworld(three_scale_spec, flat_state, noise, 300, seed=9)

@@ -61,20 +61,17 @@ def test_student_t6_noise_moments_closed_form():
 
 
 def test_student_t_moments_match_quadrature():
-    dof = 8.0
-    mom = noise_moments(NoiseModel("student_t", dof=dof))
-    s = math.sqrt((dof - 2.0) / dof)
+    # the closed forms against quadrature over the standardized density
+    from scipy.stats import t as student_t
 
-    def density(x):
-        # standardized t density
-        from scipy.stats import t as tdist
-
-        return tdist.pdf(x / s, dof) / s
-
-    m4, _ = quad(lambda x: x**4 * density(x), -np.inf, np.inf, limit=300)
-    m3m, _ = quad(lambda x: x**3 * density(x), -np.inf, 0, limit=300)
-    assert mom.m4 == pytest.approx(m4, rel=1e-7)
-    assert mom.m3_minus == pytest.approx(m3m, rel=1e-7)
+    for dof in (4.5, 5.0, 8.0, 30.0):
+        noise = NoiseModel("student_t", dof=dof)
+        dist = student_t(dof, scale=noise.t_scale)
+        m4 = 2.0 * quad(lambda x: x**4 * dist.pdf(x), 0.0, np.inf, epsrel=1e-11)[0]
+        m3m = quad(lambda x: x**3 * dist.pdf(x), -np.inf, 0.0, epsrel=1e-11)[0]
+        mom = noise_moments(noise)
+        assert mom.m4 == pytest.approx(m4, rel=1e-12)
+        assert mom.m3_minus == pytest.approx(m3m, rel=1e-12)
 
 
 # ---------------------------------------------------------------- pricing map

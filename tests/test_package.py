@@ -90,3 +90,37 @@ def test_functions_read_every_parameter():
     src = pathlib.Path(tailvol.__file__).parent
     unread = {path.name: _unread_parameters(path.read_text()) for path in sorted(src.glob("*.py"))}
     assert {name: params for name, params in unread.items() if params} == {}
+
+
+def _quadrature_and_stats_imports(source: str) -> list[str]:
+    """Imports of scipy.integrate or scipy.stats (or anything inside them),
+    as ``module (line n)``; the closed forms made both unnecessary."""
+    banned = ("scipy.integrate", "scipy.stats")
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        hits = [n for n in names if any(n == b or n.startswith(b + ".") for b in banned)]
+        out += [f"{hits[0]} (line {node.lineno})"] if hits else []
+    return out
+
+
+def test_banned_import_check_flags_integrate_and_stats():
+    source = (
+        "import scipy.stats\nfrom scipy import integrate, special\n"
+        "def f():\n    from scipy.stats import t\n    return t\n"
+        "from scipy.special import ndtr\nimport scipy.signal\nfrom . import filters\n"
+    )
+    assert _quadrature_and_stats_imports(source) == [
+        "scipy.stats (line 1)", "scipy.integrate (line 2)", "scipy.stats (line 4)"
+    ]
+
+
+def test_modules_import_neither_scipy_integrate_nor_stats():
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {path.name: _quadrature_and_stats_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}

@@ -56,13 +56,13 @@ def bs_chain(sigma, expiry, n_strikes, width_sd, forward=1.0, rate=0.0, with_vol
 
 def test_trapezoid_weights_hand_values():
     w = trapezoid_weights(np.array([0.0, 1.0, 4.0]))
-    np.testing.assert_allclose(w.weights, [0.5, 2.0, 1.5], rtol=1e-14)
+    np.testing.assert_allclose(w, [0.5, 2.0, 1.5], rtol=1e-14)
 
 
 def test_trapezoid_weights_sum_to_range():
     x = np.sort(np.random.default_rng(1).uniform(0.0, 10.0, 17))
     w = trapezoid_weights(x)
-    assert w.weights.sum() == pytest.approx(x[-1] - x[0], rel=1e-12)
+    assert w.sum() == pytest.approx(x[-1] - x[0], rel=1e-12)
 
 
 def test_trapezoid_weights_reject_disorder():
