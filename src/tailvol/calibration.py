@@ -31,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.optimize import minimize_scalar
 
 from .expansion import (
     ExpansionIntegrals,
@@ -130,6 +129,7 @@ def _grid_then_refine(
 
     Robust to mild non-unimodality; returns (argmin, min, at_boundary).
     """
+    from scipy.optimize import minimize_scalar
     grid = np.linspace(lo, hi, _N_GRID)
     vals = np.array([objective(g) for g in grid])
     i = int(np.argmin(vals))

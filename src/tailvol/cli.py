@@ -225,8 +225,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     noise = _noise_from_args(args)
     chains = load_option_chains(args.chains)
     if args.delta_range:
-        lo, hi = _floats(args.delta_range)
-        chains = [select_otm(c, lo, hi) for c in chains]
+        bounds = _floats(args.delta_range)
+        if len(bounds) != 2:
+            raise ConfigError("--delta-range needs two numbers lo,hi")
+        chains = [select_otm(c, *bounds) for c in chains]
     market = []
     for chain in chains:
         m1, m2, m3 = replicate_moments(chain)

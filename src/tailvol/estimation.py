@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .filters import (
     DataError,
@@ -199,6 +198,7 @@ def fit_garch(
     ``converged`` is its L-BFGS-B success flag and ``n_iter`` counts the
     L-BFGS-B iterations of all restarts.
     """
+    from scipy.optimize import minimize
     kinds = init.kinds
     k = len(kinds)
     bounds = [(0.0, 1.0)] * k + [_LENGTH_RANGE] * k

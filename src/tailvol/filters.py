@@ -28,8 +28,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtri
 
 __all__ = [
     "TRADING_DAYS_PER_YEAR",
@@ -249,25 +247,34 @@ def _standard_normals(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normals by inverse CDF, the one source of Gaussian draws in
     the package.  Uniforms are clipped into the open interval so ndtri never
     returns inf."""
+    from scipy.special import ndtri
     return ndtri(np.clip(rng.random(size), 1e-16, 1.0 - 1e-16))
 
 
 def filter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray:
-    """Run the EMA recursion over a driver sequence (vectorized via lfilter).
+    """Run the EMA recursion over a driver sequence.
 
     ``driver`` may be 1-d (one path) or 2-d with shape (n_obs, n_series).
-    Returns the filter level after absorbing each observation.
+    Returns the filter level after absorbing each observation, by a
+    recursive-doubling prefix scan in ceil(log2 n_obs) passes that matches
+    the step-by-step recursion to 1e-12 relative (it sums in another order).
+    A constant filter (infinite length) returns ``x0`` without a scan.
     """
     driver = np.asarray(driver, dtype=float)
-    w = 1.0 / length_days
-    b = [w]
-    a = [1.0, -(1.0 - w)]
-    if driver.ndim == 1:
-        zi = np.array([(1.0 - w) * x0])
-        out, _ = lfilter(b, a, driver, zi=zi)
-        return out
-    zi = np.full((1, driver.shape[1]), (1.0 - w) * x0)
-    out, _ = lfilter(b, a, driver, axis=0, zi=zi)
+    if math.isinf(length_days):
+        return np.full(driver.shape, x0, dtype=float)
+    return _ema_scan(driver, 1.0 / length_days, x0)
+
+
+def _ema_scan(driver: np.ndarray, w: float, x0: float) -> np.ndarray:
+    """Pass k adds (1 - w)**k times the level k steps back, after which each
+    level holds its last 2k terms; no factor exceeds 1, so it is stable."""
+    out = w * driver
+    out[:1] += (1.0 - w) * x0
+    k = 1
+    while k < out.shape[0]:
+        out[k:] += (1.0 - w) ** k * out[:-k]
+        k *= 2
     return out
 
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtr
 
 from .expansion import ImpliedMomentTriple
 from .filters import DataError
@@ -121,6 +120,7 @@ def bs_price(
     forward: float, strike: float, expiry: float, vol: float, kind: OptionKind
 ) -> float:
     """Undiscounted Black price on the forward.  ``vol = 0`` gives intrinsic."""
+    from scipy.special import ndtr
     kind = OptionKind(kind)
     if forward <= 0.0 or strike <= 0.0 or expiry <= 0.0:
         raise ValueError("forward, strike and expiry must be positive")
@@ -140,6 +140,7 @@ def bs_delta(
     forward: float, strike: float, expiry: float, vol: float, kind: OptionKind
 ) -> float:
     """Forward delta: N(d1) for calls, N(d1) - 1 for puts."""
+    from scipy.special import ndtr
     kind = OptionKind(kind)
     if vol <= 0.0:
         raise ValueError(f"volatility must be > 0, got {vol}")

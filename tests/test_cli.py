@@ -243,6 +243,23 @@ def test_calibrate_end_to_end(configs, tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("delta_range", ["0.25", "0.01,0.5,0.99"])
+def test_calibrate_delta_range_needs_two_numbers(configs, tmp_path, capsys, delta_range):
+    rc = main(
+        [
+            "calibrate",
+            "--spec", configs["spec"],
+            "--state", configs["state"],
+            "--chains", _chains_csv(tmp_path),
+            "--delta-range", delta_range,
+            "--out", str(tmp_path / "fit.json"),
+        ]
+    )
+    assert rc == 2
+    assert "configuration error: --delta-range needs two numbers lo,hi" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
+
+
 def test_estimate_smoke(tmp_path, capsys):
     series = [_returns_csv(tmp_path, seed=s, name=f"r{s}.csv") for s in (1, 2)]
     out = tmp_path / "fit.json"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from tailvol.filters import (
     TRADING_DAYS_PER_YEAR,
@@ -17,6 +18,7 @@ from tailvol.filters import (
     GarchSpec,
     NoiseModel,
     ReturnSeries,
+    _ema_scan,
     compute_filters,
     filter_path,
     simulate_panel_returns,
@@ -70,6 +72,68 @@ def test_filter_path_is_causal():
     out = filter_path(bumped, 10.0, 1.0)
     np.testing.assert_array_equal(out[:20], base[:20])
     assert out[20] > base[20]
+
+
+def _lfilter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray:
+    """The step-by-step recursion ``filter_path`` used to run through lfilter,
+    kept as the oracle for the doubling scan."""
+    driver = np.asarray(driver, dtype=float)
+    w = 1.0 / length_days
+    b = [w]
+    a = [1.0, -(1.0 - w)]
+    if driver.ndim == 1:
+        zi = np.array([(1.0 - w) * x0])
+        out, _ = lfilter(b, a, driver, zi=zi)
+        return out
+    zi = np.full((1, driver.shape[1]), (1.0 - w) * x0)
+    out, _ = lfilter(b, a, driver, axis=0, zi=zi)
+    return out
+
+
+def _assert_matches_oracle(driver, length, x0):
+    # atol only admits levels that underflow to subnormals, where relative
+    # error means nothing
+    out = filter_path(driver, length, x0)
+    assert out.shape == driver.shape
+    np.testing.assert_allclose(out, _lfilter_path(driver, length, x0), rtol=1e-12, atol=1e-300)
+
+
+@given(
+    length=st.one_of(st.floats(1.0, 1e6), st.just(math.inf)),
+    n=st.integers(0, 5000),
+    n_series=st.one_of(st.none(), st.integers(1, 4)),
+    x0=st.floats(0.0, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_filter_path_matches_lfilter_oracle(length, n, n_series, x0, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n,) if n_series is None else (n, n_series)
+    # squared returns, with the zeros an asymmetric filter sees on up days
+    driver = rng.standard_normal(shape) ** 2 * (rng.random(shape) < 0.7)
+    _assert_matches_oracle(driver, length, x0)
+
+
+@pytest.mark.parametrize(
+    "shape, length",
+    [((0,), 6.0), ((0, 3), 6.0), ((0,), math.inf), ((1,), 6.0), ((1, 3), 6.0), ((300,), 1.0),
+     ((300, 3), 1.0), ((20_000,), 1e4)],
+)
+def test_filter_path_matches_lfilter_oracle_fixed_cases(shape, length):
+    driver = np.random.default_rng(3).standard_normal(shape) ** 2
+    _assert_matches_oracle(driver, length, 0.7)
+    if length == 1.0:
+        # r = 0: each level is its own driver, exactly
+        np.testing.assert_array_equal(filter_path(driver, length, 0.7), driver)
+
+
+def test_constant_filter_returns_x0_exactly_as_the_scan_does():
+    driver = np.random.default_rng(4).standard_normal((300, 3)) ** 2
+    for x0 in (0.37, 1):
+        out = filter_path(driver, math.inf, x0)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.full(driver.shape, float(x0)))
+        np.testing.assert_array_equal(out, _ema_scan(driver, 0.0, x0))
 
 
 def test_three_day_recursion_by_hand():

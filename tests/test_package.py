@@ -1,8 +1,13 @@
 import ast
 import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import tailvol
+from tailvol.data import dump_json
 
 MODULES = ("filters", "estimation", "measure", "expansion", "replication", "calibration", "pricer")
 
@@ -124,3 +129,96 @@ def test_modules_import_neither_scipy_integrate_nor_stats():
     src = pathlib.Path(tailvol.__file__).parent
     found = {path.name: _quadrature_and_stats_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _scipy_imports_at_load(source: str) -> list[str]:
+    """scipy imports that run when the module loads (outside every function
+    body), and imports of scipy.signal anywhere, as ``module (line n)``."""
+    out = []
+
+    def visit(node: ast.AST, in_function: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module] + [f"{child.module}.{alias.name}" for alias in child.names]
+            else:
+                names = []
+            banned = ("scipy.signal",) if in_function else ("scipy",)
+            hits = [n for n in names if any(n == b or n.startswith(b + ".") for b in banned)]
+            out.extend([f"{hits[0]} (line {child.lineno})"] if hits else [])
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, in_function or nested)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_scipy_import_check_flags_module_level_and_signal():
+    source = (
+        "import numpy as np\nfrom scipy.special import ndtr\nimport scipy\n"
+        "def f():\n    from scipy.optimize import minimize\n    return minimize\n"
+        "class K:\n    from scipy import linalg\n"
+        "    def m(self):\n        from scipy import signal\n        return signal\n"
+        "if True:\n    import scipy.optimize\n"
+        "from . import filters\n"
+    )
+    assert _scipy_imports_at_load(source) == [
+        "scipy.special (line 2)", "scipy (line 3)", "scipy (line 8)",
+        "scipy.signal (line 10)", "scipy.optimize (line 13)",
+    ]
+
+
+def test_modules_import_scipy_only_inside_functions():
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {path.name: _scipy_imports_at_load(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def _scipy_modules_after(code: str, cwd: pathlib.Path) -> list[str]:
+    """The scipy modules in ``sys.modules`` after a fresh interpreter runs
+    ``code`` against this checkout of the package."""
+    src = str(pathlib.Path(tailvol.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    report = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    run = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{report}"],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_import_tailvol_loads_no_scipy(tmp_path):
+    assert _scipy_modules_after("import tailvol", tmp_path) == []
+
+
+def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
+    spec = {
+        "dt_years": 1.0 / 252.0,
+        "filters": [
+            {"length_days": None, "weight": 0.2, "kind": "symmetric"},
+            {"length_days": 10.0, "weight": 0.4, "kind": "symmetric"},
+            {"length_days": 5.0, "weight": 0.4, "kind": "asymmetric"},
+        ],
+    }
+    dump_json(tmp_path / "spec.json", spec)
+    dump_json(tmp_path / "state.json", {"x": [0.04] * 3, "nu": 0.04, "as_of": "2024-01-02", "burn_in": False})
+    dump_json(tmp_path / "premia.json", {"lambda2": 0.2, "lambda3": 0.1, "lambda4": 1.0})
+    rows = [f"2020-01-{day:02d},{0.01 * (-1) ** day}" for day in range(1, 29)]
+    (tmp_path / "rets.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
+    argvs = [
+        ["varswap", "--spec", "spec.json", "--state", "state.json", "--premia", "premia.json",
+         "--maturities", "0.25,1.0", "--out", "varswap.csv"],
+        ["validate", "--spec", "spec.json", "--premia", "premia.json"],
+        ["filters", "rets.csv", "--spec", "spec.json", "--out", "states.csv", "--state-out", "s.json"],
+    ]
+    code = (
+        "from tailvol.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    rc = main(argv)\n"
+        "    if rc != 0:\n"
+        "        raise SystemExit(f'{argv[0]} exited {rc}')"
+    )
+    assert _scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "varswap.csv").exists() and (tmp_path / "states.csv").exists()
