@@ -135,8 +135,6 @@ def _grid_then_refine(
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, _N_GRID - 1)]
-    if a == b:
-        return float(grid[i]), float(vals[i]), True
     res = minimize_scalar(
         objective, bounds=(a, b), method="bounded", options={"xatol": _XATOL}
     )

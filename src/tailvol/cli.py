@@ -397,9 +397,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

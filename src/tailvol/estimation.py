@@ -152,7 +152,7 @@ def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel) -> floa
     # Filters are seeded at 1, the unconditional level of a normalized
     # series, so the first forecast uses nu = 1.
     nu = sum(
-        f.weight * filter_path(drivers[:, i], f.length_days, 1.0)
+        f.weight * filter_path(drivers[i], f.length_days, 1.0)
         for i, f in enumerate(spec.filters)
     )
     nu_prev = np.concatenate((np.ones((1, returns.shape[1])), nu[:-1]))

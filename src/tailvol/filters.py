@@ -278,17 +278,20 @@ def _ema_scan(driver: np.ndarray, w: float, x0: float) -> np.ndarray:
     return out
 
 
-def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
-    """Per-filter input sequences, annualized: shape (n_obs, n_filters), or
-    (n_obs, n_filters, n_series) for 2-d returns of shape (n_obs, n_series)."""
+def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> list[np.ndarray]:
+    """Per-filter input sequences, annualized, each shaped like ``returns``.
+
+    Symmetric and constant filters share one squared-return array, and the
+    moving asymmetric filters share another; :func:`filter_path` reads them
+    without writing.
+    """
     r2 = returns**2 / spec.dt_years
-    cols = []
-    for f in spec.filters:
-        if f.kind is FilterKind.ASYMMETRIC:
-            cols.append(2.0 * r2 * (returns < 0.0))
-        else:
-            cols.append(r2)
-    return np.stack(cols, axis=1)
+    asym = [
+        f.kind is FilterKind.ASYMMETRIC and math.isfinite(f.length_days)
+        for f in spec.filters
+    ]
+    down = 2.0 * r2 * (returns < 0.0) if any(asym) else None
+    return [down if a else r2 for a in asym]
 
 
 def _auto_seed(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
@@ -320,9 +323,9 @@ def compute_filters(
         raise ValueError("initial state does not match spec")
     drivers = _filter_drivers(series.returns, spec)
     x0 = _auto_seed(series.returns, spec) if init is None else init.x
-    levels = np.empty_like(drivers)
+    levels = np.empty((len(series), spec.n_filters))
     for i, f in enumerate(spec.filters):
-        levels[:, i] = filter_path(drivers[:, i], f.length_days, x0[i])
+        levels[:, i] = filter_path(drivers[i], f.length_days, x0[i])
 
     finite = [f.length_days for f in spec.filters if math.isfinite(f.length_days)]
     warmup = int(math.ceil(max(finite, default=0.0))) if init is None else 0

@@ -17,8 +17,10 @@ trapezoid rule.
 
 Randomness comes from a counter-based generator (Philox) keyed by the seed
 and a block index, mapped to normals through the inverse CDF; runs are
-bit-reproducible for a given seed and path layout.  Antithetic pairs are
-adjacent (paths 2i and 2i+1), and standard errors then use pair means.
+bit-reproducible for a given seed and path layout.  Each step draws its own
+normals from the block's generator where it uses them, so memory does not
+grow with the horizon.  Antithetic pairs are adjacent (paths 2i and 2i+1),
+and standard errors then use pair means.
 
 Each path also carries a control spot: the same spot driver applied to the
 deterministic forward-variance curve.  Its terminal distribution is exactly
@@ -98,11 +100,13 @@ class McConfig:
 class PathEnsemble:
     """Snapshots of the simulated system at the requested horizons.
 
-    ``s`` is the spot (initial level 1, a forward), ``nu`` the variance
-    forecast, ``int_var`` the pathwise integrated effective variance
-    ``int (1 + lambda2) nu dt``, ``x`` the filter levels, ``s_control`` the
-    frozen-curve control spot and ``control_var`` its per-horizon exact
-    lognormal variance.  Arrays are indexed (horizon, ..., path).
+    ``s`` is the spot (initial level 1, a forward), ``int_var`` the
+    pathwise integrated effective variance ``int (1 + lambda2) nu dt``,
+    ``x`` the filter levels (the variance forecast is ``weights @ x``,
+    floored), ``s_control`` the frozen-curve control spot and
+    ``control_var`` its per-horizon exact lognormal variance.  Arrays are
+    indexed (horizon, ..., path).  The normals are drawn step by step, so
+    the memory a simulation holds does not grow with the horizon.
 
     ``horizons`` holds the realized snapshot times: each requested horizon
     is snapped to a whole number of steps of ``dt_years``, so it can differ
@@ -113,12 +117,10 @@ class PathEnsemble:
     horizons: np.ndarray
     s: np.ndarray
     s_control: np.ndarray
-    nu: np.ndarray
     int_var: np.ndarray
     x: np.ndarray
     control_var: np.ndarray
     antithetic: bool
-    seed: int
     dt_years: float
 
     def horizon_index(self, horizon: float) -> int:
@@ -128,12 +130,6 @@ class PathEnsemble:
                 f"horizon {horizon} not simulated; available: {self.horizons}"
             )
         return i
-
-
-def _block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Deterministic standard normals for one work unit, via inverse CDF."""
-    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    return _standard_normals(np.random.Generator(bits), shape)
 
 
 def _mean_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
@@ -196,22 +192,15 @@ def simulate_pricing(
     total = cfg.n_paths
     s = np.empty((n_h, total))
     s_ctrl = np.empty((n_h, total))
-    nu_out = np.empty((n_h, total))
     iv_out = np.empty((n_h, total))
     x_out = np.empty((n_h, k, total))
 
     sqrt_dt = math.sqrt(dt)
     for start in range(0, total, cfg.block_size):
         width = min(cfg.block_size, total - start)
-        block = start // cfg.block_size
-        if cfg.antithetic:
-            half = width // 2
-            raw = _block_normals(cfg.seed, block, (n_steps, 4, half))
-            z = np.empty((n_steps, 4, width))
-            z[:, :, 0::2] = raw
-            z[:, :, 1::2] = -raw
-        else:
-            z = _block_normals(cfg.seed, block, (n_steps, 4, width))
+        key = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.block_size,))
+        rng = np.random.Generator(np.random.Philox(key))
+        n_draws = width // 2 if cfg.antithetic else width
 
         x = np.repeat(state0.x[:, None], width, axis=1)
         log_s = np.zeros(width)
@@ -220,7 +209,9 @@ def simulate_pricing(
         zeta = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
         snap = 0
         for step in range(n_steps):
-            factors = z[step] * sqrt_dt
+            factors = _standard_normals(rng, (4, n_draws)) * sqrt_dt
+            if cfg.antithetic:
+                factors = np.stack((factors, -factors), axis=-1).reshape(4, width)
             dw = factors[0]
             log_s += -0.5 * zeta * dt + np.sqrt(zeta) * dw
             fc = f_curve[step]
@@ -234,7 +225,6 @@ def simulate_pricing(
                 sl = slice(start, start + width)
                 s[snap, sl] = np.exp(log_s)
                 s_ctrl[snap, sl] = np.exp(log_c)
-                nu_out[snap, sl] = zeta / growth
                 iv_out[snap, sl] = int_var
                 x_out[snap, :, sl] = x
                 snap += 1
@@ -243,12 +233,10 @@ def simulate_pricing(
         horizons=realized,
         s=s,
         s_control=s_ctrl,
-        nu=nu_out,
         int_var=iv_out,
         x=x_out,
         control_var=control_cum[steps_at - 1],
         antithetic=cfg.antithetic,
-        seed=cfg.seed,
         dt_years=dt,
     )
 
@@ -345,27 +333,20 @@ def smile(
 ) -> SmileSurface:
     """Monte Carlo implied-volatility smile on a strike grid.
 
-    ``strike_grid`` is either one array shared by all expiries or a list of
-    per-expiry arrays, quoted relative to the forward (= 1).  Strikes whose
-    absolute Black delta falls outside [0.001, 0.999], or whose price
-    cannot be inverted, are dropped with a reason.
+    ``strike_grid`` is one array of strikes, quoted relative to the forward
+    (= 1) and shared by all expiries.  Strikes whose absolute Black delta
+    falls outside [0.001, 0.999], or whose price cannot be inverted, are
+    dropped with a reason.
     """
-    expiries = np.atleast_1d(np.asarray(expiries, dtype=float))
-    grids = (
-        [np.asarray(g, dtype=float) for g in strike_grid]
-        if isinstance(strike_grid, (list, tuple))
-        else [np.asarray(strike_grid, dtype=float)] * expiries.size
-    )
-    if len(grids) != expiries.size:
-        raise ValueError("need one strike grid per expiry")
+    grid = np.sort(np.asarray(strike_grid, dtype=float))
     paths = simulate_pricing(spec, premia, state0, mom, expiries, cfg)
 
     out_k, out_v, out_e = [], [], []
     dropped: list[tuple[float, float, str]] = []
-    for i, (t, grid) in enumerate(zip(paths.horizons, grids)):
+    for i, t in enumerate(paths.horizons):
         s = paths.s[i]
         ks, vols, errs = [], [], []
-        for k_ in np.sort(grid):
+        for k_ in grid:
             kind = OptionKind.PUT if k_ <= 1.0 else OptionKind.CALL
             payoff = np.maximum(k_ - s, 0.0) if kind is OptionKind.PUT else np.maximum(s - k_, 0.0)
             price, se = _mean_se(payoff, paths.antithetic)
@@ -436,7 +417,7 @@ def realworld_drift_check(
     x = np.empty((n_days + 1, spec.n_filters, n_paths))
     x[0] = state0.x[:, None]
     for i, f in enumerate(spec.filters):
-        x[1:, i] = filter_path(drivers[:, i], f.length_days, state0.x[i])
+        x[1:, i] = filter_path(drivers[i], f.length_days, state0.x[i])
     nu = np.maximum(np.einsum("i,dip->dp", spec.weights, x[:-1]), VARIANCE_FLOOR)
 
     taus = n_days * dt + _DRIFT_BUFFER_YEARS - dt * np.arange(n_days + 1)

@@ -175,6 +175,59 @@ def test_modules_import_scipy_only_inside_functions():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _gaussian_draws(source: str, allowed: str | None) -> list[str]:
+    """Uses of ``ndtri`` or ``standard_normal`` and calls of a ``.normal``
+    method outside the function named ``allowed``, as ``name (line n)``."""
+    out = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.asname or child.name
+            else:
+                name = None
+            banned = name in ("ndtri", "standard_normal") or (
+                name == "normal" and isinstance(node, ast.Call) and child is node.func
+            )
+            out.extend([f"{name} (line {child.lineno})"] if banned and not inside else [])
+            own = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == allowed
+            visit(child, inside or own)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_gaussian_draw_check_flags_draws_outside_the_one_source():
+    source = (
+        "from scipy.special import ndtri\nimport numpy as np\n"
+        "def _standard_normals(rng, size):\n    return ndtri(rng.random(size))\n"
+        "def f(rng):\n    return rng.standard_normal(3) + np.random.normal(size=3) + rng.standard_t(5)\n"
+        "class K:\n    draw = staticmethod(ndtri)\n    normal = 1.0\n"
+    )
+    assert _gaussian_draws(source, "_standard_normals") == [
+        "ndtri (line 1)", "standard_normal (line 6)", "normal (line 6)", "ndtri (line 8)"
+    ]
+    assert _gaussian_draws(source, None) == [
+        "ndtri (line 1)", "ndtri (line 4)", "standard_normal (line 6)", "normal (line 6)",
+        "ndtri (line 8)",
+    ]
+
+
+def test_gaussian_draws_come_only_from_standard_normals():
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {
+        path.name: _gaussian_draws(
+            path.read_text(), "_standard_normals" if path.name == "filters.py" else None
+        )
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def _scipy_modules_after(code: str, cwd: pathlib.Path) -> list[str]:
     """The scipy modules in ``sys.modules`` after a fresh interpreter runs
     ``code`` against this checkout of the package."""

@@ -1,15 +1,25 @@
 import datetime as dt
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tailvol.expansion import ForwardVarianceCurve
-from tailvol.filters import FilterSpec, FilterState, GarchSpec, NoiseModel
+from tailvol.filters import (
+    VARIANCE_FLOOR,
+    FilterSpec,
+    FilterState,
+    GarchSpec,
+    NoiseModel,
+    _standard_normals,
+)
 from tailvol.measure import (
     RiskPremia,
     noise_moments,
     omega_eigen,
+    pca_loadings,
+    pricing_params,
     varswap_price,
 )
 from tailvol.pricer import (
@@ -204,3 +214,133 @@ def test_drift_check_runs_and_reports(gaussian_moments):
     assert res.n_path_days == 400 * 200
     assert math.isfinite(res.z_score)
     assert abs(res.z_score) < 5.0
+
+
+# --- the block-at-once simulator as an oracle for the step-by-step draws ----
+
+
+def _oracle_block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Deterministic standard normals for one work unit, via inverse CDF."""
+    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+    return _standard_normals(np.random.Generator(bits), shape)
+
+
+def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale=1.0):
+    """The simulator that drew each block's normals for all steps up front,
+    with shape (n_steps, 4, half), and copied them into an antithetic ``z``.
+    Returns the ensemble arrays as a dict."""
+    params = pricing_params(spec, premia, mom)
+    eig = omega_eigen(spec, premia)
+    curve = ForwardVarianceCurve.from_state(state0, eig, premia)
+
+    horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
+    dt = spec.dt_years / cfg.steps_per_day
+    steps_at = np.array([int(round(h / dt)) for h in horizons])
+    realized = steps_at * dt
+    n_steps = int(steps_at[-1])
+
+    k = spec.n_filters
+    weights = spec.weights
+    loads = pca_loadings(params)
+    xi = vol_scale * params.xi
+    growth = 1.0 + premia.lambda2
+    drift_mat = eig.u @ np.diag(np.exp(-eig.rates * dt)) @ eig.u_inv
+
+    t_mid = (np.arange(n_steps) + 0.5) * dt
+    f_curve = np.maximum(np.asarray(curve(t_mid), dtype=float), VARIANCE_FLOOR)
+    control_cum = np.cumsum(f_curve * dt)
+
+    n_h = horizons.size
+    total = cfg.n_paths
+    s = np.empty((n_h, total))
+    s_ctrl = np.empty((n_h, total))
+    iv_out = np.empty((n_h, total))
+    x_out = np.empty((n_h, k, total))
+
+    sqrt_dt = math.sqrt(dt)
+    for start in range(0, total, cfg.block_size):
+        width = min(cfg.block_size, total - start)
+        block = start // cfg.block_size
+        if cfg.antithetic:
+            half = width // 2
+            raw = _oracle_block_normals(cfg.seed, block, (n_steps, 4, half))
+            z = np.empty((n_steps, 4, width))
+            z[:, :, 0::2] = raw
+            z[:, :, 1::2] = -raw
+        else:
+            z = _oracle_block_normals(cfg.seed, block, (n_steps, 4, width))
+
+        x = np.repeat(state0.x[:, None], width, axis=1)
+        log_s = np.zeros(width)
+        log_c = np.zeros(width)
+        int_var = np.zeros(width)
+        zeta = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
+        snap = 0
+        for step in range(n_steps):
+            factors = z[step] * sqrt_dt
+            dw = factors[0]
+            log_s += -0.5 * zeta * dt + np.sqrt(zeta) * dw
+            fc = f_curve[step]
+            log_c += -0.5 * fc * dt + math.sqrt(fc) * dw
+            nu = zeta / growth
+            x = drift_mat @ x + (xi[:, None] * nu[None, :]) * (loads @ factors)
+            zeta_next = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
+            int_var += 0.5 * (zeta + zeta_next) * dt
+            zeta = zeta_next
+            while snap < n_h and step + 1 == steps_at[snap]:
+                sl = slice(start, start + width)
+                s[snap, sl] = np.exp(log_s)
+                s_ctrl[snap, sl] = np.exp(log_c)
+                iv_out[snap, sl] = int_var
+                x_out[snap, :, sl] = x
+                snap += 1
+
+    return {
+        "horizons": realized,
+        "s": s,
+        "s_control": s_ctrl,
+        "int_var": iv_out,
+        "x": x_out,
+        "control_var": control_cum[steps_at - 1],
+    }
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+@pytest.mark.parametrize("block_size", [1024, 65536])
+@pytest.mark.parametrize("steps_per_day", [1, 2])
+def test_step_draws_match_the_block_oracle_bit_for_bit(
+    three_scale_spec, flat_state, mild_premia, gaussian_moments, antithetic, block_size, steps_per_day
+):
+    # 3000 paths in blocks of 1024 leave a ragged last block of 952
+    cfg = McConfig(n_paths=3_000, seed=11, steps_per_day=steps_per_day,
+                   antithetic=antithetic, block_size=block_size)
+    args = (three_scale_spec, mild_premia, flat_state, gaussian_moments, (0.1, 0.5), cfg)
+    paths = simulate_pricing(*args)
+    oracle = _oracle_simulate_pricing(*args)
+    for name, expected in oracle.items():
+        np.testing.assert_array_equal(getattr(paths, name), expected, err_msg=name)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("antithetic", [True, False])
+def test_simulation_memory_does_not_grow_with_the_horizon(
+    three_scale_spec, flat_state, mild_premia, gaussian_moments, antithetic
+):
+    cfg = McConfig(n_paths=2_000, seed=3, antithetic=antithetic)
+
+    def run(horizon):
+        return lambda: simulate_pricing(
+            three_scale_spec, mild_premia, flat_state, gaussian_moments, (horizon,), cfg
+        )
+
+    run(0.1)()  # warm-up: lazy imports and first-call caches
+    short, long = _traced_peak(run(0.1)), _traced_peak(run(1.0))
+    assert long <= 1.5 * short, (short, long)
