@@ -289,6 +289,8 @@ def calibrate_sequential(
     """
     if mode not in ("fit_all", "saturate_kurtosis"):
         raise ValueError(f"unknown calibration mode {mode!r}")
+    if not (inputs.spec.has_symmetric or inputs.spec.has_asymmetric):
+        raise CalibrationError("no moving filter: the model skew and kurtosis are zero")
     stage2 = _run_stage("lambda2", fit_lambda2, inputs)
 
     pre = _stage_integrals(inputs, stage2.value)

@@ -198,6 +198,8 @@ def fit_garch(
     ``converged`` is its L-BFGS-B success flag and ``n_iter`` counts the
     L-BFGS-B iterations of all restarts.
     """
+    if n_restarts < 1:
+        raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
     from scipy.optimize import minimize
     kinds = init.kinds
     k = len(kinds)
@@ -214,7 +216,7 @@ def fit_garch(
         )
 
     starts = [first]
-    for _ in range(max(n_restarts - 1, 0)):
+    for _ in range(n_restarts - 1):
         u = rng.uniform(0.0, 1.0, size=k)
         l = rng.uniform(_LENGTH_RANGE[0], min(_LENGTH_RANGE[1], 120.0), size=k)
         starts.append(np.concatenate([u, l]))

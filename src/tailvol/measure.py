@@ -10,8 +10,9 @@ measure each filter level follows
 with mean-reversion rates ``theta_i = 1/(L_i dt)``, premium-shifted targets
 ``delta_i`` and vol-of-vol loadings ``xi_i`` whose correlations with the
 spot factor and with each other are fixed by the premia and by the moments
-of the daily noise.  Consistency of that correlation structure caps how
-negative ``lambda4`` may be; the cap is available in closed form.
+of the daily noise: all are read from one 3x3 covariance of the spot,
+symmetric and asymmetric innovations.  That matrix must be positive
+semidefinite, which caps how negative ``lambda4`` may be.
 
 The generator of the conditional variance ``nu`` is the matrix
 ``Omega_ij = theta_i (delta_ij - delta_i alpha_j)``; its eigensystem turns
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,6 +131,42 @@ class PremiaCheck:
         return not self.violations
 
 
+def _innovation_cov(premia: RiskPremia, mom: NoiseMoments) -> np.ndarray:
+    """Covariance of the (spot, symmetric, asymmetric) innovations per unit
+    variance, in rows 0, 1 and 2 (a filter's row is ``1 + is_asymmetric``).
+    Every entry is affine in each premium."""
+    lam3, lam4 = premia.lambda3, premia.lambda4
+    spot_sym = -lam3
+    spot_asym = 2.0 * (mom.m3_minus - lam3)
+    sym_asym = mom.m4 - 1.0 + 2.0 * lam4
+    return np.array([
+        [1.0 + premia.lambda2, spot_sym, spot_asym],
+        [spot_sym, mom.m4 - 1.0 + lam4, sym_asym],
+        [spot_asym, sym_asym, 2.0 * mom.m4 - 1.0 + 4.0 * lam4],
+    ])
+
+
+def _moving_kinds(spec: GarchSpec) -> list[int]:
+    """Rows of the kinds with a moving filter; a constant filter has no
+    noise factor, so it brings in no condition."""
+    return [kind for kind, has in ((1, spec.has_symmetric), (2, spec.has_asymmetric)) if has]
+
+
+def _exact_det(m) -> Fraction:
+    """Exact determinant of a small float matrix, by cofactor expansion: near
+    a pole of the kurtosis floor its terms cancel far below their rounding."""
+    m = [[Fraction(x) for x in row] for row in m]
+    return m[0][0] if len(m) == 1 else sum(
+        (-1) ** j * m[0][j] * _exact_det([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m))
+    )
+
+
+def _inv_scale(spec: GarchSpec) -> np.ndarray:
+    """``1 / (L_i sqrt(dt))``, which turns unit innovations into filter
+    factors; 0 for a constant filter."""
+    return 1.0 / (spec.lengths * math.sqrt(spec.dt_years))
+
+
 def validate_premia(
     spec: GarchSpec, premia: RiskPremia, mom: NoiseMoments
 ) -> PremiaCheck:
@@ -141,45 +179,29 @@ def validate_premia(
     kind of filter the cross-correlations are degenerate; they are reported
     as 1 (all filters share one factor).
     """
+    cov = _innovation_cov(premia, mom)
+    kinds = _moving_kinds(spec)
     violations: list[str] = []
-    d2 = 1.0 + premia.lambda2
-    s_arg = mom.m4 - 1.0 + premia.lambda4
-    a_arg = 2.0 * mom.m4 - 1.0 + 4.0 * premia.lambda4
+    rho = [0.0, 0.0, 0.0]
+    for kind in kinds:
+        if cov[kind, kind] > 0.0:
+            rho[kind] = float(cov[0, kind] / math.sqrt(cov[0, 0] * cov[kind, kind]))
+        if cov[kind, kind] <= 0.0 or abs(rho[kind]) > 1.0 + _BOUND_TOL:
+            violations.append(("rho_plus_bound", "rho_minus_bound")[kind - 1])
+    _, rho_plus, rho_minus = rho
 
-    rho_plus = 0.0
-    rho_minus = 0.0
-    if spec.has_symmetric:
-        if s_arg <= 0.0:
-            violations.append("rho_plus_bound")
-        else:
-            rho_plus = -premia.lambda3 / math.sqrt(d2 * s_arg)
-            if abs(rho_plus) > 1.0 + _BOUND_TOL:
-                violations.append("rho_plus_bound")
-    if spec.has_asymmetric:
-        if a_arg <= 0.0:
-            violations.append("rho_minus_bound")
-        else:
-            rho_minus = 2.0 * (mom.m3_minus - premia.lambda3) / math.sqrt(d2 * a_arg)
-            if abs(rho_minus) > 1.0 + _BOUND_TOL:
-                violations.append("rho_minus_bound")
-
-    rho_cross = 1.0
-    rho_bar = 1.0
-    if spec.has_symmetric and spec.has_asymmetric and not violations:
-        rho_cross = (mom.m4 - 1.0 + 2.0 * premia.lambda4) / math.sqrt(s_arg * a_arg)
+    rho_cross = rho_bar = 1.0
+    if len(kinds) == 2 and not violations:
+        rho_cross = float(cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2]))
         if abs(rho_cross) > 1.0 + _BOUND_TOL:
             violations.append("rho_cross_bound")
+        resid = rho_cross - rho_plus * rho_minus
         den = (1.0 - rho_plus**2) * (1.0 - rho_minus**2)
-        if den <= 0.0:
-            # A spot correlation of exactly +-1 leaves no residual freedom;
-            # the cross-correlation must then equal rho_plus * rho_minus.
-            rho_bar = 0.0
-            if abs(rho_cross - rho_plus * rho_minus) > _BOUND_TOL:
-                violations.append("rho_cross_resid_bound")
-        else:
-            rho_bar = (rho_cross - rho_plus * rho_minus) / math.sqrt(den)
-            if abs(rho_bar) > 1.0 + _BOUND_TOL:
-                violations.append("rho_cross_resid_bound")
+        # A spot correlation of exactly +-1 leaves no residual freedom; the
+        # cross-correlation must then equal rho_plus * rho_minus.
+        rho_bar = resid / math.sqrt(den) if den > 0.0 else 0.0
+        if abs(rho_bar) > 1.0 + _BOUND_TOL or (den <= 0.0 and abs(resid) > _BOUND_TOL):
+            violations.append("rho_cross_resid_bound")
     return PremiaCheck(
         violations=tuple(violations),
         rho_plus=rho_plus,
@@ -194,27 +216,24 @@ def kurtosis_bound(
 ) -> float:
     """Smallest admissible ``lambda4`` given the other premia.
 
-    For specs mixing both filter kinds this is the point where the residual
-    correlation between symmetric and asymmetric factors saturates at one;
-    for single-kind specs it is where the spot correlation saturates.
+    It is where the innovation covariance of the spot and the spec's moving
+    filter kinds loses rank: the determinant of that block is affine in
+    ``lambda4`` (its quadratic terms cancel), so two evaluations give the
+    root, or a :class:`ModelError` when it does not grow with ``lambda4``.
+    A spec without a moving filter has no floor: ``-inf``.
     """
-    d2 = 1.0 + lambda2
-    if d2 <= 0.0:
-        raise ModelError("lambda2 must exceed -1")
-    m4, m3m = mom.m4, mom.m3_minus
-    if spec.has_symmetric and spec.has_asymmetric:
-        den = (2.0 * m4 - 1.0) * d2 - 4.0 * m3m**2
-        if den <= 0.0:
-            raise ModelError("kurtosis bound undefined: nonpositive denominator")
-        num = (
-            4.0 * (m4 - 1.0) * (m3m - lambda3) * m3m
-            + lambda3**2 * (2.0 * m4 - 1.0)
-            - m4 * (m4 - 1.0) * d2
-        )
-        return num / den
-    if spec.has_symmetric:
-        return lambda3**2 / d2 - (m4 - 1.0)
-    return (m3m - lambda3) ** 2 / d2 - (2.0 * m4 - 1.0) / 4.0
+    kinds = [0, *_moving_kinds(spec)]
+    if len(kinds) == 1:
+        return -math.inf
+    block = np.ix_(kinds, kinds)
+    det0, det1 = (
+        _exact_det(_innovation_cov(RiskPremia(lambda2, lambda3, lam4), mom)[block])
+        for lam4 in (0.0, 1.0)
+    )
+    slope = det1 - det0
+    if slope <= 0.0:
+        raise ModelError("kurtosis bound undefined: nonpositive denominator")
+    return float(-det0 / slope)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,22 +269,12 @@ def pricing_params(
     if not check.ok:
         raise PremiaBoundError(list(check.violations))
     asym = spec.is_asymmetric
-    theta = 1.0 / (spec.lengths * spec.dt_years)
-    delta = _drift_targets(spec, premia.lambda2)
-    s_arg = mom.m4 - 1.0 + premia.lambda4
-    a_arg = 2.0 * mom.m4 - 1.0 + 4.0 * premia.lambda4
-    sqrt_dt = math.sqrt(spec.dt_years)
-    xi = np.where(
-        asym,
-        np.sqrt(max(a_arg, 0.0)) / (spec.lengths * sqrt_dt),
-        np.sqrt(max(s_arg, 0.0)) / (spec.lengths * sqrt_dt),
-    )
-    rho_spot = np.where(asym, check.rho_minus, check.rho_plus)
+    variance = np.diag(_innovation_cov(premia, mom))[1 + asym]
     return PricingParams(
-        theta=theta,
-        delta=delta,
-        xi=xi,
-        rho_spot=rho_spot,
+        theta=1.0 / (spec.lengths * spec.dt_years),
+        delta=_drift_targets(spec, premia.lambda2),
+        xi=np.sqrt(np.maximum(variance, 0.0)) * _inv_scale(spec),
+        rho_spot=np.where(asym, check.rho_minus, check.rho_plus),
         rho_plus=check.rho_plus,
         rho_minus=check.rho_minus,
         rho_cross=check.rho_cross,
@@ -285,13 +294,8 @@ def spot_cov_products(
     They are affine in ``lambda3``, which makes the model's skew moment a
     quadratic in it that the skew stage solves exactly.
     """
-    d2 = 1.0 + lambda2
-    if d2 <= 0.0:
-        raise ModelError("lambda2 must exceed -1")
-    scale = 1.0 / (spec.lengths * math.sqrt(spec.dt_years) * math.sqrt(d2))
-    sym_val = -lambda3
-    asym_val = 2.0 * (mom.m3_minus - lambda3)
-    return np.where(spec.is_asymmetric, asym_val, sym_val) * scale
+    cov = _innovation_cov(RiskPremia(lambda2, lambda3, 0.0), mom)
+    return cov[0, 1 + spec.is_asymmetric] / math.sqrt(cov[0, 0]) * _inv_scale(spec)
 
 
 def filter_cov_matrix(
@@ -304,42 +308,28 @@ def filter_cov_matrix(
     ``lambda4`` too and the kurtosis stage of a calibration solves it
     exactly, even where the optimum falls below the floor.
     """
-    asym = spec.is_asymmetric
-    s_arg = mom.m4 - 1.0 + lambda4
-    a_arg = 2.0 * mom.m4 - 1.0 + 4.0 * lambda4
-    x_arg = mom.m4 - 1.0 + 2.0 * lambda4
-    cov = np.where(
-        asym[:, None] == asym[None, :],
-        np.where(asym[:, None], a_arg, s_arg),
-        x_arg,
-    ).astype(float)
-    scale = 1.0 / (spec.lengths * math.sqrt(spec.dt_years))
-    return cov * np.outer(scale, scale)
+    kinds = 1 + spec.is_asymmetric
+    scale = _inv_scale(spec)
+    cov = _innovation_cov(RiskPremia(0.0, 0.0, lambda4), mom)
+    return cov[np.ix_(kinds, kinds)] * np.outer(scale, scale)
 
 
 def pca_loadings(params: PricingParams) -> np.ndarray:
-    """Loadings of each filter factor on four orthogonal drivers.
+    """Loadings of each filter factor on three orthogonal drivers.
 
-    Column order: the spot driver, the shared variance driver, and the
-    residual drivers of the symmetric and asymmetric families.  Row ``i``
-    reproduces ``dZ^i``; rows have unit norm and their inner products equal
-    the prescribed correlations.
+    Column 0 is the spot driver.  Each row is the triangular (Cholesky)
+    factor row of its kind's innovation, so row ``i`` reproduces ``dZ^i``:
+    rows have unit norm and their inner products equal the prescribed
+    correlations.  Nothing divides, so spot correlations of +-1 and premia
+    on the kurtosis floor are safe.
     """
-    rbar = params.rho_cross_resid
-    sgn = 1.0 if rbar >= 0.0 else -1.0
-    abar = min(abs(rbar), 1.0)
-    k = params.theta.size
-    loads = np.zeros((k, 4))
-    for i in range(k):
-        if params.is_asymmetric[i]:
-            r = params.rho_minus
-            rem = math.sqrt(max(1.0 - r * r, 0.0))
-            loads[i] = (r, sgn * rem * math.sqrt(abar), 0.0, rem * math.sqrt(1.0 - abar))
-        else:
-            r = params.rho_plus
-            rem = math.sqrt(max(1.0 - r * r, 0.0))
-            loads[i] = (r, rem * math.sqrt(abar), rem * math.sqrt(1.0 - abar), 0.0)
-    return loads
+    def rest(r: float) -> float:
+        return math.sqrt(max(1.0 - r * r, 0.0))
+
+    rbar = min(max(params.rho_cross_resid, -1.0), 1.0)
+    sym = (params.rho_plus, rest(params.rho_plus), 0.0)
+    asym = (params.rho_minus, rest(params.rho_minus) * rbar, rest(params.rho_minus) * rest(rbar))
+    return np.where(params.is_asymmetric[:, None], asym, sym)
 
 
 @dataclass(frozen=True, eq=False)

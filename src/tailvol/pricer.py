@@ -6,9 +6,9 @@ the pricing measure:
     d log S = -1/2 (1 + lambda2) nu dt + sqrt((1 + lambda2) nu) dW
     dX^i    = theta_i (nu delta_i - X^i) dt + xi_i nu dZ^i
 
-with the filter factors dZ^i assembled from four orthogonal drivers via the
+with the filter factors dZ^i assembled from three orthogonal drivers via the
 loading rows of :func:`tailvol.measure.pca_loadings` (the spot driver dW is
-the first of the four).  The filter drift is linear in the levels, so the
+the first of the three).  The filter drift is linear in the levels, so the
 scheme propagates it with the exact matrix exponential and freezes only the
 diffusion coefficient over each step; conditional means are then exact for
 any step size (up to the variance floor, which almost never binds) and the
@@ -176,6 +176,7 @@ def simulate_pricing(
     k = spec.n_filters
     weights = spec.weights
     loads = pca_loadings(params)
+    n_drivers = loads.shape[1]
     xi = vol_scale * params.xi
     growth = 1.0 + premia.lambda2
     # Exact one-step propagator of the linear drift dx = -Omega x dt.
@@ -209,9 +210,9 @@ def simulate_pricing(
         zeta = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
         snap = 0
         for step in range(n_steps):
-            factors = _standard_normals(rng, (4, n_draws)) * sqrt_dt
+            factors = _standard_normals(rng, (n_drivers, n_draws)) * sqrt_dt
             if cfg.antithetic:
-                factors = np.stack((factors, -factors), axis=-1).reshape(4, width)
+                factors = np.stack((factors, -factors), axis=-1).reshape(n_drivers, width)
             dw = factors[0]
             log_s += -0.5 * zeta * dt + np.sqrt(zeta) * dw
             fc = f_curve[step]

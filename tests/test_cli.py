@@ -116,7 +116,7 @@ def test_validate_admissible_and_not(configs, tmp_path, capsys):
     assert "violated" in capsys.readouterr().out
 
 
-def test_config_errors_exit_2(configs, capsys):
+def test_config_errors_exit_2(configs, tmp_path, capsys):
     rc = main(
         [
             "varswap",
@@ -148,6 +148,20 @@ def test_config_errors_exit_2(configs, capsys):
     )
     assert rc == 2
     assert "configuration error" in capsys.readouterr().err
+    out = tmp_path / "fit.json"
+    rc = main(
+        [
+            "estimate", _returns_csv(tmp_path),
+            "--out", str(out),
+            "--kinds", "symmetric",
+            "--init-weights", "0.2",
+            "--init-lengths", "20",
+            "--restarts", "0",
+        ]
+    )
+    assert rc == 2
+    assert "n_restarts must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_errors_exit_3(configs, tmp_path, capsys):

@@ -246,6 +246,9 @@ def test_fit_garch_rejects_out_of_bounds_init():
     )
     with pytest.raises(ValueError, match="bounds"):
         fit_garch(panel, NoiseModel(), init=two)
+    # no restart at all is not one start
+    with pytest.raises(ValueError, match="n_restarts"):
+        fit_garch(panel, NoiseModel(), init=_one_filter(0.4, 20.0), n_restarts=0)
 
 
 def test_fitted_spec_anchors_at_the_filtered_series_variance():

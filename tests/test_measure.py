@@ -7,7 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tailvol.expansion import ForwardVarianceCurve
+from tailvol.calibration import CalibrationError, CalibrationInput, calibrate_sequential
+from tailvol.cli import main
+from tailvol.data import dump_json, spec_to_dict
+from tailvol.expansion import ForwardVarianceCurve, ImpliedMomentTriple
 from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel
 from tailvol.measure import (
     ModelError,
@@ -202,13 +205,57 @@ def test_kurtosis_bound_undefined_denominator_raises(three_scale_spec, gaussian_
         kurtosis_bound(-0.8, 0.0, gaussian_moments, three_scale_spec)
 
 
+def _closed_form_kurtosis_bound(lambda2, lambda3, mom, spec):
+    """The floor as a hand-expanded closed form, one per filter mix: the
+    oracle for the rank condition :func:`kurtosis_bound` solves."""
+    d2 = 1.0 + lambda2
+    m4, m3m = mom.m4, mom.m3_minus
+    if spec.has_symmetric and spec.has_asymmetric:
+        den = (2.0 * m4 - 1.0) * d2 - 4.0 * m3m**2
+        if den <= 0.0:
+            raise ModelError("kurtosis bound undefined: nonpositive denominator")
+        num = (
+            4.0 * (m4 - 1.0) * (m3m - lambda3) * m3m
+            + lambda3**2 * (2.0 * m4 - 1.0)
+            - m4 * (m4 - 1.0) * d2
+        )
+        return num / den
+    if spec.has_symmetric:
+        return lambda3**2 / d2 - (m4 - 1.0)
+    return (m3m - lambda3) ** 2 / d2 - (2.0 * m4 - 1.0) / 4.0
+
+
+@given(
+    lam2=st.floats(-0.95, 4.0, exclude_min=True, exclude_max=True),
+    lam3=st.floats(-3.0, 5.0),
+    noise=st.sampled_from([NoiseModel(), NoiseModel("student_t", 5.0), NoiseModel("student_t", 12.0)]),
+    spec=st.sampled_from([
+        _sym_only_spec(),
+        _asym_only_spec(),
+        GarchSpec(filters=(FilterSpec(36.0, 0.5), FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC)),
+                  dt_years=DT),
+    ]),
+)
+@settings(max_examples=300, deadline=None)
+def test_kurtosis_bound_matches_closed_form(lam2, lam3, noise, spec):
+    mom = noise_moments(noise)
+    try:
+        want = _closed_form_kurtosis_bound(lam2, lam3, mom, spec)
+    except ModelError:
+        with pytest.raises(ModelError):
+            kurtosis_bound(lam2, lam3, mom, spec)
+        return
+    got = kurtosis_bound(lam2, lam3, mom, spec)
+    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
 # ---------------------------------------------------------------- loadings
 
 
 def test_loadings_rows_unit_norm_and_correlations(three_scale_spec, gaussian_moments):
     params = pricing_params(three_scale_spec, RiskPremia(0.3, 0.5, 1.0), gaussian_moments)
     loads = pca_loadings(params)
-    assert loads.shape == (3, 4)
+    assert loads.shape == (3, 3)
     np.testing.assert_allclose(np.linalg.norm(loads, axis=1), 1.0, rtol=1e-12)
     # spot column reproduces the spot correlations
     np.testing.assert_allclose(
@@ -226,7 +273,7 @@ def test_loadings_rows_unit_norm_and_correlations(three_scale_spec, gaussian_mom
 @given(
     lam2=st.floats(-0.3, 2.0),
     lam3=st.floats(-1.5, 1.5),
-    bump=st.floats(1e-6, 4.0),
+    bump=st.floats(0.0, 4.0),
 )
 @settings(max_examples=150, deadline=None)
 def test_loadings_gram_psd_above_floor(lam2, lam3, bump):
@@ -244,6 +291,14 @@ def test_loadings_gram_psd_above_floor(lam2, lam3, bump):
     loads = pca_loadings(params)
     gram = loads @ loads.T
     assert np.linalg.eigvalsh(gram).min() >= -1e-10
+    # the loadings and the covariance products are read from one matrix
+    cov = filter_cov_matrix(spec, lam4, mom)
+    scaled = params.xi[:, None] * gram * params.xi[None, :]
+    np.testing.assert_allclose(scaled, cov, rtol=1e-10, atol=1e-10 * np.abs(cov).max())
+    spot = spot_cov_products(spec, lam2, lam3, mom)
+    np.testing.assert_allclose(
+        params.xi * loads[:, 0], spot, rtol=1e-10, atol=1e-10 * np.abs(spot).max()
+    )
 
 
 # ---------------------------------------------------------------- eigensystem
@@ -481,7 +536,7 @@ def test_varswap_slope_is_gradient_of_price(three_scale_spec, mild_premia):
     _assert_slope_is_gradient(three_scale_spec, mild_premia, np.array([0.03, 0.05, 0.08]))
 
 
-def test_constant_anchor_adds_no_bound(gaussian_moments):
+def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     # a constant filter has no noise factor, so it must not bring in the
     # symmetric-family conditions
     anchored = GarchSpec(
@@ -496,3 +551,18 @@ def test_constant_anchor_adds_no_bound(gaussian_moments):
     assert kurtosis_bound(0.0, -0.9, gaussian_moments, anchored) == want
     params = pricing_params(anchored, premia, gaussian_moments)
     assert params.theta[0] == 0.0 and params.xi[0] == 0.0
+    # without a moving filter lambda4 enters no condition at all
+    constant = GarchSpec(filters=(FilterSpec(math.inf, 1.0),), dt_years=DT)
+    assert kurtosis_bound(0.1, 0.4, gaussian_moments, constant) == -math.inf
+    assert validate_premia(constant, RiskPremia(0.1, 0.4, -100.0), gaussian_moments).ok
+    # its model skew and kurtosis are identically zero, so calibration refuses it
+    state = FilterState.from_levels([0.04], constant, dt.date(2024, 1, 2))
+    market = [(t, ImpliedMomentTriple(0.2, -0.1, 0.05)) for t in (0.25, 0.5)]
+    with pytest.raises(CalibrationError, match="no moving filter"):
+        calibrate_sequential(CalibrationInput(state, constant, gaussian_moments, market))
+    spec_path, premia_path = tmp_path / "spec.json", tmp_path / "premia.json"
+    dump_json(spec_path, spec_to_dict(constant))
+    dump_json(premia_path, {"lambda2": 0.1, "lambda3": 0.4, "lambda4": -100.0})
+    assert main(["validate", "--spec", str(spec_path), "--premia", str(premia_path)]) == 0
+    out = capsys.readouterr().out
+    assert "kurtosis floor   = -inf" in out and "premia admissible" in out

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -226,6 +227,24 @@ def test_gaussian_draws_come_only_from_standard_normals():
         for path in sorted(src.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_traced_lookups_resolve_to_callables(monkeypatch):
+    # the benchmark's tracer wraps these names; a renamed function would
+    # break only its traced runs
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    before = sorted(bench.rglob("*"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_trace", bench / "bench_trace.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    lookups = module.targets(None)
+    assert lookups
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, *_ in lookups
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+    assert sorted(bench.rglob("*")) == before
 
 
 def _scipy_modules_after(code: str, cwd: pathlib.Path) -> list[str]:

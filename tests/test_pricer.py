@@ -227,8 +227,8 @@ def _oracle_block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.n
 
 def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale=1.0):
     """The simulator that drew each block's normals for all steps up front,
-    with shape (n_steps, 4, half), and copied them into an antithetic ``z``.
-    Returns the ensemble arrays as a dict."""
+    with shape (n_steps, n_drivers, half), and copied them into an
+    antithetic ``z``.  Returns the ensemble arrays as a dict."""
     params = pricing_params(spec, premia, mom)
     eig = omega_eigen(spec, premia)
     curve = ForwardVarianceCurve.from_state(state0, eig, premia)
@@ -242,6 +242,7 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
     k = spec.n_filters
     weights = spec.weights
     loads = pca_loadings(params)
+    n_drivers = loads.shape[1]
     xi = vol_scale * params.xi
     growth = 1.0 + premia.lambda2
     drift_mat = eig.u @ np.diag(np.exp(-eig.rates * dt)) @ eig.u_inv
@@ -263,12 +264,12 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
         block = start // cfg.block_size
         if cfg.antithetic:
             half = width // 2
-            raw = _oracle_block_normals(cfg.seed, block, (n_steps, 4, half))
-            z = np.empty((n_steps, 4, width))
+            raw = _oracle_block_normals(cfg.seed, block, (n_steps, n_drivers, half))
+            z = np.empty((n_steps, n_drivers, width))
             z[:, :, 0::2] = raw
             z[:, :, 1::2] = -raw
         else:
-            z = _oracle_block_normals(cfg.seed, block, (n_steps, 4, width))
+            z = _oracle_block_normals(cfg.seed, block, (n_steps, n_drivers, width))
 
         x = np.repeat(state0.x[:, None], width, axis=1)
         log_s = np.zeros(width)
