@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import math
 import time
 
 import numpy as np
@@ -29,7 +30,6 @@ from tailvol import (
     FilterKind,
     FilterSpec,
     FilterState,
-    FreeParams,
     ForwardVarianceCurve,
     GarchSpec,
     McConfig,
@@ -100,24 +100,22 @@ def stage_estimate(noise: NoiseModel, n_series: int, n_days: int, seed: int):
           f"{[f.weight for f in gen.filters]} lengths "
           f"{[f.length_days for f in gen.filters]}")
 
-    init = FreeParams(
-        weights=(0.3, 0.3),
-        lengths=(20.0, 10.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC),
-    )
+    init = GarchSpec(filters=(
+        FilterSpec(math.inf, 0.4),
+        FilterSpec(20.0, 0.3, FilterKind.SYMMETRIC),
+        FilterSpec(10.0, 0.3, FilterKind.ASYMMETRIC),
+    ))
     t0 = time.perf_counter()
     fit = fit_garch(panel, noise, init, seed=seed + 1, n_restarts=1)
     took = time.perf_counter() - t0
     print(f"fit ({took:.1f}s, converged={fit.converged}):")
-    for w_hat, l_hat, f_true in zip(
-        fit.params.weights, fit.params.lengths, gen.filters[1:]
-    ):
-        print(f"  weight {w_hat:.3f} (true {f_true.weight})   "
-              f"length {l_hat:6.1f}d (true {f_true.length_days})   "
+    for f_hat, f_true in zip(fit.spec.filters[1:], gen.filters[1:]):
+        print(f"  weight {f_hat.weight:.3f} (true {f_true.weight})   "
+              f"length {f_hat.length_days:6.1f}d (true {f_true.length_days})   "
               f"[{f_true.kind.value}]")
-    print(f"  base weight {fit.params.base_weight:.3f} "
+    print(f"  base weight {fit.spec.filters[0].weight:.3f} "
           f"(true {gen.filters[0].weight})")
-    return fit.params.to_spec()
+    return fit.spec
 
 
 def stage_filter(spec: GarchSpec, noise: NoiseModel, seed: int) -> FilterState:

@@ -173,6 +173,12 @@ def fit_lambda2(inputs: CalibrationInput) -> StageResult:
     return StageResult(value=x, residual=fx, at_boundary=boundary)
 
 
+def _require_moving_filter(spec: GarchSpec) -> None:
+    """The skew and kurtosis stages need a filter with a noise factor."""
+    if not (spec.has_symmetric or spec.has_asymmetric):
+        raise CalibrationError("no moving filter: the model skew and kurtosis are zero")
+
+
 def _stage_integrals(
     inputs: CalibrationInput, lambda2: float
 ) -> tuple[object, list[ExpansionIntegrals]]:
@@ -226,6 +232,7 @@ def fit_lambda3(
 ) -> StageResult:
     """Least-squares fit of ``lambda3`` to the skew moment across expiries,
     solved exactly from three evaluations of that quadratic in ``lambda3``."""
+    _require_moving_filter(inputs.spec)
     eig, integrals = _precomputed or _stage_integrals(inputs, lambda2)
     no_cov = np.zeros((inputs.spec.n_filters,) * 2)  # skew_m does not read cff
 
@@ -250,6 +257,7 @@ def fit_lambda4(
     so two evaluations give the unconstrained optimum exactly; if it
     violates the floor, the floor value is returned with a saturation flag.
     """
+    _require_moving_filter(inputs.spec)
     eig, integrals = _precomputed or _stage_integrals(inputs, lambda2)
     floor = kurtosis_bound(lambda2, lambda3, inputs.noise, inputs.spec)
     spot_cov = spot_cov_products(inputs.spec, lambda2, lambda3, inputs.noise)
@@ -289,15 +297,14 @@ def calibrate_sequential(
     """
     if mode not in ("fit_all", "saturate_kurtosis"):
         raise ValueError(f"unknown calibration mode {mode!r}")
-    if not (inputs.spec.has_symmetric or inputs.spec.has_asymmetric):
-        raise CalibrationError("no moving filter: the model skew and kurtosis are zero")
+    _require_moving_filter(inputs.spec)
     stage2 = _run_stage("lambda2", fit_lambda2, inputs)
 
     pre = _stage_integrals(inputs, stage2.value)
     stage3 = _run_stage("lambda3", fit_lambda3, inputs, stage2.value, _precomputed=pre)
 
-    floor = kurtosis_bound(stage2.value, stage3.value, inputs.noise, inputs.spec)
     if mode == "saturate_kurtosis":
+        floor = kurtosis_bound(stage2.value, stage3.value, inputs.noise, inputs.spec)
         stage4 = StageResult(value=floor, residual=math.nan, at_boundary=False)
         saturated = True
     else:

@@ -38,9 +38,9 @@ from .data import (
     state_to_dict,
     write_states_csv,
 )
-from .estimation import FreeParams, fit_garch
+from .estimation import fit_garch
 from .expansion import ForwardVarianceCurve, expansion_coefficients, expansion_integrals, model_moments, atm_skew
-from .filters import DataError, FilterKind, NoiseModel, compute_filters
+from .filters import DataError, FilterKind, FilterSpec, GarchSpec, NoiseModel, compute_filters
 from .measure import (
     ModelError,
     kurtosis_bound,
@@ -134,9 +134,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             f"kinds/init-weights/init-lengths must have equal length, got "
             f"{len(kinds)}/{len(weights)}/{len(lengths)}"
         )
-    init = FreeParams(weights=tuple(weights), lengths=tuple(lengths), kinds=tuple(kinds))
+    moving = [FilterSpec(l, w, k) for w, l, k in zip(weights, lengths, kinds)]
+    init = GarchSpec((FilterSpec(math.inf, 1.0 - math.fsum(weights)), *moving))
     panel = load_return_panel(args.series)
     result = fit_garch(panel, noise, init, seed=args.seed, n_restarts=args.restarts)
+    anchor, *fitted = result.spec.filters
 
     cfg = {
         "command": "estimate",
@@ -153,12 +155,12 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "nll": result.nll,
         "n_iter": result.n_iter,
         "params": {
-            "base_weight": result.params.base_weight,
-            "weights": list(result.params.weights),
-            "lengths": list(result.params.lengths),
-            "kinds": [k.value for k in result.params.kinds],
+            "base_weight": anchor.weight,
+            "weights": [f.weight for f in fitted],
+            "lengths": [f.length_days for f in fitted],
+            "kinds": [f.kind.value for f in fitted],
         },
-        "spec": spec_to_dict(result.params.to_spec()),
+        "spec": spec_to_dict(result.spec),
     }
     dump_json(args.out, payload)
     print(f"wrote {args.out} (nll={result.nll:.6f}, converged={result.converged})")

@@ -23,7 +23,6 @@ import numpy as np
 
 from .filters import (
     DataError,
-    FilterKind,
     FilterSpec,
     GarchSpec,
     NoiseModel,
@@ -34,7 +33,6 @@ from .filters import (
 
 __all__ = [
     "ReturnPanel",
-    "FreeParams",
     "FitResult",
     "pooled_nll",
     "fit_garch",
@@ -74,51 +72,8 @@ class ReturnPanel:
 
 
 @dataclass(frozen=True)
-class FreeParams:
-    """Weights and lengths of the non-constant filters.
-
-    ``weights[i]`` and ``lengths[i]`` describe filter ``i + 2`` in the final
-    spec; the constant filter's weight is ``1 - sum(weights)``.
-    """
-
-    weights: tuple[float, ...]
-    lengths: tuple[float, ...]
-    kinds: tuple[FilterKind, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
-        object.__setattr__(self, "kinds", tuple(FilterKind(k) for k in self.kinds))
-        n = len(self.weights)
-        if not (n == len(self.lengths) == len(self.kinds)) or n == 0:
-            raise ValueError("weights, lengths and kinds must have equal nonzero length")
-
-    @property
-    def base_weight(self) -> float:
-        return 1.0 - math.fsum(self.weights)
-
-    def to_vector(self) -> np.ndarray:
-        return np.array(list(self.weights) + list(self.lengths))
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, kinds: Sequence[FilterKind]) -> "FreeParams":
-        k = len(kinds)
-        return cls(weights=tuple(vec[:k]), lengths=tuple(vec[k:]), kinds=tuple(kinds))
-
-    def to_spec(self) -> GarchSpec:
-        """The fitted model as a spec: the frozen unit filter is a constant
-        anchor (``length_days=math.inf``) of weight ``base_weight``."""
-        filters = [FilterSpec(math.inf, self.base_weight)]
-        filters += [
-            FilterSpec(l, w, k)
-            for w, l, k in zip(self.weights, self.lengths, self.kinds)
-        ]
-        return GarchSpec(filters=tuple(filters))
-
-
-@dataclass(frozen=True)
 class FitResult:
-    params: FreeParams
+    spec: GarchSpec
     nll: float
     converged: bool
     n_iter: int
@@ -163,17 +118,18 @@ def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel) -> floa
     return float(np.sum(terms)) / returns.shape[0]
 
 
-def pooled_nll(params: FreeParams, panel: ReturnPanel, noise: NoiseModel) -> float:
+def pooled_nll(spec: GarchSpec, panel: ReturnPanel, noise: NoiseModel) -> float:
     """Sum over series of per-series average negative log-likelihood.
 
-    Series of equal length run through the filters together.  Raises
-    ``ValueError`` on a negative weight or base weight (the base weight may
-    miss zero by rounding, as stick-breaking weights do) and, from
-    ``GarchSpec``, on a length under one day.
+    ``spec`` runs on unit steps (its ``dt_years`` is ignored) and series of
+    equal length run through the filters together.  Raises ``ValueError``
+    on a moving filter's negative weight or a constant filter's weight
+    below -1e-12 (the anchor's weight may miss zero by rounding, as
+    stick-breaking weights do).
     """
-    if min(params.weights) < 0.0 or params.base_weight < -1e-12:
-        raise ValueError(f"negative weight in {params.weights} or {params.base_weight}")
-    spec = replace(params.to_spec(), dt_years=1.0)
+    if any(f.weight < (-1e-12 if f.length_days == math.inf else 0.0) for f in spec.filters):
+        raise ValueError(f"negative weight in {spec.weights}")
+    spec = replace(spec, dt_years=1.0)
     by_length: dict[int, list[np.ndarray]] = {}
     for s in panel.series:
         by_length.setdefault(len(s), []).append(s.returns)
@@ -183,37 +139,41 @@ def pooled_nll(params: FreeParams, panel: ReturnPanel, noise: NoiseModel) -> flo
 def fit_garch(
     panel: ReturnPanel,
     noise: NoiseModel,
-    init: FreeParams,
+    init: GarchSpec,
     seed: int = 0,
     n_restarts: int = 3,
 ) -> FitResult:
     """Minimize the pooled NLL over a box with L-BFGS-B and random restarts.
 
-    The search variables are the stick-breaking fractions of the weights
-    (see :func:`_stick_weights`) in [0, 1] and the lengths in
-    ``_LENGTH_RANGE``; gradients are finite differences that stay inside the
-    box.  The first start is ``init``; each further restart draws the
-    fractions uniformly from [0, 1] and the lengths uniformly from
-    ``_LENGTH_RANGE`` capped at 120 days.  Returns the best restart:
-    ``converged`` is its L-BFGS-B success flag and ``n_iter`` counts the
-    L-BFGS-B iterations of all restarts.
+    ``init`` is a constant anchor followed by the moving filters to fit, and
+    the first start.  Each candidate is a spec on ``init``'s time step and
+    kinds: stick-breaking weights (see :func:`_stick_weights`), from
+    fractions in [0, 1], and lengths in ``_LENGTH_RANGE``, behind an anchor
+    of weight ``1 - sum(weights)``; finite-difference gradients stay in that
+    box.  Each further restart draws the fractions uniformly from [0, 1] and
+    the lengths uniformly from ``_LENGTH_RANGE`` capped at 120 days.  Returns
+    the best restart: ``converged`` is its L-BFGS-B success flag and
+    ``n_iter`` counts the L-BFGS-B iterations of all restarts.
     """
+    anchor, *moving = init.filters
+    if anchor.length_days != math.inf or not moving:
+        raise ValueError("init must be a constant anchor followed by moving filters")
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
     from scipy.optimize import minimize
-    kinds = init.kinds
-    k = len(kinds)
+    k = len(moving)
     bounds = [(0.0, 1.0)] * k + [_LENGTH_RANGE] * k
     lo, hi = np.array(bounds).T
-    first = np.concatenate([_stick_fractions(init.weights), init.lengths])
+    first = np.concatenate([_stick_fractions(init.weights[1:]), init.lengths[1:]])
     if not ((lo <= first) & (first <= hi)).all():
         raise ValueError("initial parameters violate the bounds")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
-    def params_at(vec: np.ndarray) -> FreeParams:
-        return FreeParams.from_vector(
-            np.concatenate([_stick_weights(vec[:k]), vec[k:]]), kinds
-        )
+    def spec_at(vec: np.ndarray) -> GarchSpec:
+        weights = _stick_weights(vec[:k]).tolist()
+        filters = [FilterSpec(math.inf, 1.0 - math.fsum(weights))]
+        filters += [FilterSpec(l, w, f.kind) for w, l, f in zip(weights, vec[k:].tolist(), moving)]
+        return replace(init, filters=tuple(filters))
 
     starts = [first]
     for _ in range(n_restarts - 1):
@@ -222,12 +182,12 @@ def fit_garch(
         starts.append(np.concatenate([u, l]))
 
     def objective(vec: np.ndarray) -> float:
-        return pooled_nll(params_at(vec), panel, noise)
+        return pooled_nll(spec_at(vec), panel, noise)
 
     fits = [minimize(objective, x0, method="L-BFGS-B", bounds=bounds) for x0 in starts]
     best = min(fits, key=lambda res: res.fun)
     return FitResult(
-        params=params_at(best.x),
+        spec=spec_at(best.x),
         nll=float(best.fun),
         converged=bool(best.success),
         n_iter=sum(int(res.nit) for res in fits),

@@ -32,7 +32,6 @@ from .measure import (
     PricingParams,
     RiskPremia,
     decay_integral,
-    pca_loadings,
 )
 
 __all__ = [
@@ -246,11 +245,11 @@ def coefficients_from_covariances(
 def expansion_coefficients(
     eig: EigenSystem, params: PricingParams, integrals: ExpansionIntegrals
 ) -> ExpansionCoefficients:
-    """Coefficients for a full set of pricing parameters."""
-    loads = params.xi[:, None] * pca_loadings(params)
-    return coefficients_from_covariances(
-        eig, params.xi * params.rho_spot, loads @ loads.T, integrals
-    )
+    """Coefficients for a full set of pricing parameters: with the factor
+    loadings ``f = xi[:, None] * loads``, the spot products are ``f[:, 0]``
+    and the factor covariance is ``f @ f.T``."""
+    f = params.xi[:, None] * params.loads
+    return coefficients_from_covariances(eig, f[:, 0], f @ f.T, integrals)
 
 
 def psi(alpha, coeffs: ExpansionCoefficients) -> np.ndarray | float:

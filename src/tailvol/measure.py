@@ -43,7 +43,6 @@ __all__ = [
     "filter_cov_matrix",
     "kurtosis_bound",
     "validate_premia",
-    "pca_loadings",
     "omega_matrix",
     "eigen_from_omega",
     "omega_eigen",
@@ -238,17 +237,14 @@ def kurtosis_bound(
 
 @dataclass(frozen=True, eq=False)
 class PricingParams:
-    """Per-filter pricing-measure coefficients plus the correlation scalars."""
+    """Vol-of-vol loadings ``xi`` (k,) and unit rows ``loads`` (k, 3) that
+    write each filter factor ``dZ^i`` on three orthogonal drivers; column 0
+    is the spot's own ``dW``, so ``loads[:, 0]`` are the spot correlations.
+    Drift rates and targets are in :func:`omega_eigen`, correlations by name
+    in :func:`validate_premia`."""
 
-    theta: np.ndarray
-    delta: np.ndarray
     xi: np.ndarray
-    rho_spot: np.ndarray
-    rho_plus: float
-    rho_minus: float
-    rho_cross: float
-    rho_cross_resid: float
-    is_asymmetric: np.ndarray
+    loads: np.ndarray
 
 
 def _drift_targets(spec: GarchSpec, lambda2: float) -> np.ndarray:
@@ -260,26 +256,29 @@ def _drift_targets(spec: GarchSpec, lambda2: float) -> np.ndarray:
 def pricing_params(
     spec: GarchSpec, premia: RiskPremia, mom: NoiseMoments
 ) -> PricingParams:
-    """Map premia and noise moments to pricing-measure coefficients.
+    """Map premia and noise moments to pricing-measure loadings.
 
-    Raises :class:`PremiaBoundError` naming the failed conditions when the
-    premia are inconsistent.
+    Each row of ``loads`` is the triangular (Cholesky) factor row of its
+    kind's innovation in the (spot, symmetric, asymmetric) covariance, so
+    same-kind filters have equal rows and mixed pairs meet at the cross
+    correlation.  Nothing divides, so spot correlations of +-1 and premia on
+    the kurtosis floor are safe.  Raises :class:`PremiaBoundError` naming
+    the failed conditions when the premia are inconsistent.
     """
     check = validate_premia(spec, premia, mom)
     if not check.ok:
         raise PremiaBoundError(list(check.violations))
-    asym = spec.is_asymmetric
-    variance = np.diag(_innovation_cov(premia, mom))[1 + asym]
+    variance = np.diag(_innovation_cov(premia, mom))[1 + spec.is_asymmetric]
+
+    def rest(r: float) -> float:
+        return math.sqrt(max(1.0 - r * r, 0.0))
+
+    rbar = min(max(check.rho_cross_resid, -1.0), 1.0)
+    sym = (check.rho_plus, rest(check.rho_plus), 0.0)
+    asym = (check.rho_minus, rest(check.rho_minus) * rbar, rest(check.rho_minus) * rest(rbar))
     return PricingParams(
-        theta=1.0 / (spec.lengths * spec.dt_years),
-        delta=_drift_targets(spec, premia.lambda2),
         xi=np.sqrt(np.maximum(variance, 0.0)) * _inv_scale(spec),
-        rho_spot=np.where(asym, check.rho_minus, check.rho_plus),
-        rho_plus=check.rho_plus,
-        rho_minus=check.rho_minus,
-        rho_cross=check.rho_cross,
-        rho_cross_resid=check.rho_cross_resid,
-        is_asymmetric=asym,
+        loads=np.where(spec.is_asymmetric[:, None], asym, sym),
     )
 
 
@@ -312,24 +311,6 @@ def filter_cov_matrix(
     scale = _inv_scale(spec)
     cov = _innovation_cov(RiskPremia(0.0, 0.0, lambda4), mom)
     return cov[np.ix_(kinds, kinds)] * np.outer(scale, scale)
-
-
-def pca_loadings(params: PricingParams) -> np.ndarray:
-    """Loadings of each filter factor on three orthogonal drivers.
-
-    Column 0 is the spot driver.  Each row is the triangular (Cholesky)
-    factor row of its kind's innovation, so row ``i`` reproduces ``dZ^i``:
-    rows have unit norm and their inner products equal the prescribed
-    correlations.  Nothing divides, so spot correlations of +-1 and premia
-    on the kurtosis floor are safe.
-    """
-    def rest(r: float) -> float:
-        return math.sqrt(max(1.0 - r * r, 0.0))
-
-    rbar = min(max(params.rho_cross_resid, -1.0), 1.0)
-    sym = (params.rho_plus, rest(params.rho_plus), 0.0)
-    asym = (params.rho_minus, rest(params.rho_minus) * rbar, rest(params.rho_minus) * rest(rbar))
-    return np.where(params.is_asymmetric[:, None], asym, sym)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ the pricing measure:
     dX^i    = theta_i (nu delta_i - X^i) dt + xi_i nu dZ^i
 
 with the filter factors dZ^i assembled from three orthogonal drivers via the
-loading rows of :func:`tailvol.measure.pca_loadings` (the spot driver dW is
+rows ``loads`` of :class:`tailvol.measure.PricingParams` (the spot's own dW is
 the first of the three).  The filter drift is linear in the levels, so the
 scheme propagates it with the exact matrix exponential and freezes only the
 diffusion coefficient over each step; conditional means are then exact for
@@ -52,7 +52,6 @@ from .measure import (
     RiskPremia,
     _drift_targets,
     omega_eigen,
-    pca_loadings,
     pricing_params,
     varswap_slope,
 )
@@ -135,11 +134,8 @@ class PathEnsemble:
 def _mean_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
     """Ensemble mean and standard error, pair-aware when antithetic."""
     if antithetic:
-        pairs = 0.5 * (values[0::2] + values[1::2])
-        n = pairs.size
-        return float(np.mean(pairs)), float(np.std(pairs, ddof=1) / math.sqrt(n))
-    n = values.size
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(n))
+        values = 0.5 * (values[0::2] + values[1::2])
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 def simulate_pricing(
@@ -175,7 +171,7 @@ def simulate_pricing(
 
     k = spec.n_filters
     weights = spec.weights
-    loads = pca_loadings(params)
+    loads = params.loads
     n_drivers = loads.shape[1]
     xi = vol_scale * params.xi
     growth = 1.0 + premia.lambda2

@@ -23,7 +23,7 @@ from tailvol.expansion import (
     psi,
 )
 from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel
-from tailvol.estimation import FreeParams, ReturnPanel, fit_garch
+from tailvol.estimation import ReturnPanel, fit_garch
 from tailvol.filters import simulate_panel_returns
 from tailvol.measure import (
     RiskPremia,
@@ -410,25 +410,28 @@ def test_criterion_9_panel_estimation_recovers_parameters(capsys):
         named.append((f"s{j}", ReturnSeries(dates=dates, returns=raw[:, j])))
     panel = ReturnPanel.from_series(named)
 
-    init = FreeParams(
-        weights=(0.3, 0.3),
-        lengths=(20.0, 10.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC),
+    init = GarchSpec(
+        filters=(
+            FilterSpec(math.inf, 0.4),
+            FilterSpec(20.0, 0.3, FilterKind.SYMMETRIC),
+            FilterSpec(10.0, 0.3, FilterKind.ASYMMETRIC),
+        ),
     )
     res = fit_garch(panel, NoiseModel(), init, seed=5, n_restarts=2)
+    fitted = res.spec.filters[1:]
     true_w, true_l = (0.4, 0.5), (36.0, 6.0)
     rel_errs = [
-        abs(res.params.weights[i] - true_w[i]) / true_w[i] for i in range(2)
+        abs(fitted[i].weight - true_w[i]) / true_w[i] for i in range(2)
     ] + [
-        abs(res.params.lengths[i] - true_l[i]) / true_l[i] for i in range(2)
+        abs(fitted[i].length_days - true_l[i]) / true_l[i] for i in range(2)
     ]
     worst = max(rel_errs)
     elapsed = time.perf_counter() - start
     ok = worst <= 0.25 and elapsed < 600.0
     _verdict(
         capsys, "9 panel estimation", ok,
-        f"weights {res.params.weights[0]:.3f}/{res.params.weights[1]:.3f} "
-        f"(true 0.4/0.5), lengths {res.params.lengths[0]:.1f}/{res.params.lengths[1]:.1f} "
+        f"weights {fitted[0].weight:.3f}/{fitted[1].weight:.3f} "
+        f"(true 0.4/0.5), lengths {fitted[0].length_days:.1f}/{fitted[1].length_days:.1f} "
         f"(true 36/6), worst rel err {worst:.1%} (tol 25%); "
         f"{elapsed:.1f}s (budget 600s)",
     )

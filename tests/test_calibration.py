@@ -90,6 +90,11 @@ def test_stage_failure_is_wrapped_with_its_name(
     inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
     with pytest.raises(CalibrationError, match="lambda3 stage failed: generator is defective"):
         calibrate_sequential(inputs)
+    # the kurtosis floor of a fit_all run is the lambda4 stage's own
+    monkeypatch.undo()
+    monkeypatch.setattr(calibration, "kurtosis_bound", broken)
+    with pytest.raises(CalibrationError, match="lambda4 stage failed: generator is defective"):
+        calibrate_sequential(inputs, mode="fit_all")
 
 
 def test_fit_lambda2_recovers_generating_value(

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from tailvol import estimation
 from tailvol.estimation import (
     DataError,
     FitResult,
-    FreeParams,
     ReturnPanel,
     fit_garch,
     pooled_nll,
@@ -40,8 +40,14 @@ def _panel_from_arrays(arrays):
     )
 
 
+def _anchored(weights, lengths, kinds):
+    """A constant anchor of weight ``1 - sum(weights)`` plus moving filters."""
+    moving = [FilterSpec(l, w, k) for w, l, k in zip(weights, lengths, kinds)]
+    return GarchSpec(filters=(FilterSpec(math.inf, 1.0 - math.fsum(weights)), *moving))
+
+
 def _one_filter(weight, length, kind=FilterKind.SYMMETRIC):
-    return FreeParams(weights=(weight,), lengths=(length,), kinds=(kind,))
+    return _anchored((weight,), (length,), (kind,))
 
 
 def test_from_series_normalizes_to_unit_std():
@@ -67,34 +73,20 @@ def test_panel_constructor_checks_normalization():
         ReturnPanel(names=(), series=())
 
 
-def test_free_params_base_weight_and_vector_round_trip():
-    p = FreeParams(
-        weights=(0.3, 0.45),
-        lengths=(36.0, 6.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC),
-    )
-    assert p.base_weight == pytest.approx(0.25)
-    back = FreeParams.from_vector(p.to_vector(), p.kinds)
-    assert back == p
-    with pytest.raises(ValueError):
-        FreeParams(weights=(0.5,), lengths=(10.0, 20.0), kinds=(FilterKind.SYMMETRIC,))
-
-
-def test_free_params_to_spec_prepends_long_baseline():
-    # the baseline is the constant anchor the likelihood froze
-    p = FreeParams(
-        weights=(0.4, 0.5),
-        lengths=(36.0, 6.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC),
-    )
-    spec = p.to_spec()
-    assert isinstance(spec, GarchSpec)
-    assert spec.filters[0].length_days == math.inf
-    assert spec.filters[0].weight == pytest.approx(0.1)
-    assert spec.filters[0].kind is FilterKind.SYMMETRIC
-    assert spec.filters[1].length_days == 36.0
-    assert spec.filters[2].kind is FilterKind.ASYMMETRIC
-    assert spec.dt_years == pytest.approx(1.0 / 252.0)
+def test_fitted_spec_keeps_the_anchor_and_the_init_kinds():
+    # the fit is a spec: the constant anchor the likelihood froze, of weight
+    # 1 - sum(weights), then the init's kinds, on the init's time step
+    panel = _clustered_panel(n_series=2, n_days=400)
+    init = _sym_asym((0.4, 0.5), (36.0, 6.0))
+    res = fit_garch(panel, NoiseModel(), init, n_restarts=1)
+    anchor, *moving = res.spec.filters
+    assert anchor.length_days == math.inf
+    assert anchor.weight == 1.0 - math.fsum(f.weight for f in moving)
+    assert anchor.kind is FilterKind.SYMMETRIC
+    assert [f.kind for f in moving] == [FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC]
+    assert res.spec.dt_years == init.dt_years == pytest.approx(1.0 / 252.0)
+    daily = fit_garch(panel, NoiseModel(), replace(init, dt_years=1.0), n_restarts=1)
+    assert daily.spec == replace(res.spec, dt_years=1.0)
 
 
 def test_param_bounds_validation_and_contains():
@@ -120,8 +112,7 @@ def test_stick_breaking_maps_the_cube_into_the_simplex(u):
     assert ((0.0 <= w) & (w <= 1.0)).all()
     # the base weight misses zero by no more than pooled_nll tolerates
     assert math.fsum(w) <= 1.0 + 1e-12
-    params = FreeParams(weights=tuple(w), lengths=(10.0,) * len(u), kinds=("symmetric",) * len(u))
-    assert params.base_weight >= -1e-12
+    assert 1.0 - math.fsum(w) >= -1e-12
 
 
 @settings(max_examples=200, deadline=None)
@@ -184,13 +175,18 @@ def test_pooled_nll_raises_on_invalid_params():
     noise = NoiseModel()
     with pytest.raises(ValueError, match="negative weight"):
         pooled_nll(_one_filter(-0.1, 10.0), panel, noise)
-    over = FreeParams(
-        weights=(0.6, 0.7),
-        lengths=(10.0, 20.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.SYMMETRIC),
-    )
+    over = _anchored((0.6, 0.7), (10.0, 20.0), (FilterKind.SYMMETRIC,) * 2)
     with pytest.raises(ValueError, match="negative weight"):
         pooled_nll(over, panel, noise)
+    # the anchor may miss zero by rounding, and no further
+    for anchor_weight, ok in ((-1e-13, True), (-1e-11, False)):
+        spec = _anchored((1.0 - anchor_weight,), (10.0,), (FilterKind.SYMMETRIC,))
+        assert spec.filters[0].weight < 0.0
+        if ok:
+            assert math.isfinite(pooled_nll(spec, panel, noise))
+        else:
+            with pytest.raises(ValueError, match="negative weight"):
+                pooled_nll(spec, panel, noise)
     with pytest.raises(ValueError, match=">= 1 day"):
         pooled_nll(_one_filter(0.4, 0.5), panel, noise)
 
@@ -226,10 +222,10 @@ def test_fit_garch_recovers_single_filter():
         seed=1,
         n_restarts=1,
     )
-    w, l = res.params.weights[0], res.params.lengths[0]
+    w, l = res.spec.filters[1].weight, res.spec.filters[1].length_days
     assert 0.3 < w < 0.6
     assert 6.0 < l < 24.0
-    assert res.nll == pytest.approx(pooled_nll(res.params, panel, NoiseModel()), rel=1e-12)
+    assert res.nll == pytest.approx(pooled_nll(res.spec, panel, NoiseModel()), rel=1e-12)
     assert res.n_restarts == 1
     assert res.converged
 
@@ -239,13 +235,14 @@ def test_fit_garch_rejects_out_of_bounds_init():
     with pytest.raises(ValueError, match="bounds"):
         fit_garch(panel, NoiseModel(), init=_one_filter(0.4, 1200.0))
     # weights may each sit in [0, 1] yet leave no room for the base filter
-    two = FreeParams(
-        weights=(0.6, 0.7),
-        lengths=(10.0, 20.0),
-        kinds=(FilterKind.SYMMETRIC, FilterKind.SYMMETRIC),
-    )
+    two = _anchored((0.6, 0.7), (10.0, 20.0), (FilterKind.SYMMETRIC,) * 2)
     with pytest.raises(ValueError, match="bounds"):
         fit_garch(panel, NoiseModel(), init=two)
+    # the first filter must be the constant anchor, and one must follow it
+    moving_first = GarchSpec(filters=(FilterSpec(20.0, 0.4), FilterSpec(math.inf, 0.6)))
+    for init in (moving_first, GarchSpec(filters=(FilterSpec(math.inf, 1.0),))):
+        with pytest.raises(ValueError, match="constant anchor"):
+            fit_garch(panel, NoiseModel(), init=init)
     # no restart at all is not one start
     with pytest.raises(ValueError, match="n_restarts"):
         fit_garch(panel, NoiseModel(), init=_one_filter(0.4, 20.0), n_restarts=0)
@@ -257,13 +254,12 @@ def test_fitted_spec_anchors_at_the_filtered_series_variance():
     # at that series' full-sample variance per unit time
     panel = _clustered_panel(n_series=2, n_days=400)
     res = fit_garch(panel, NoiseModel(), init=_one_filter(0.3, 20.0), n_restarts=1)
-    spec = res.params.to_spec()
+    spec = res.spec
     rng = np.random.default_rng(5)
     raw = np.concatenate([rng.normal(0.0, 0.002, 60), rng.normal(0.0, 0.015, 900)])
     states = compute_filters(_series(raw), spec)
     want = float(np.var(raw)) / spec.dt_years
     assert all(st.x[0] == pytest.approx(want, rel=1e-12) for st in states)
-    assert spec.filters[0].weight == pytest.approx(res.params.base_weight, abs=0.0)
 
 
 # --------------------------------------------------- Nelder-Mead oracle
@@ -272,34 +268,37 @@ _PENALTY = 1e8
 _WEIGHT_RANGE = (0.0, 1.0)
 
 
-def _violation(params):
-    """Squared distance of ``params`` outside the search box (0 inside)."""
+def _violation(vec, k):
+    """Squared distance of the weights ``vec[:k]`` and lengths ``vec[k:]``
+    outside the search box (0 inside)."""
     w_lo, w_hi = _WEIGHT_RANGE
     l_lo, l_hi = estimation._LENGTH_RANGE
     v = 0.0
-    for w in params.weights:
+    for w in vec[:k]:
         v += max(w_lo - w, 0.0) ** 2 + max(w - w_hi, 0.0) ** 2
-    for l in params.lengths:
+    for l in vec[k:]:
         v += max(l_lo - l, 0.0) ** 2 + max(l - l_hi, 0.0) ** 2
-    v += max(-params.base_weight, 0.0) ** 2
+    v += max(math.fsum(vec[:k]) - 1.0, 0.0) ** 2
     return v
 
 
 def _nelder_mead_fit(panel, noise, init, seed=0, n_restarts=3):
     """The earlier fit: Nelder-Mead on weights and lengths, with the box
     enforced by a penalty; the oracle for the box-constrained search."""
-    kinds = init.kinds
+    kinds = [f.kind for f in init.filters[1:]]
     k = len(kinds)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
+    def spec_at(vec):
+        return _anchored(vec[:k].tolist(), vec[k:].tolist(), kinds)
+
     def objective(vec):
-        p = FreeParams.from_vector(vec, kinds)
-        pen = _violation(p)
+        pen = _violation(vec, k)
         if pen > 0.0:
             return _PENALTY * (1.0 + pen)
-        return pooled_nll(p, panel, noise)
+        return pooled_nll(spec_at(vec), panel, noise)
 
-    starts = [init.to_vector()]
+    starts = [np.concatenate([init.weights[1:], init.lengths[1:]])]
     for _ in range(max(n_restarts - 1, 0)):
         w = rng.uniform(*_WEIGHT_RANGE, size=k)
         if w.sum() > 1.0:
@@ -319,7 +318,7 @@ def _nelder_mead_fit(panel, noise, init, seed=0, n_restarts=3):
         if res.fun < best_val:
             best_val, best, converged = float(res.fun), res.x, bool(res.success)
     return FitResult(
-        params=FreeParams.from_vector(best, kinds),
+        spec=spec_at(best),
         nll=best_val,
         converged=converged,
         n_iter=n_iter,
@@ -328,9 +327,7 @@ def _nelder_mead_fit(panel, noise, init, seed=0, n_restarts=3):
 
 
 def _sym_asym(weights, lengths):
-    return FreeParams(
-        weights=weights, lengths=lengths, kinds=(FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC)
-    )
+    return _anchored(weights, lengths, (FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC))
 
 
 def _three_filter_panel(anchor_length, n_days, n_series, seed):
@@ -377,5 +374,5 @@ def test_fit_garch_matches_nelder_mead_oracle(case):
     assert res.nll <= oracle.nll + 1e-9 * abs(oracle.nll)
     assert res.converged
     # both land on the same optimum
-    np.testing.assert_allclose(res.params.weights, oracle.params.weights, rtol=1e-3)
-    np.testing.assert_allclose(res.params.lengths, oracle.params.lengths, rtol=1e-3)
+    np.testing.assert_allclose(res.spec.weights[1:], oracle.spec.weights[1:], rtol=1e-3)
+    np.testing.assert_allclose(res.spec.lengths[1:], oracle.spec.lengths[1:], rtol=1e-3)

@@ -306,9 +306,9 @@ def test_skew_premium_steepens_atm_skew():
 
 def test_zero_spot_correlation_kills_first_order_terms():
     _, _, eig, params, curve = _paper_style_setup()
-    zeroed = dataclasses.replace(
-        params, rho_spot=np.zeros_like(params.rho_spot)
-    )
+    loads = params.loads.copy()
+    loads[:, 0] = 0.0
+    zeroed = dataclasses.replace(params, loads=loads)
     co = expansion_coefficients(eig, zeroed, expansion_integrals(curve, 0.5))
     assert co.cxf == pytest.approx(0.0, abs=1e-15)
     assert co.cmu == pytest.approx(0.0, abs=1e-15)

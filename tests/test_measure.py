@@ -7,12 +7,19 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from tailvol.calibration import CalibrationError, CalibrationInput, calibrate_sequential
+from tailvol.calibration import (
+    CalibrationError,
+    CalibrationInput,
+    calibrate_sequential,
+    fit_lambda3,
+    fit_lambda4,
+)
 from tailvol.cli import main
 from tailvol.data import dump_json, spec_to_dict
 from tailvol.expansion import ForwardVarianceCurve, ImpliedMomentTriple
 from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel
 from tailvol.measure import (
+    _drift_targets,
     ModelError,
     PremiaBoundError,
     RiskPremia,
@@ -23,7 +30,6 @@ from tailvol.measure import (
     noise_moments,
     omega_eigen,
     omega_matrix,
-    pca_loadings,
     pricing_params,
     spot_cov_products,
     validate_premia,
@@ -80,15 +86,16 @@ def test_student_t_moments_match_quadrature():
 # ---------------------------------------------------------------- pricing map
 
 
-def test_mean_reversion_rate_is_inverse_length(three_scale_spec, gaussian_moments):
-    params = pricing_params(three_scale_spec, RiskPremia(0.0, 0.0, 0.0), gaussian_moments)
-    np.testing.assert_allclose(params.theta, [252.0 / 1000.0, 7.0, 42.0], rtol=1e-14)
+def test_mean_reversion_rate_is_inverse_length(three_scale_spec):
+    # at lambda2 = 0 every drift target is 1, so Omega = Theta (I - 1 alpha^T)
+    eig = omega_eigen(three_scale_spec, RiskPremia(0.0, 0.0, 0.0))
+    want = omega_matrix([252.0 / 1000.0, 7.0, 42.0], np.ones(3), three_scale_spec.weights)
+    np.testing.assert_allclose(eig.omega, want, rtol=1e-14)
 
 
-def test_drift_targets_by_kind(three_scale_spec, gaussian_moments):
-    lam2 = 0.25
-    params = pricing_params(three_scale_spec, RiskPremia(lam2, 0.0, 0.0), gaussian_moments)
-    np.testing.assert_allclose(params.delta, [1.25, 1.25, 1.5], rtol=1e-14)
+def test_drift_targets_by_kind(three_scale_spec):
+    delta = _drift_targets(three_scale_spec, 0.25)
+    np.testing.assert_allclose(delta, [1.25, 1.25, 1.5], rtol=1e-14)
 
 
 def test_vol_of_vol_hand_values(gaussian_moments):
@@ -109,11 +116,12 @@ def test_spot_correlations_hand_values(gaussian_moments):
         dt_years=DT,
     )
     lam3 = 0.1  # small enough that lambda4 = 0 stays above the kurtosis floor
-    params = pricing_params(spec, RiskPremia(0.0, lam3, 0.0), gaussian_moments)
-    assert params.rho_plus == pytest.approx(-lam3 / math.sqrt(2.0), rel=1e-12)
+    chk = validate_premia(spec, RiskPremia(0.0, lam3, 0.0), gaussian_moments)
+    assert chk.ok
+    assert chk.rho_plus == pytest.approx(-lam3 / math.sqrt(2.0), rel=1e-12)
     m3m = -math.sqrt(2.0 / math.pi)
-    assert params.rho_minus == pytest.approx(2.0 * (m3m - lam3) / math.sqrt(5.0), rel=1e-12)
-    assert params.rho_cross == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-12)
+    assert chk.rho_minus == pytest.approx(2.0 * (m3m - lam3) / math.sqrt(5.0), rel=1e-12)
+    assert chk.rho_cross == pytest.approx(2.0 / math.sqrt(10.0), rel=1e-12)
 
 
 def test_spot_cov_products_free_of_kurtosis_premium(gaussian_moments):
@@ -123,15 +131,17 @@ def test_spot_cov_products_free_of_kurtosis_premium(gaussian_moments):
     )
     prod = spot_cov_products(spec, 0.3, 0.5, gaussian_moments)
     for lam4 in (0.44, 1.0, 3.0):
-        params = pricing_params(spec, RiskPremia(0.3, 0.5, lam4), gaussian_moments)
-        rho = np.where(params.is_asymmetric, params.rho_minus, params.rho_plus)
-        np.testing.assert_allclose(params.xi * rho, prod, rtol=1e-12)
+        premia = RiskPremia(0.3, 0.5, lam4)
+        chk = validate_premia(spec, premia, gaussian_moments)
+        rho = np.where(spec.is_asymmetric, chk.rho_minus, chk.rho_plus)
+        xi = pricing_params(spec, premia, gaussian_moments).xi
+        np.testing.assert_allclose(xi * rho, prod, rtol=1e-12)
 
 
 def test_filter_cov_matrix_matches_loadings(three_scale_spec, gaussian_moments):
     premia = RiskPremia(0.3, 0.5, 1.0)
     params = pricing_params(three_scale_spec, premia, gaussian_moments)
-    loads = pca_loadings(params)
+    loads = params.loads
     # drop the spot column: remaining columns span the variance drivers
     gram = (params.xi[:, None] * loads) @ (params.xi[:, None] * loads).T
     cov = filter_cov_matrix(three_scale_spec, premia.lambda4, gaussian_moments)
@@ -142,10 +152,10 @@ def test_pricing_params_rejects_premia_below_floor(three_scale_spec, gaussian_mo
     floor = kurtosis_bound(0.3, 0.5, gaussian_moments, three_scale_spec)
     with pytest.raises(PremiaBoundError):
         pricing_params(three_scale_spec, RiskPremia(0.3, 0.5, floor - 0.01), gaussian_moments)
-    params = pricing_params(
-        three_scale_spec, RiskPremia(0.3, 0.5, floor + 1e-6), gaussian_moments
-    )
-    assert abs(params.rho_cross_resid) <= 1.0 + 1e-9
+    premia = RiskPremia(0.3, 0.5, floor + 1e-6)
+    pricing_params(three_scale_spec, premia, gaussian_moments)
+    chk = validate_premia(three_scale_spec, premia, gaussian_moments)
+    assert abs(chk.rho_cross_resid) <= 1.0 + 1e-9
 
 
 # ---------------------------------------------------------------- kurtosis floor
@@ -253,21 +263,22 @@ def test_kurtosis_bound_matches_closed_form(lam2, lam3, noise, spec):
 
 
 def test_loadings_rows_unit_norm_and_correlations(three_scale_spec, gaussian_moments):
-    params = pricing_params(three_scale_spec, RiskPremia(0.3, 0.5, 1.0), gaussian_moments)
-    loads = pca_loadings(params)
+    premia = RiskPremia(0.3, 0.5, 1.0)
+    loads = pricing_params(three_scale_spec, premia, gaussian_moments).loads
+    chk = validate_premia(three_scale_spec, premia, gaussian_moments)
     assert loads.shape == (3, 3)
     np.testing.assert_allclose(np.linalg.norm(loads, axis=1), 1.0, rtol=1e-12)
     # spot column reproduces the spot correlations
     np.testing.assert_allclose(
         loads[:, 0],
-        np.where(params.is_asymmetric, params.rho_minus, params.rho_plus),
+        np.where(three_scale_spec.is_asymmetric, chk.rho_minus, chk.rho_plus),
         rtol=1e-12,
     )
     gram = loads @ loads.T
     # same-family filters share one driver
     assert gram[0, 1] == pytest.approx(1.0, rel=1e-12)
     # mixed pairs hit the cross correlation
-    assert gram[0, 2] == pytest.approx(params.rho_cross, rel=1e-10)
+    assert gram[0, 2] == pytest.approx(chk.rho_cross, rel=1e-10)
 
 
 @given(
@@ -288,7 +299,7 @@ def test_loadings_gram_psd_above_floor(lam2, lam3, bump):
     mom = noise_moments(NoiseModel())
     lam4 = kurtosis_bound(lam2, lam3, mom, spec) + bump
     params = pricing_params(spec, RiskPremia(lam2, lam3, lam4), mom)
-    loads = pca_loadings(params)
+    loads = params.loads
     gram = loads @ loads.T
     assert np.linalg.eigvalsh(gram).min() >= -1e-10
     # the loadings and the covariance products are read from one matrix
@@ -549,8 +560,9 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     want = kurtosis_bound(0.0, -0.9, gaussian_moments, asym_only)
     assert want == pytest.approx(-1.2396, abs=1e-4)
     assert kurtosis_bound(0.0, -0.9, gaussian_moments, anchored) == want
-    params = pricing_params(anchored, premia, gaussian_moments)
-    assert params.theta[0] == 0.0 and params.xi[0] == 0.0
+    # the anchor neither reverts nor diffuses
+    assert not omega_eigen(anchored, premia).omega[0].any()
+    assert pricing_params(anchored, premia, gaussian_moments).xi[0] == 0.0
     # without a moving filter lambda4 enters no condition at all
     constant = GarchSpec(filters=(FilterSpec(math.inf, 1.0),), dt_years=DT)
     assert kurtosis_bound(0.1, 0.4, gaussian_moments, constant) == -math.inf
@@ -558,8 +570,14 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     # its model skew and kurtosis are identically zero, so calibration refuses it
     state = FilterState.from_levels([0.04], constant, dt.date(2024, 1, 2))
     market = [(t, ImpliedMomentTriple(0.2, -0.1, 0.05)) for t in (0.25, 0.5)]
-    with pytest.raises(CalibrationError, match="no moving filter"):
-        calibrate_sequential(CalibrationInput(state, constant, gaussian_moments, market))
+    inputs = CalibrationInput(state, constant, gaussian_moments, market)
+    for run in (
+        lambda: calibrate_sequential(inputs),
+        lambda: fit_lambda3(inputs, 0.1),
+        lambda: fit_lambda4(inputs, 0.1, 0.4),
+    ):
+        with pytest.raises(CalibrationError, match="no moving filter"):
+            run()
     spec_path, premia_path = tmp_path / "spec.json", tmp_path / "premia.json"
     dump_json(spec_path, spec_to_dict(constant))
     dump_json(premia_path, {"lambda2": 0.1, "lambda3": 0.4, "lambda4": -100.0})

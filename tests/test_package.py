@@ -59,6 +59,48 @@ def test_modules_import_no_unused_names():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def _resolves(module: str, name: str = "*") -> bool:
+    """Whether ``from module import name`` works (``import module`` for ``*``)."""
+    try:
+        found = importlib.import_module(module)
+    except ImportError:
+        return False
+    return name == "*" or hasattr(found, name) or _resolves(f"{module}.{name}")
+
+
+def _unresolved_tailvol_imports(source: str) -> list[str]:
+    """Names imported from ``tailvol`` that the package does not define, as
+    ``module.name (line n)``; nothing in the source runs."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            pairs = [(alias.name, "*") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            pairs = [(node.module, alias.name) for alias in node.names]
+        else:
+            continue
+        out += [
+            f"{module}{'' if name == '*' else '.' + name} (line {node.lineno})"
+            for module, name in pairs
+            if module.split(".")[0] == "tailvol" and not _resolves(module, name)
+        ]
+    return out
+
+
+def test_scripts_import_only_names_the_package_defines():
+    source = (
+        "import numpy\nimport tailvol.nope\nfrom tailvol import data, fit_garch, Gone\n"
+        "from tailvol.measure import Gone\n"
+    )
+    assert _unresolved_tailvol_imports(source) == [
+        "tailvol.nope (line 2)", "tailvol.Gone (line 3)", "tailvol.measure.Gone (line 4)"
+    ]
+    scripts = sorted((pathlib.Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+    assert scripts
+    unresolved = {path.name: _unresolved_tailvol_imports(path.read_text()) for path in scripts}
+    assert {name: names for name, names in unresolved.items() if names} == {}
+
+
 def _unread_parameters(source: str) -> list[str]:
     """Parameters of a function or lambda that its body never reads, as
     ``function.parameter (line n)``; ``self`` and ``cls`` are exempt, and a

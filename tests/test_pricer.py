@@ -18,7 +18,6 @@ from tailvol.measure import (
     RiskPremia,
     noise_moments,
     omega_eigen,
-    pca_loadings,
     pricing_params,
     varswap_price,
 )
@@ -241,7 +240,7 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
 
     k = spec.n_filters
     weights = spec.weights
-    loads = pca_loadings(params)
+    loads = params.loads
     n_drivers = loads.shape[1]
     xi = vol_scale * params.xi
     growth = 1.0 + premia.lambda2
