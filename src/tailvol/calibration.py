@@ -304,7 +304,9 @@ def calibrate_sequential(
     stage3 = _run_stage("lambda3", fit_lambda3, inputs, stage2.value, _precomputed=pre)
 
     if mode == "saturate_kurtosis":
-        floor = kurtosis_bound(stage2.value, stage3.value, inputs.noise, inputs.spec)
+        floor = _run_stage(
+            "lambda4", kurtosis_bound, stage2.value, stage3.value, inputs.noise, inputs.spec
+        )
         stage4 = StageResult(value=floor, residual=math.nan, at_boundary=False)
         saturated = True
     else:

@@ -93,18 +93,6 @@ def _noise_from_args(args: argparse.Namespace) -> NoiseModel:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_spec(path: str):
-    return spec_from_dict(load_json(path))
-
-
-def _load_state(path: str, spec=None):
-    return state_from_dict(load_json(path), spec)
-
-
-def _load_premia(path: str):
-    return premia_from_dict(load_json(path))
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -138,7 +126,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     init = GarchSpec((FilterSpec(math.inf, 1.0 - math.fsum(weights)), *moving))
     panel = load_return_panel(args.series)
     result = fit_garch(panel, noise, init, seed=args.seed, n_restarts=args.restarts)
-    anchor, *fitted = result.spec.filters
 
     cfg = {
         "command": "estimate",
@@ -154,12 +141,6 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "converged": result.converged,
         "nll": result.nll,
         "n_iter": result.n_iter,
-        "params": {
-            "base_weight": anchor.weight,
-            "weights": [f.weight for f in fitted],
-            "lengths": [f.length_days for f in fitted],
-            "kinds": [f.kind.value for f in fitted],
-        },
         "spec": spec_to_dict(result.spec),
     }
     dump_json(args.out, payload)
@@ -168,7 +149,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_filters(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
+    spec = spec_from_dict(load_json(args.spec))
     series = load_return_series(args.series)
     states = compute_filters(series, spec)
     write_states_csv(args.out, states)
@@ -180,9 +161,9 @@ def _cmd_filters(args: argparse.Namespace) -> int:
 
 
 def _cmd_varswap(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    state = _load_state(args.state, spec)
-    premia = _load_premia(args.premia)
+    spec = spec_from_dict(load_json(args.spec))
+    state = state_from_dict(load_json(args.state), spec)
+    premia = premia_from_dict(load_json(args.premia))
     maturities = _floats(args.maturities)
     if any(t <= 0 for t in maturities):
         raise ConfigError("maturities must be positive")
@@ -198,9 +179,9 @@ def _cmd_varswap(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    state = _load_state(args.state, spec)
-    premia = _load_premia(args.premia)
+    spec = spec_from_dict(load_json(args.spec))
+    state = state_from_dict(load_json(args.state), spec)
+    premia = premia_from_dict(load_json(args.premia))
     noise = _noise_from_args(args)
     mom = noise_moments(noise)
     expiries = _floats(args.expiries)
@@ -222,8 +203,8 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    state = _load_state(args.state, spec)
+    spec = spec_from_dict(load_json(args.spec))
+    state = state_from_dict(load_json(args.state), spec)
     noise = _noise_from_args(args)
     chains = load_option_chains(args.chains)
     if args.delta_range:
@@ -271,9 +252,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smile(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    state = _load_state(args.state, spec)
-    premia = _load_premia(args.premia)
+    spec = spec_from_dict(load_json(args.spec))
+    state = state_from_dict(load_json(args.state), spec)
+    premia = premia_from_dict(load_json(args.premia))
     noise = _noise_from_args(args)
     expiries = _floats(args.expiries)
     grid = _strike_grid(args.strikes)
@@ -293,8 +274,8 @@ def _cmd_smile(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = _load_spec(args.spec)
-    premia = _load_premia(args.premia)
+    spec = spec_from_dict(load_json(args.spec))
+    premia = premia_from_dict(load_json(args.premia))
     noise = _noise_from_args(args)
     mom = noise_moments(noise)
     check = validate_premia(spec, premia, mom)

@@ -180,7 +180,7 @@ def load_option_chains(path: str | Path) -> list[OptionChain]:
         except (ValueError, IndexError) as exc:
             bad.append((ln, str(exc)))
             continue
-        g = groups.setdefault(t, {"forward": fwd, "rate": rate, "quotes": [], "line": ln})
+        g = groups.setdefault(t, {"forward": fwd, "rate": rate, "quotes": []})
         if abs(g["forward"] - fwd) > 1e-12 * max(abs(fwd), 1.0):
             raise DataError(
                 f"{path} line {ln}: forward {fwd} differs from {g['forward']} "

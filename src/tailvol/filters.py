@@ -16,6 +16,10 @@ A filter of infinite length is a constant: it keeps its initial level, which
 is how the unconditional-variance anchor of a GARCH(1,1) is written.
 Returns follow ``r_t = sqrt(nu_{t-1} * dt) * eps_t`` with i.i.d. unit-variance
 noise.  Filter states are annualized variances (1/years).
+
+The down-day driver rule is written once, in ``_drivers``: observed returns
+reach it through :func:`filter_path` scans, and the one real-world simulator
+steps it a day at a time and keeps the levels it steps through.
 """
 
 from __future__ import annotations
@@ -279,19 +283,22 @@ def _ema_scan(driver: np.ndarray, w: float, x0: float) -> np.ndarray:
 
 
 def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> list[np.ndarray]:
-    """Per-filter input sequences, annualized, each shaped like ``returns``.
+    """Per-filter input sequences of a return array, each shaped like it."""
+    return _drivers(returns**2 / spec.dt_years, returns < 0.0, spec)
 
-    Symmetric and constant filters share one squared-return array, and the
-    moving asymmetric filters share another; :func:`filter_path` reads them
-    without writing.
+
+def _drivers(r2: np.ndarray, down: np.ndarray, spec: GarchSpec) -> list[np.ndarray]:
+    """Per-filter drivers from annualized squared returns ``r2`` and the
+    down-day mask ``down``: a moving asymmetric filter absorbs ``2 * r2`` on
+    down days and nothing otherwise, every other filter absorbs ``r2``.  The
+    filters share these two arrays; :func:`filter_path` reads without writing.
     """
-    r2 = returns**2 / spec.dt_years
     asym = [
         f.kind is FilterKind.ASYMMETRIC and math.isfinite(f.length_days)
         for f in spec.filters
     ]
-    down = 2.0 * r2 * (returns < 0.0) if any(asym) else None
-    return [down if a else r2 for a in asym]
+    down_r2 = 2.0 * r2 * down if any(asym) else None
+    return [down_r2 if a else r2 for a in asym]
 
 
 def _auto_seed(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
@@ -306,30 +313,23 @@ def _auto_seed(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
     return seeds
 
 
-def compute_filters(
-    series: ReturnSeries,
-    spec: GarchSpec,
-    init: FilterState | None = None,
-) -> list[FilterState]:
+def compute_filters(series: ReturnSeries, spec: GarchSpec) -> list[FilterState]:
     """Run all filters over a return series, one state per observation date.
 
-    With ``init=None`` every moving filter is seeded with the sample
-    variance of the first ``min(L_i, 60)`` returns, a constant filter with
-    that of the whole series, and the first ``max(L_i)`` states, over the
-    finite lengths, are flagged as burn-in.  An explicit initial state
-    suppresses the flag.
+    Every moving filter is seeded with the sample variance of the first
+    ``min(L_i, 60)`` returns, a constant filter with that of the whole
+    series, and the first ``max(L_i)`` states, over the finite lengths, are
+    flagged as burn-in.
     """
-    if init is not None and init.x.size != spec.n_filters:
-        raise ValueError("initial state does not match spec")
     drivers = _filter_drivers(series.returns, spec)
-    x0 = _auto_seed(series.returns, spec) if init is None else init.x
+    x0 = _auto_seed(series.returns, spec)
     levels = np.empty((len(series), spec.n_filters))
     for i, f in enumerate(spec.filters):
         levels[:, i] = filter_path(drivers[i], f.length_days, x0[i])
 
     finite = [f.length_days for f in spec.filters if math.isfinite(f.length_days)]
-    warmup = int(math.ceil(max(finite, default=0.0))) if init is None else 0
-    if init is None and len(series) <= warmup:
+    warmup = int(math.ceil(max(finite, default=0.0)))
+    if len(series) <= warmup:
         warnings.warn(
             f"series has {len(series)} observations, shorter than the "
             f"{warmup}-day warm-up window; every state is flagged burn-in",
@@ -341,23 +341,33 @@ def compute_filters(
     ]
 
 
-def _step_filters(
-    x: np.ndarray,
-    nu: np.ndarray,
-    eps: np.ndarray,
-    inv_len: np.ndarray,
-    asym: np.ndarray,
-) -> None:
-    """Advance filter levels in place given the fresh noise draw.
+def _simulate(
+    spec: GarchSpec, x0: np.ndarray, noise: NoiseModel, n_days: int, n_series: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Step the return model on independent paths from the filter levels ``x0``.
 
-    ``x`` has shape (n_filters, n_paths); ``nu`` and ``eps`` are (n_paths,).
-    The annualized driver for a squared return is ``nu * eps**2``; asymmetric
-    filters see twice that on negative-return days and zero otherwise.
+    Returns the returns, shape (n_days, n_series), and the levels the
+    recursion stepped through, shape (n_days + 1, n_filters, n_series),
+    starting at ``x0``.  A day's annualized squared return is
+    ``nu * eps**2``, and its down-day mask is ``eps < 0``.
     """
-    shock = nu * eps**2
-    down = eps < 0.0
-    drivers = np.where(asym[:, None], 2.0 * shock * down, shock)
-    x += inv_len[:, None] * (drivers - x)
+    if np.shape(x0) != (spec.n_filters,):
+        raise ValueError("initial state does not match spec")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    eps = noise.sample(rng, (n_days, n_series))
+    eps2, down = eps**2, eps < 0.0
+    inv_len = (1.0 / spec.lengths)[:, None]
+    weights = spec.weights
+
+    levels = np.empty((n_days + 1, spec.n_filters, n_series))
+    levels[0] = np.asarray(x0)[:, None]
+    nu = np.empty((n_days, n_series))
+    for k in range(n_days):
+        x = levels[k]
+        nu[k] = np.maximum(weights @ x, VARIANCE_FLOOR)
+        drivers = np.array(_drivers(nu[k] * eps2[k], down[k], spec))
+        levels[k + 1] = x + inv_len * (drivers - x)
+    return np.sqrt(nu) * math.sqrt(spec.dt_years) * eps, levels
 
 
 def simulate_realworld(
@@ -370,17 +380,16 @@ def simulate_realworld(
     """Simulate the discrete return model under the real-world measure.
 
     Returns the simulated series (column 0 of :func:`simulate_panel_returns`
-    from ``init.x``) together with its filter-state path; the run is
-    reproducible from the seed.
+    from ``init.x``) together with the filter states the simulator stepped
+    through, one per day and none flagged burn-in; the run is reproducible
+    from the seed.
     """
-    if init.x.size != spec.n_filters:
-        raise ValueError("initial state does not match spec")
     if n_days < 1:
         raise ValueError("n_days must be >= 1")
-    returns = simulate_panel_returns(spec, init.x, noise, n_days, 1, seed)[:, 0]
+    returns, levels = _simulate(spec, init.x, noise, n_days, 1, seed)
     dates = tuple(init.as_of + dt.timedelta(days=k + 1) for k in range(n_days))
-    series = ReturnSeries(dates=dates, returns=returns)
-    return series, compute_filters(series, spec, init=init)
+    states = [FilterState.from_levels(levels[k + 1, :, 0], spec, dates[k]) for k in range(n_days)]
+    return ReturnSeries(dates=dates, returns=returns[:, 0]), states
 
 
 def simulate_panel_returns(
@@ -393,22 +402,8 @@ def simulate_panel_returns(
 ) -> np.ndarray:
     """Simulate many independent return paths at once, shape (n_days, n_series).
 
-    This is the real-world simulator behind :func:`simulate_realworld`, the
-    hedged-book drift check and synthetic estimation panels; all paths start
-    from the same filter levels ``x0``.
+    These are the returns of the one real-world simulator, which
+    :func:`simulate_realworld` and the hedged-book drift check also run;
+    all paths start from the same filter levels ``x0``.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    eps = noise.sample(rng, (n_days, n_series))
-    inv_len = 1.0 / spec.lengths
-    asym = spec.is_asymmetric
-    weights = spec.weights
-
-    x = np.repeat(np.asarray(x0, dtype=float)[:, None], n_series, axis=1)
-    nu = np.maximum(weights @ x, VARIANCE_FLOOR)
-    out = np.empty((n_days, n_series))
-    sqrt_dt = math.sqrt(spec.dt_years)
-    for k in range(n_days):
-        out[k] = np.sqrt(nu) * sqrt_dt * eps[k]
-        _step_filters(x, nu, eps[k], inv_len, asym)
-        nu = np.maximum(weights @ x, VARIANCE_FLOOR)
-    return out
+    return _simulate(spec, x0, noise, n_days, n_series, seed)[0]

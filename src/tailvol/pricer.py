@@ -41,10 +41,8 @@ from .filters import (
     FilterState,
     GarchSpec,
     NoiseModel,
-    _filter_drivers,
+    _simulate,
     _standard_normals,
-    filter_path,
-    simulate_panel_returns,
 )
 from .measure import (
     ModelError,
@@ -395,8 +393,8 @@ def realworld_drift_check(
     """Mark a varswap at model value along real-world paths and compare the
     daily P&L drift with the premium prediction.
 
-    The paths are :func:`tailvol.filters.simulate_panel_returns` from
-    ``state0``.  The book is long a varswap plus the accrued realized
+    The paths and their filter levels are the real-world simulator's, run
+    from ``state0``.  The book is long a varswap plus the accrued realized
     variance; the model value is ``g(tau) @ x`` (linear in the filter
     levels, so no higher-order terms enter; the swap matures half a year
     after the last day) and the book's fair one-day
@@ -406,15 +404,8 @@ def realworld_drift_check(
     """
     if n_paths < 2 or n_days < 2:
         raise ValueError("need at least 2 paths and 2 days")
-    if state0.x.size != spec.n_filters:
-        raise ValueError("initial state does not match spec")
     dt = spec.dt_years
-    returns = simulate_panel_returns(spec, state0.x, noise, n_days, n_paths, seed)
-    drivers = _filter_drivers(returns, spec)
-    x = np.empty((n_days + 1, spec.n_filters, n_paths))
-    x[0] = state0.x[:, None]
-    for i, f in enumerate(spec.filters):
-        x[1:, i] = filter_path(drivers[i], f.length_days, state0.x[i])
+    returns, x = _simulate(spec, state0.x, noise, n_days, n_paths, seed)
     nu = np.maximum(np.einsum("i,dip->dp", spec.weights, x[:-1]), VARIANCE_FLOOR)
 
     taus = n_days * dt + _DRIFT_BUFFER_YEARS - dt * np.arange(n_days + 1)

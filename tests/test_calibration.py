@@ -31,6 +31,7 @@ from tailvol.measure import (
     omega_eigen,
     pricing_params,
     spot_cov_products,
+    varswap_price,
 )
 
 EXPIRIES = (1.0 / 12.0, 0.25, 0.5)
@@ -95,6 +96,24 @@ def test_stage_failure_is_wrapped_with_its_name(
     monkeypatch.setattr(calibration, "kurtosis_bound", broken)
     with pytest.raises(CalibrationError, match="lambda4 stage failed: generator is defective"):
         calibrate_sequential(inputs, mode="fit_all")
+
+
+@pytest.mark.parametrize("mode", ["fit_all", "saturate_kurtosis"])
+def test_undefined_kurtosis_floor_fails_the_lambda4_stage_in_both_modes(
+    mode, three_scale_spec, flat_state, gaussian_moments
+):
+    # varswap vols priced at lambda2 = -0.8 put the fitted lambda2 where the
+    # kurtosis floor's denominator is nonpositive; saturate mode computes the
+    # floor outside fit_lambda4 and must still name the stage
+    gen = RiskPremia(-0.8, 0.0, 0.0)
+    eig = omega_eigen(three_scale_spec, gen)
+    market = tuple(
+        (t, ImpliedMomentTriple(math.sqrt(varswap_price(flat_state, eig, gen, t) / t), -0.5, 1.0))
+        for t in (0.25, 0.5, 1.0)
+    )
+    inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
+    with pytest.raises(CalibrationError, match="lambda4 stage failed: kurtosis bound undefined"):
+        calibrate_sequential(inputs, mode=mode)
 
 
 def test_fit_lambda2_recovers_generating_value(

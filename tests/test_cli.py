@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tailvol.cli import main
-from tailvol.data import dump_json, load_json
+from tailvol.data import dump_json, load_json, spec_from_dict, spec_to_dict
 from tailvol.measure import RiskPremia, omega_eigen, varswap_price
 from tailvol.replication import OptionKind, bs_price
 
@@ -289,9 +289,13 @@ def test_estimate_smoke(tmp_path, capsys):
     )
     assert rc == 0
     payload = load_json(out)
-    assert set(payload["params"]) == {"base_weight", "weights", "lengths", "kinds"}
+    # the fitted model is written once, as a spec that round-trips
+    assert "params" not in payload
+    spec = spec_from_dict(payload["spec"])
+    assert spec_to_dict(spec) == payload["spec"]
     # the fitted constant anchor has no finite length
     assert payload["spec"]["filters"][0]["length_days"] is None
+    assert math.isinf(spec.filters[0].length_days)
     assert "nll" in payload and math.isfinite(payload["nll"])
 
 

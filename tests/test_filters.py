@@ -19,6 +19,8 @@ from tailvol.filters import (
     NoiseModel,
     ReturnSeries,
     _ema_scan,
+    _filter_drivers,
+    _simulate,
     compute_filters,
     filter_path,
     simulate_panel_returns,
@@ -137,19 +139,19 @@ def test_constant_filter_returns_x0_exactly_as_the_scan_does():
 
 
 def test_three_day_recursion_by_hand():
-    # L=2, x0=0.04 annualized, returns +1%, -1%, +2%, dt = 1/252
+    # L=2 seeded with the sample variance of the first two returns, returns
+    # +1%, -1%, +2%, dt = 1/252; the first L states are burn-in
     dt_y = 1.0 / 252.0
     spec = GarchSpec(filters=(FilterSpec(2.0, 1.0),), dt_years=dt_y)
-    series = ReturnSeries(dates=_dates(3), returns=np.array([0.01, -0.01, 0.02]))
-    init = FilterState(x=np.array([0.04]), nu=0.04, as_of=dt.date(2019, 12, 31))
-    states = compute_filters(series, spec, init=init)
+    rets = np.array([0.01, -0.01, 0.02])
+    states = compute_filters(ReturnSeries(dates=_dates(3), returns=rets), spec)
 
-    x = 0.04
-    for r in (0.01, -0.01, 0.02):
+    x = float(np.var(rets[:2])) / dt_y
+    for r in rets:
         x = 0.5 * x + 0.5 * (r * r / dt_y)
     assert states[-1].x[0] == pytest.approx(x, rel=1e-14)
     assert states[-1].nu == pytest.approx(x, rel=1e-14)
-    assert [s.burn_in for s in states] == [False, False, False]
+    assert [s.burn_in for s in states] == [True, True, False]
 
 
 def test_asymmetric_filter_ignores_positive_returns():
@@ -157,10 +159,9 @@ def test_asymmetric_filter_ignores_positive_returns():
     spec = GarchSpec(
         filters=(FilterSpec(5.0, 1.0, FilterKind.ASYMMETRIC),), dt_years=dt_y
     )
-    series = ReturnSeries(dates=_dates(10), returns=np.full(10, 0.02))
-    init = FilterState(x=np.array([0.09]), nu=0.09, as_of=dt.date(2019, 12, 31))
-    states = compute_filters(series, spec, init=init)
-    levels = np.array([s.x[0] for s in states])
+    (driver,) = _filter_drivers(np.full(10, 0.02), spec)
+    np.testing.assert_array_equal(driver, np.zeros(10))
+    levels = filter_path(driver, 5.0, 0.09)
     # pure decay toward zero, factor (1 - 1/L) each day
     np.testing.assert_allclose(levels, 0.09 * 0.8 ** np.arange(1, 11), rtol=1e-12)
 
@@ -171,12 +172,10 @@ def test_asymmetric_filter_doubles_negative_squared_returns():
     asym = GarchSpec(
         filters=(FilterSpec(7.0, 1.0, FilterKind.ASYMMETRIC),), dt_years=dt_y
     )
-    series = ReturnSeries(dates=_dates(40), returns=np.full(40, -0.013))
-    init = FilterState(x=np.array([0.0]), nu=VARIANCE_FLOOR, as_of=dt.date(2019, 12, 31))
-    s_sym = compute_filters(series, sym, init=init)
-    s_asym = compute_filters(series, asym, init=init)
-    for a, b in zip(s_sym, s_asym):
-        assert b.x[0] == pytest.approx(2.0 * a.x[0], rel=1e-12)
+    rets = np.full(40, -0.013)
+    x_sym = filter_path(_filter_drivers(rets, sym)[0], 7.0, 0.0)
+    x_asym = filter_path(_filter_drivers(rets, asym)[0], 7.0, 0.0)
+    np.testing.assert_allclose(x_asym, 2.0 * x_sym, rtol=1e-12)
 
 
 def test_compute_filters_auto_seed_and_burn_in(three_scale_spec):
@@ -302,9 +301,9 @@ def test_simulate_realworld_returns_scale_with_variance(three_scale_spec):
 
 
 def test_simulate_realworld_filters_consistent_with_compute(three_scale_spec, flat_state):
-    # the simulator's in-loop recursion and compute_filters must describe the
-    # same path: dividing each return by the compute_filters forecast of the
-    # day before recovers exactly the noise drawn from the seed
+    # the returned states are the ones the simulator stepped through:
+    # dividing each return by the forecast of the day before recovers the
+    # noise drawn from the seed
     for noise in (NoiseModel(), NoiseModel("student_t", dof=6.0)):
         series, states = simulate_realworld(three_scale_spec, flat_state, noise, 150, seed=21)
         nu_before = np.array([flat_state.nu] + [s.nu for s in states[:-1]])
@@ -326,6 +325,42 @@ def test_simulate_panel_returns_shape_and_determinism():
     np.testing.assert_array_equal(a, b)
     # distinct series within the panel
     assert not np.array_equal(a[:, 0], a[:, 1])
+
+
+_ORACLE_SPECS = {
+    "constant anchor": GarchSpec(
+        filters=(FilterSpec(math.inf, 0.2), FilterSpec(20.0, 0.3), FilterSpec(5.0, 0.5, FilterKind.ASYMMETRIC))
+    ),
+    "all moving": GarchSpec(
+        filters=(FilterSpec(1000.0, 0.1), FilterSpec(36.0, 0.4), FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC))
+    ),
+}
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel("student_t", dof=6.0)], ids=["gaussian", "t6"])
+@pytest.mark.parametrize("name", sorted(_ORACLE_SPECS))
+@pytest.mark.parametrize("n_series", [1, 5])
+def test_simulated_levels_match_a_rescan_of_the_returns(noise, name, n_series):
+    # the stepped levels must equal filter_path scans of _filter_drivers of
+    # the simulated returns, which is how they were once derived
+    spec = _ORACLE_SPECS[name]
+    x0 = np.array([0.05, 0.03, 0.08])
+    returns, levels = _simulate(spec, x0, noise, 400, n_series, 17)
+    assert returns.shape == (400, n_series)
+    assert levels.shape == (401, 3, n_series)
+    np.testing.assert_array_equal(levels[0], np.repeat(x0[:, None], n_series, axis=1))
+    drivers = _filter_drivers(returns, spec)
+    for i, f in enumerate(spec.filters):
+        oracle = filter_path(drivers[i], f.length_days, x0[i])
+        np.testing.assert_allclose(levels[1:, i], oracle, rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(
+        simulate_panel_returns(spec, x0, noise, 400, n_series, 17), returns
+    )
+    if n_series == 1:
+        init = FilterState.from_levels(x0, spec, dt.date(2024, 1, 2))
+        series, states = simulate_realworld(spec, init, noise, 400, 17)
+        np.testing.assert_array_equal(series.returns, returns[:, 0])
+        np.testing.assert_array_equal(np.array([s.x for s in states]), levels[1:, :, 0])
 
 
 def test_trading_day_constant():

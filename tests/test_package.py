@@ -271,6 +271,48 @@ def test_gaussian_draws_come_only_from_standard_normals():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _rescan_names(source: str) -> list[str]:
+    """Every mention of ``filter_path`` or ``_filter_drivers`` (a name, an
+    attribute or an imported alias), as ``name (line n)``."""
+    banned = ("filter_path", "_filter_drivers")
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names if name in banned]
+    return out
+
+
+def test_rescan_check_flags_every_mention():
+    source = (
+        "from .filters import _filter_drivers, filter_path as scan\nfrom . import filters\n"
+        "def f(r, spec):\n    return filters.filter_path(_filter_drivers(r, spec)[0], 5.0, 1.0)\n"
+        "def g(path):\n    return path\n"
+    )
+    assert sorted(_rescan_names(source)) == [
+        "_filter_drivers (line 1)", "_filter_drivers (line 4)",
+        "filter_path (line 1)", "filter_path (line 4)",
+    ]
+
+
+def test_only_the_filters_and_estimation_rescan_returns():
+    # the simulator keeps the levels it steps, so no other module (the
+    # pricer's drift check above all) re-derives them from returns
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {
+        path.name: _rescan_names(path.read_text())
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("filters.py", "estimation.py")
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def test_traced_lookups_resolve_to_callables(monkeypatch):
     # the benchmark's tracer wraps these names; a renamed function would
     # break only its traced runs
