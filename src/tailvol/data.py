@@ -16,12 +16,15 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .estimation import ReturnPanel
 from .filters import (
+    TRADING_DAYS_PER_YEAR,
     DataError,
     FilterKind,
     FilterSpec,
@@ -76,8 +79,6 @@ def _report_bad(path: str | Path, bad: list[tuple[int, str]], total: int) -> Non
     more = f" (+{len(bad) - 5} more)" if len(bad) > 5 else ""
     if len(bad) > max(1, math.floor(_BAD_ROW_LIMIT * total)):
         raise DataError(f"{path}: {len(bad)}/{total} rows malformed — {shown}{more}")
-    import warnings
-
     warnings.warn(f"{path}: skipped {len(bad)} malformed rows — {shown}{more}", stacklevel=3)
 
 
@@ -130,14 +131,11 @@ def load_return_series(path: str | Path) -> ReturnSeries:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def load_return_panel(paths: Sequence[str | Path]):
+def load_return_panel(paths: Sequence[str | Path]) -> ReturnPanel:
     """Read several series and normalize them into an estimation panel.
 
-    Series are named by file stem.  Import is local to avoid a hard
-    dependency cycle at module load.
+    Series are named by file stem.
     """
-    from .estimation import ReturnPanel
-
     named = [(Path(p).stem, load_return_series(p)) for p in paths]
     return ReturnPanel.from_series(named)
 
@@ -257,7 +255,8 @@ def spec_from_dict(obj: dict) -> GarchSpec:
             )
             for f in obj["filters"]
         )
-        return GarchSpec(filters=filters, dt_years=float(obj.get("dt_years", 1.0 / 252.0)))
+        dt_years = float(obj.get("dt_years", 1.0 / TRADING_DAYS_PER_YEAR))
+        return GarchSpec(filters=filters, dt_years=dt_years)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad filter spec: {exc}") from exc
 
@@ -271,15 +270,14 @@ def state_to_dict(state: FilterState) -> dict:
     }
 
 
-def state_from_dict(obj: dict, spec: GarchSpec | None = None) -> FilterState:
-    """Rebuild a state; with a spec the forecast is recomputed from levels."""
+def state_from_dict(obj: dict, spec: GarchSpec) -> FilterState:
+    """Rebuild a state on ``spec``: the forecast is recomputed from the
+    levels, so a file's ``nu`` is never trusted."""
     try:
         x = np.asarray(obj["x"], dtype=float)
         as_of = _parse_date(obj["as_of"])
         burn = bool(obj.get("burn_in", False))
-        if spec is not None:
-            return FilterState.from_levels(x, spec, as_of, burn_in=burn)
-        return FilterState(x=x, nu=float(obj["nu"]), as_of=as_of, burn_in=burn)
+        return FilterState.from_levels(x, spec, as_of, burn_in=burn)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad filter state: {exc}") from exc
 

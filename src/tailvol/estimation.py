@@ -77,7 +77,6 @@ class FitResult:
     nll: float
     converged: bool
     n_iter: int
-    n_restarts: int
 
 
 def _stick_weights(u: np.ndarray) -> np.ndarray:
@@ -191,5 +190,4 @@ def fit_garch(
         nll=float(best.fun),
         converged=bool(best.success),
         n_iter=sum(int(res.nit) for res in fits),
-        n_restarts=len(starts),
     )

@@ -77,7 +77,7 @@ class ForwardVarianceCurve:
     def from_state(
         cls, state: FilterState, eig: EigenSystem, premia: RiskPremia
     ) -> "ForwardVarianceCurve":
-        w = (1.0 + premia.lambda2) * eig.weights_tilde * eig.state_coords(state.x)
+        w = (1.0 + premia.lambda2) * eig.weights_tilde * (eig.u_inv @ state.x)
         return cls(weights=w, rates=eig.rates.copy())
 
     def __call__(self, t) -> np.ndarray | float:
@@ -111,7 +111,6 @@ class ExpansionIntegrals:
     """
 
     maturity: float
-    rates: np.ndarray
     total_variance: float
     jxf: np.ndarray
     jff: np.ndarray
@@ -197,7 +196,6 @@ def expansion_integrals(
 
     return ExpansionIntegrals(
         maturity=maturity,
-        rates=rates.copy(),
         total_variance=curve.integral(maturity),
         jxf=jxf,
         jff=jff,

@@ -43,8 +43,6 @@ __all__ = [
     "filter_cov_matrix",
     "kurtosis_bound",
     "validate_premia",
-    "omega_matrix",
-    "eigen_from_omega",
     "omega_eigen",
     "varswap_price",
     "varswap_slope",
@@ -194,12 +192,11 @@ def validate_premia(
         rho_cross = float(cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2]))
         if abs(rho_cross) > 1.0 + _BOUND_TOL:
             violations.append("rho_cross_bound")
-        resid = rho_cross - rho_plus * rho_minus
         den = (1.0 - rho_plus**2) * (1.0 - rho_minus**2)
-        # A spot correlation of exactly +-1 leaves no residual freedom; the
-        # cross-correlation must then equal rho_plus * rho_minus.
-        rho_bar = resid / math.sqrt(den) if den > 0.0 else 0.0
-        if abs(rho_bar) > 1.0 + _BOUND_TOL or (den <= 0.0 and abs(resid) > _BOUND_TOL):
+        rho_bar = (rho_cross - rho_plus * rho_minus) / math.sqrt(den) if den > 0.0 else 0.0
+        # Decided on the determinant that kurtosis_bound roots: rho_bar
+        # divides by a 1 - rho_plus^2 that vanishes near the floor.
+        if _exact_det(cov) < -_BOUND_TOL * float(np.prod(np.diag(cov))):
             violations.append("rho_cross_resid_bound")
     return PremiaCheck(
         violations=tuple(violations),
@@ -315,31 +312,26 @@ def filter_cov_matrix(
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigendecomposition of the variance generator Omega = U diag(rates) U^-1."""
+    """Eigendecomposition of the variance generator Omega = U diag(rates) U^-1;
+    ``u_inv @ x`` are the eigenbasis coordinates of filter levels ``x``."""
 
-    omega: np.ndarray
     rates: np.ndarray
     u: np.ndarray
     u_inv: np.ndarray
     weights_tilde: np.ndarray
 
-    def state_coords(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of a filter-level vector in the eigenbasis."""
-        return self.u_inv @ np.asarray(x, dtype=float)
 
+def omega_eigen(spec: GarchSpec, premia: RiskPremia) -> EigenSystem:
+    """Generator eigensystem for a spec under given premia (only ``lambda2``
+    enters, through the drift targets).
 
-def omega_matrix(theta: np.ndarray, delta: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    return theta[:, None] * (np.eye(theta.size) - np.outer(delta, weights))
-
-
-def eigen_from_omega(omega: np.ndarray, weights: np.ndarray) -> EigenSystem:
-    """Diagonalize the generator; tolerate only negligible imaginary parts.
-
-    Eigenvalues are sorted ascending so downstream output is deterministic.
+    Eigenvalues are sorted ascending so downstream output is deterministic;
+    a complex spectrum, or eigenvectors that fail to reconstruct the
+    generator, raise :class:`ModelError`.
     """
+    theta = 1.0 / (spec.lengths * spec.dt_years)
+    delta = _drift_targets(spec, premia.lambda2)
+    omega = theta[:, None] * (np.eye(theta.size) - np.outer(delta, spec.weights))
     ev, u = np.linalg.eig(omega)
     scale = max(float(np.max(np.abs(ev))), 1e-300)
     if np.max(np.abs(ev.imag)) > 1e-10 * scale or np.max(np.abs(u.imag)) > 1e-8:
@@ -356,21 +348,7 @@ def eigen_from_omega(omega: np.ndarray, weights: np.ndarray) -> EigenSystem:
     resid = np.max(np.abs(u @ np.diag(ev) @ u_inv - omega))
     if resid > 1e-8 * max(np.max(np.abs(omega)), 1.0):
         raise ModelError("eigendecomposition failed to reconstruct the generator")
-    return EigenSystem(
-        omega=omega,
-        rates=ev,
-        u=u,
-        u_inv=u_inv,
-        weights_tilde=u.T @ np.asarray(weights, dtype=float),
-    )
-
-
-def omega_eigen(spec: GarchSpec, premia: RiskPremia) -> EigenSystem:
-    """Generator eigensystem for a spec under given premia (only ``lambda2``
-    enters, through the drift targets)."""
-    theta = 1.0 / (spec.lengths * spec.dt_years)
-    delta = _drift_targets(spec, premia.lambda2)
-    return eigen_from_omega(omega_matrix(theta, delta, spec.weights), spec.weights)
+    return EigenSystem(rates=ev, u=u, u_inv=u_inv, weights_tilde=u.T @ spec.weights)
 
 
 def decay_integral(rate, tau):

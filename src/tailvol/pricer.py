@@ -61,7 +61,6 @@ __all__ = [
     "SmileSurface",
     "DriftCheckResult",
     "simulate_pricing",
-    "price_european",
     "chain_from_ensemble",
     "smile",
     "realworld_drift_check",
@@ -99,11 +98,11 @@ class PathEnsemble:
 
     ``s`` is the spot (initial level 1, a forward), ``int_var`` the
     pathwise integrated effective variance ``int (1 + lambda2) nu dt``,
-    ``x`` the filter levels (the variance forecast is ``weights @ x``,
-    floored), ``s_control`` the frozen-curve control spot and
-    ``control_var`` its per-horizon exact lognormal variance.  Arrays are
-    indexed (horizon, ..., path).  The normals are drawn step by step, so
-    the memory a simulation holds does not grow with the horizon.
+    ``s_control`` the frozen-curve control spot and ``control_var`` its
+    per-horizon exact lognormal variance.  Arrays are indexed (horizon,
+    path).  The filter levels are stepped block by block but not kept, and
+    the normals are drawn step by step, so the memory a simulation holds
+    does not grow with the horizon.
 
     ``horizons`` holds the realized snapshot times: each requested horizon
     is snapped to a whole number of steps of ``dt_years``, so it can differ
@@ -115,7 +114,6 @@ class PathEnsemble:
     s: np.ndarray
     s_control: np.ndarray
     int_var: np.ndarray
-    x: np.ndarray
     control_var: np.ndarray
     antithetic: bool
     dt_years: float
@@ -167,7 +165,6 @@ def simulate_pricing(
     realized = steps_at * dt
     n_steps = int(steps_at[-1])
 
-    k = spec.n_filters
     weights = spec.weights
     loads = params.loads
     n_drivers = loads.shape[1]
@@ -188,7 +185,6 @@ def simulate_pricing(
     s = np.empty((n_h, total))
     s_ctrl = np.empty((n_h, total))
     iv_out = np.empty((n_h, total))
-    x_out = np.empty((n_h, k, total))
 
     sqrt_dt = math.sqrt(dt)
     for start in range(0, total, cfg.block_size):
@@ -198,6 +194,9 @@ def simulate_pricing(
         n_draws = width // 2 if cfg.antithetic else width
 
         x = np.repeat(state0.x[:, None], width, axis=1)
+        # The filter update goes into two per-block buffers: fresh (k, width)
+        # arrays each step would tie the speed to the allocator's trimming.
+        x_next, shock = np.empty_like(x), np.empty_like(x)
         log_s = np.zeros(width)
         log_c = np.zeros(width)
         int_var = np.zeros(width)
@@ -212,7 +211,11 @@ def simulate_pricing(
             fc = f_curve[step]
             log_c += -0.5 * fc * dt + math.sqrt(fc) * dw
             nu = zeta / growth
-            x = drift_mat @ x + (xi[:, None] * nu[None, :]) * (loads @ factors)
+            np.matmul(loads, factors, out=shock)
+            shock *= xi[:, None] * nu
+            np.matmul(drift_mat, x, out=x_next)
+            x_next += shock
+            x, x_next = x_next, x
             zeta_next = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
             int_var += 0.5 * (zeta + zeta_next) * dt
             zeta = zeta_next
@@ -221,7 +224,6 @@ def simulate_pricing(
                 s[snap, sl] = np.exp(log_s)
                 s_ctrl[snap, sl] = np.exp(log_c)
                 iv_out[snap, sl] = int_var
-                x_out[snap, :, sl] = x
                 snap += 1
 
     return PathEnsemble(
@@ -229,25 +231,10 @@ def simulate_pricing(
         s=s,
         s_control=s_ctrl,
         int_var=iv_out,
-        x=x_out,
         control_var=control_cum[steps_at - 1],
         antithetic=cfg.antithetic,
         dt_years=dt,
     )
-
-
-def price_european(
-    payoff, paths: PathEnsemble, rate: float, expiry: float
-) -> tuple[float, float]:
-    """Discounted price and standard error of ``payoff(S_T)`` at a simulated
-    horizon."""
-    i = paths.horizon_index(expiry)
-    values = np.asarray(payoff(paths.s[i]), dtype=float)
-    if values.shape != paths.s[i].shape:
-        raise ValueError("payoff must map the spot array to one value per path")
-    disc = math.exp(-rate * expiry)
-    mean, se = _mean_se(values, paths.antithetic)
-    return disc * mean, disc * se
 
 
 def _strip_prices(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,6 @@ __all__ = [
     "OptionKind",
     "Quote",
     "OptionChain",
-    "trapezoid_weights",
     "bs_price",
     "bs_delta",
     "bs_vega",
@@ -42,6 +41,9 @@ __all__ = [
     "replicate_moments",
     "market_moment_triple",
 ]
+
+#: Relative volatility tolerance at which :func:`implied_vol` stops.
+_IV_TOL = 1e-12
 
 
 class OptionKind(str, Enum):
@@ -95,7 +97,7 @@ class OptionChain:
         return [q for q in self.quotes if q.kind is kind]
 
 
-def trapezoid_weights(x) -> np.ndarray:
+def _trapezoid_weights(x) -> np.ndarray:
     """Trapezoid quadrature weights on a strictly increasing grid."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
@@ -159,7 +161,6 @@ def implied_vol(
     strike: float,
     expiry: float,
     kind: OptionKind,
-    tol: float = 1e-12,
 ) -> float:
     """Invert the Black formula: safeguarded Newton with a bisection fallback.
 
@@ -167,7 +168,7 @@ def implied_vol(
     put-call parity makes the price of the out-of-the-money option at the
     same strike, and runs Newton on its logarithm, so deep wings converge as
     fast as the money.  It stops in volatility space, once a Newton step or
-    the bracket is no wider than ``tol`` times the volatility.  Prices at or
+    the bracket is no wider than ``_IV_TOL`` (1e-12) times the volatility.  Prices at or
     below intrinsic, or above the trivial upper bound, raise
     :class:`ModelError`; so does a price the solver cannot resolve within
     100 iterations.
@@ -210,11 +211,11 @@ def implied_vol(
         else:
             step = math.inf
         candidate = vol - step
-        if abs(step) <= tol * vol and lo <= candidate <= hi:
+        if abs(step) <= _IV_TOL * vol and lo <= candidate <= hi:
             return float(candidate)
         if not (lo < candidate < hi):
             candidate = 0.5 * (lo + hi)
-            if hi - lo <= tol * candidate:
+            if hi - lo <= _IV_TOL * candidate:
                 return float(candidate)
         vol = candidate
     raise ModelError(
@@ -270,7 +271,7 @@ def _side_integrals(
     """Trapezoid strike integrals of (1, 1 - log(K/F), K/F - 1) * O(K)/K^2."""
     k = np.array([q.strike for q in quotes])
     p = np.array([q.mid for q in quotes])
-    w = trapezoid_weights(k)
+    w = _trapezoid_weights(k)
     base = w * p / k**2
     logm = np.log(k / forward)
     return (

@@ -181,18 +181,18 @@ def test_spec_round_trip_constant_filter(tmp_path):
 
 def test_state_round_trip(three_scale_spec, flat_state):
     obj = state_to_dict(flat_state)
-    plain = state_from_dict(obj)
-    np.testing.assert_array_equal(plain.x, flat_state.x)
-    assert plain.nu == flat_state.nu
-    assert plain.as_of == flat_state.as_of
-    assert plain.burn_in == flat_state.burn_in
-    # with a spec the forecast is recomputed from the levels
-    recomputed = state_from_dict(obj, spec=three_scale_spec)
+    back = state_from_dict(obj, three_scale_spec)
+    np.testing.assert_array_equal(back.x, flat_state.x)
+    assert back.as_of == flat_state.as_of
+    assert back.burn_in == flat_state.burn_in
+    # the forecast is recomputed from the levels, whatever the file's nu says
+    obj["nu"] = 123.0
+    recomputed = state_from_dict(obj, three_scale_spec)
     assert recomputed.nu == pytest.approx(
         float(three_scale_spec.weights @ flat_state.x)
     )
     with pytest.raises(DataError, match="bad filter state"):
-        state_from_dict({"x": [0.04]})
+        state_from_dict({"x": [0.04]}, three_scale_spec)
 
 
 def test_premia_and_noise_round_trips():

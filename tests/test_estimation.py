@@ -226,7 +226,6 @@ def test_fit_garch_recovers_single_filter():
     assert 0.3 < w < 0.6
     assert 6.0 < l < 24.0
     assert res.nll == pytest.approx(pooled_nll(res.spec, panel, NoiseModel()), rel=1e-12)
-    assert res.n_restarts == 1
     assert res.converged
 
 
@@ -322,7 +321,6 @@ def _nelder_mead_fit(panel, noise, init, seed=0, n_restarts=3):
         nll=best_val,
         converged=converged,
         n_iter=n_iter,
-        n_restarts=len(starts),
     )
 
 

@@ -269,7 +269,7 @@ def _paper_style_setup(lam2=0.3, lam3=0.5, lam4=1.0):
     eig = omega_eigen(spec, premia)
     params = pricing_params(spec, premia, mom)
     curve = ForwardVarianceCurve(
-        weights=(1.0 + premia.lambda2) * eig.weights_tilde * eig.state_coords(np.full(3, 0.04)),
+        weights=(1.0 + premia.lambda2) * eig.weights_tilde * (eig.u_inv @ np.full(3, 0.04)),
         rates=eig.rates.copy(),
     )
     return spec, premia, eig, params, curve

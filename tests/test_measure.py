@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -24,12 +24,10 @@ from tailvol.measure import (
     PremiaBoundError,
     RiskPremia,
     decay_integral,
-    eigen_from_omega,
     filter_cov_matrix,
     kurtosis_bound,
     noise_moments,
     omega_eigen,
-    omega_matrix,
     pricing_params,
     spot_cov_products,
     validate_premia,
@@ -38,6 +36,17 @@ from tailvol.measure import (
 )
 
 DT = 1.0 / 252.0
+
+
+def _omega(spec, lam2):
+    """The generator ``Theta (I - delta alpha^T)``, built from its definition."""
+    theta = 1.0 / (spec.lengths * spec.dt_years)
+    delta = _drift_targets(spec, lam2)
+    return theta[:, None] * (np.eye(theta.size) - np.outer(delta, spec.weights))
+
+
+def _reconstructed(eig):
+    return eig.u @ np.diag(eig.rates) @ eig.u_inv
 
 
 def _sym_only_spec():
@@ -89,8 +98,9 @@ def test_student_t_moments_match_quadrature():
 def test_mean_reversion_rate_is_inverse_length(three_scale_spec):
     # at lambda2 = 0 every drift target is 1, so Omega = Theta (I - 1 alpha^T)
     eig = omega_eigen(three_scale_spec, RiskPremia(0.0, 0.0, 0.0))
-    want = omega_matrix([252.0 / 1000.0, 7.0, 42.0], np.ones(3), three_scale_spec.weights)
-    np.testing.assert_allclose(eig.omega, want, rtol=1e-14)
+    theta = np.array([252.0 / 1000.0, 7.0, 42.0])
+    want = theta[:, None] * (np.eye(3) - np.outer(np.ones(3), three_scale_spec.weights))
+    np.testing.assert_allclose(_reconstructed(eig), want, rtol=1e-10, atol=1e-12)
 
 
 def test_drift_targets_by_kind(three_scale_spec):
@@ -287,6 +297,7 @@ def test_loadings_rows_unit_norm_and_correlations(three_scale_spec, gaussian_mom
     bump=st.floats(0.0, 4.0),
 )
 @settings(max_examples=150, deadline=None)
+@example(lam2=0.0, lam3=-1.2534464831327514, bump=0.0)
 def test_loadings_gram_psd_above_floor(lam2, lam3, bump):
     spec = GarchSpec(
         filters=(
@@ -338,31 +349,22 @@ def test_omega_one_growing_mode_with_positive_premium(three_scale_spec):
 
 def test_eigen_reconstructs_generator(three_scale_spec):
     eig = omega_eigen(three_scale_spec, RiskPremia(0.3, 0.0, 0.0))
-    np.testing.assert_allclose(
-        eig.u @ np.diag(eig.rates) @ eig.u_inv, eig.omega, atol=1e-8
-    )
+    np.testing.assert_allclose(_reconstructed(eig), _omega(three_scale_spec, 0.3), atol=1e-8)
     assert np.all(np.diff(eig.rates) >= 0.0)
 
 
 def test_eigen_rejects_complex_spectrum():
-    # a rotation block has eigenvalues +-i
-    omega = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(ModelError):
-        eigen_from_omega(omega, np.array([0.5, 0.5]))
-
-
-def test_omega_matrix_layout():
-    theta = np.array([2.0, 4.0])
-    delta = np.array([1.5, 1.5])
-    w = np.array([0.3, 0.7])
-    om = omega_matrix(theta, delta, w)
-    expect = np.array(
-        [
-            [2.0 * (1 - 1.5 * 0.3), 2.0 * (0 - 1.5 * 0.7)],
-            [4.0 * (0 - 1.5 * 0.3), 4.0 * (1 - 1.5 * 0.7)],
-        ]
+    # negative weights can rotate: this generator has eigenvalues
+    # 14.16 +- 10.74i and 4.98
+    spec = GarchSpec(
+        filters=tuple(
+            FilterSpec(length, weight, FilterKind.ASYMMETRIC)
+            for length, weight in ((40.45, 2.449), (48.22, -0.595), (8.38, -0.854))
+        ),
+        dt_years=DT,
     )
-    np.testing.assert_allclose(om, expect, rtol=1e-14)
+    with pytest.raises(ModelError, match="complex spectrum"):
+        omega_eigen(spec, RiskPremia(-0.804, 0.0, 0.0))
 
 
 @st.composite
@@ -401,9 +403,7 @@ def test_omega_spectrum_is_real_for_nonnegative_weights(spec, lam2):
     # (1-day weight 1 and 2-day weight 0 at lambda2 = -0.5 give
     # [[126, 0], [-63, 126]]).  Near-repeated spectra, where the eigenvectors
     # degenerate, are left out.
-    delta = np.where(spec.is_asymmetric, 1.0 + 2.0 * lam2, 1.0 + lam2)
-    theta = 1.0 / (spec.lengths * spec.dt_years)
-    ev = np.sort(np.linalg.eigvals(omega_matrix(theta, delta, spec.weights)).real)
+    ev = np.sort(np.linalg.eigvals(_omega(spec, lam2)).real)
     assume(np.all(np.diff(ev) > 1e-6 * max(np.max(np.abs(ev)), 1.0)))
     eig = omega_eigen(spec, RiskPremia(lam2, 0.0, 0.0))
     assert np.isrealobj(eig.rates) and np.isrealobj(eig.u)
@@ -561,7 +561,8 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     assert want == pytest.approx(-1.2396, abs=1e-4)
     assert kurtosis_bound(0.0, -0.9, gaussian_moments, anchored) == want
     # the anchor neither reverts nor diffuses
-    assert not omega_eigen(anchored, premia).omega[0].any()
+    anchor_row = _reconstructed(omega_eigen(anchored, premia))[0]
+    np.testing.assert_allclose(anchor_row, 0.0, atol=1e-12)
     assert pricing_params(anchored, premia, gaussian_moments).xi[0] == 0.0
     # without a moving filter lambda4 enters no condition at all
     constant = GarchSpec(filters=(FilterSpec(math.inf, 1.0),), dt_years=DT)

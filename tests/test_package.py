@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -8,6 +9,7 @@ import subprocess
 import sys
 
 import tailvol
+import tailvol.data
 from tailvol.data import dump_json
 
 MODULES = ("filters", "estimation", "measure", "expansion", "replication", "calibration", "pricer")
@@ -378,3 +380,61 @@ def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
     )
     assert _scipy_modules_after(code, tmp_path) == []
     assert (tmp_path / "varswap.csv").exists() and (tmp_path / "states.csv").exists()
+
+
+def _mentions(source: str) -> set[str]:
+    """Every identifier a source names (a name, an attribute or an imported
+    name) and every string constant, since the benchmark's tracer looks
+    functions up by name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def _uncalled(public: dict[str, list[str]], sources: dict[str, str]) -> list[str]:
+    """Public functions, as ``module.name``, that no source but their own
+    module names; ``public`` maps a module's path to its function names,
+    ``sources`` maps every path (the modules' included) to its text."""
+    named = {path: _mentions(text) for path, text in sources.items()}
+    return [
+        f"{pathlib.Path(module).stem}.{name}" for module, names in public.items() for name in names
+        if not any(name in seen for path, seen in named.items() if path != module)
+    ]
+
+
+def test_surface_check_flags_a_function_only_its_module_names():
+    sources = {
+        "a": "def f():\n    return h()\ndef g():\n    pass\ndef h():\n    pass\n__all__ = ['f', 'g', 'h']\n",
+        "b": "from a import g as gg\nLOOKUP = ('h', 'f is traced')\n",
+        "c": "def f():\n    '''h'''\n    # calls f\n",
+    }
+    assert _uncalled({"a": ["f", "g", "h"]}, sources) == ["a.f"]
+
+
+def test_every_public_function_has_a_program_caller():
+    # program callers: the package's other modules, the scripts, the
+    # benchmark and the acceptance scorecard; unit tests alone keep nothing
+    # public
+    root = pathlib.Path(__file__).resolve().parent.parent
+    src = pathlib.Path(tailvol.__file__).parent
+    files = [
+        *src.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "perfbench").rglob("*.py"),
+        root / "tests" / "test_acceptance.py",
+    ]
+    sources = {str(path): path.read_text() for path in files}
+    public = {
+        str(src / f"{module.__name__.rsplit('.', 1)[1]}.py"): [
+            name for name in module.__all__ if inspect.isfunction(getattr(module, name))
+        ]
+        for module in (*(importlib.import_module(f"tailvol.{m}") for m in MODULES), tailvol.data)
+    }
+    assert all(public.values()) and set(public) <= set(sources)
+    assert _uncalled(public, sources) == []

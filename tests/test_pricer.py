@@ -23,8 +23,8 @@ from tailvol.measure import (
 )
 from tailvol.pricer import (
     McConfig,
+    _mean_se,
     chain_from_ensemble,
-    price_european,
     realworld_drift_check,
     simulate_pricing,
     smile,
@@ -67,7 +67,6 @@ def test_simulation_is_seed_deterministic(three_scale_spec, flat_state, mild_pre
     b = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=4_000, seed=3)
     np.testing.assert_array_equal(a.s, b.s)
     np.testing.assert_array_equal(a.int_var, b.int_var)
-    np.testing.assert_array_equal(a.x, b.x)
     c = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=4_000, seed=4)
     assert not np.array_equal(a.s, c.s)
 
@@ -80,14 +79,14 @@ def test_block_size_only_reshuffles_randomness(three_scale_spec, flat_state, mil
     b = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=8_192, block_size=2_048)
     np.testing.assert_array_equal(a.control_var, b.control_var)
     np.testing.assert_array_equal(a.horizons, b.horizons)
-    ma, ea = price_european(lambda s: s, a, 0.0, 0.5)
-    mb, eb = price_european(lambda s: s, b, 0.0, 0.5)
+    ma, ea = _mean_se(a.s[a.horizon_index(0.5)], a.antithetic)
+    mb, eb = _mean_se(b.s[b.horizon_index(0.5)], b.antithetic)
     assert abs(ma - mb) < 5.0 * math.hypot(ea, eb)
 
 
 def test_spot_is_a_martingale(three_scale_spec, flat_state, mild_premia, gaussian_moments):
     paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=40_000)
-    price, se = price_european(lambda s: s, paths, 0.0, 0.5)
+    price, se = _mean_se(paths.s[paths.horizon_index(0.5)], paths.antithetic)
     assert abs(price - 1.0) < 4.0 * se
     ctrl = float(np.mean(paths.s_control[0]))
     assert abs(ctrl - 1.0) < 4.0 * float(np.std(paths.s_control[0])) / math.sqrt(40_000)
@@ -107,7 +106,7 @@ def test_control_variance_integrates_forward_curve(three_scale_spec, flat_state,
     curve = ForwardVarianceCurve(
         weights=(1.0 + mild_premia.lambda2)
         * eig.weights_tilde
-        * eig.state_coords(flat_state.x),
+        * (eig.u_inv @ flat_state.x),
         rates=eig.rates.copy(),
     )
     horizon = float(paths.horizons[0])
@@ -120,7 +119,6 @@ def test_control_variance_integrates_forward_curve(three_scale_spec, flat_state,
 
 def test_integrated_variance_prices_varswap(three_scale_spec, flat_state, mild_premia, gaussian_moments):
     paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=40_000)
-    mc, se = price_european(lambda s: s, paths, 0.0, 0.5)  # warm the API
     iv_mean, iv_se = (
         float(np.mean(paths.int_var[0])),
         float(np.std(paths.int_var[0], ddof=1)) / math.sqrt(40_000),
@@ -133,19 +131,11 @@ def test_integrated_variance_prices_varswap(three_scale_spec, flat_state, mild_p
 def test_antithetic_reduces_error_on_linear_payoffs(three_scale_spec, flat_state, mild_premia, gaussian_moments):
     anti = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=16_000, antithetic=True)
     plain = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=16_000, antithetic=False)
-    _, se_anti = price_european(lambda s: s, anti, 0.0, 0.5)
-    _, se_plain = price_european(lambda s: s, plain, 0.0, 0.5)
+    _, se_anti = _mean_se(anti.s[anti.horizon_index(0.5)], anti.antithetic)
+    _, se_plain = _mean_se(plain.s[plain.horizon_index(0.5)], plain.antithetic)
     # the payoff is not purely linear in the normals (vol feeds back), so the
     # cancellation is partial; measured ratio is around 0.58 here
     assert se_anti < 0.75 * se_plain
-
-
-def test_price_european_discounts(three_scale_spec, flat_state, mild_premia, gaussian_moments):
-    paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=2_000)
-    p0, _ = price_european(lambda s: s, paths, 0.0, 0.5)
-    p4, _ = price_european(lambda s: s, paths, 0.04, 0.5)
-    horizon = float(paths.horizons[0])
-    assert p4 == pytest.approx(p0 * math.exp(-0.04 * horizon), rel=1e-12)
 
 
 def test_chain_put_call_parity_is_exact(three_scale_spec, flat_state, mild_premia, gaussian_moments):
@@ -238,7 +228,6 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
     realized = steps_at * dt
     n_steps = int(steps_at[-1])
 
-    k = spec.n_filters
     weights = spec.weights
     loads = params.loads
     n_drivers = loads.shape[1]
@@ -255,7 +244,6 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
     s = np.empty((n_h, total))
     s_ctrl = np.empty((n_h, total))
     iv_out = np.empty((n_h, total))
-    x_out = np.empty((n_h, k, total))
 
     sqrt_dt = math.sqrt(dt)
     for start in range(0, total, cfg.block_size):
@@ -292,7 +280,6 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
                 s[snap, sl] = np.exp(log_s)
                 s_ctrl[snap, sl] = np.exp(log_c)
                 iv_out[snap, sl] = int_var
-                x_out[snap, :, sl] = x
                 snap += 1
 
     return {
@@ -300,7 +287,6 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
         "s": s,
         "s_control": s_ctrl,
         "int_var": iv_out,
-        "x": x_out,
         "control_var": control_cum[steps_at - 1],
     }
 

@@ -18,7 +18,7 @@ from tailvol.replication import (
     market_moment_triple,
     replicate_moments,
     select_otm,
-    trapezoid_weights,
+    _trapezoid_weights,
 )
 
 
@@ -55,21 +55,21 @@ def bs_chain(sigma, expiry, n_strikes, width_sd, forward=1.0, rate=0.0, with_vol
 
 
 def test_trapezoid_weights_hand_values():
-    w = trapezoid_weights(np.array([0.0, 1.0, 4.0]))
+    w = _trapezoid_weights(np.array([0.0, 1.0, 4.0]))
     np.testing.assert_allclose(w, [0.5, 2.0, 1.5], rtol=1e-14)
 
 
 def test_trapezoid_weights_sum_to_range():
     x = np.sort(np.random.default_rng(1).uniform(0.0, 10.0, 17))
-    w = trapezoid_weights(x)
+    w = _trapezoid_weights(x)
     assert w.sum() == pytest.approx(x[-1] - x[0], rel=1e-12)
 
 
 def test_trapezoid_weights_reject_disorder():
     with pytest.raises(ValueError):
-        trapezoid_weights(np.array([1.0, 1.0, 2.0]))
+        _trapezoid_weights(np.array([1.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
-        trapezoid_weights(np.array([3.0]))
+        _trapezoid_weights(np.array([3.0]))
 
 
 # ---------------------------------------------------------------- Black utils
@@ -159,7 +159,9 @@ def test_implied_vol_raises_when_iterations_run_out(monkeypatch):
     )
     price = exact(1.0, 1.1, 0.5, 0.2000005, OptionKind.CALL)
     with pytest.raises(ModelError, match="did not converge"):
-        implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL, tol=0.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(replication, "_IV_TOL", 0.0)
+            implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL)
     assert implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL) == pytest.approx(0.2000005, abs=1e-12)
 
 
