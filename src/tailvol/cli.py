@@ -15,8 +15,10 @@ a digest of the effective configuration.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +103,12 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _content_digest(path: str) -> str:
+    """SHA-256 of an input file's bytes: the config digest then follows the
+    data read, not the path it was read from."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -129,7 +137,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     cfg = {
         "command": "estimate",
-        "series": [str(p) for p in args.series],
+        "series": [_content_digest(p) for p in args.series],
         "noise": noise_to_dict(noise),
         "init": {"weights": weights, "lengths": lengths, "kinds": args.kinds},
         "seed": args.seed,
@@ -225,7 +233,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         "command": "calibrate",
         "spec": spec_to_dict(spec),
         "state": state_to_dict(state),
-        "chains": str(args.chains),
+        "chains": _content_digest(args.chains),
         "noise": noise_to_dict(noise),
         "mode": args.mode,
         "delta_range": args.delta_range,

@@ -247,12 +247,18 @@ class NoiseModel:
         return const - 0.5 * (nu + 1.0) * np.log1p(z * z / (nu - 2.0))
 
 
-def _standard_normals(rng: np.random.Generator, size) -> np.ndarray:
+def _standard_normals(
+    rng: np.random.Generator, size, out: np.ndarray | None = None
+) -> np.ndarray:
     """Standard normals by inverse CDF, the one source of Gaussian draws in
     the package.  Uniforms are clipped into the open interval so ndtri never
-    returns inf."""
+    returns inf.  Given ``out`` (a C-contiguous float64 array of shape
+    ``size``), the draws are written into it and it is returned; either way
+    the values are the same bits."""
     from scipy.special import ndtri
-    return ndtri(np.clip(rng.random(size), 1e-16, 1.0 - 1e-16))
+    u = rng.random(size, out=out)
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    return ndtri(u, out=u)
 
 
 def filter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray:

@@ -11,16 +11,22 @@ rows ``loads`` of :class:`tailvol.measure.PricingParams` (the spot's own dW is
 the first of the three).  The filter drift is linear in the levels, so the
 scheme propagates it with the exact matrix exponential and freezes only the
 diffusion coefficient over each step; conditional means are then exact for
-any step size (up to the variance floor, which almost never binds) and the
+any step size (up to the variance floor, which binds only where a step
+overshoots zero: ``PathEnsemble.floor_hits`` counts those path-steps) and the
 spot stays an exact martingale.  Integrated variance accumulates by the
 trapezoid rule.
 
 Randomness comes from a counter-based generator (Philox) keyed by the seed
 and a block index, mapped to normals through the inverse CDF; runs are
-bit-reproducible for a given seed and path layout.  Each step draws its own
-normals from the block's generator where it uses them, so memory does not
-grow with the horizon.  Antithetic pairs are adjacent (paths 2i and 2i+1),
-and standard errors then use pair means.
+bit-reproducible for a given seed and block size.  Each step draws its own
+normals from the block's generator, so memory does not grow with the
+horizon.  A helper thread, started and joined inside each
+:func:`simulate_pricing` call, draws step t + 1's normals into one of two
+per-block slots while the calling thread steps t from the other.  Only the
+helper touches a block's generator, one step after the other, so the
+stream and every path are what a single thread would compute; with one
+usable CPU the draws run on the calling thread.  Antithetic pairs are
+adjacent (paths 2i and 2i+1), and standard errors then use pair means.
 
 Each path also carries a control spot: the same spot driver applied to the
 deterministic forward-variance curve.  Its terminal distribution is exactly
@@ -31,6 +37,7 @@ zero-bias control variate for smile and moment studies.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +107,15 @@ class PathEnsemble:
     pathwise integrated effective variance ``int (1 + lambda2) nu dt``,
     ``s_control`` the frozen-curve control spot and ``control_var`` its
     per-horizon exact lognormal variance.  Arrays are indexed (horizon,
-    path).  The filter levels are stepped block by block but not kept, and
-    the normals are drawn step by step, so the memory a simulation holds
-    does not grow with the horizon.
+    path).  ``floor_hits`` counts the path-steps whose stepped variance
+    ``weights @ x`` fell below ``VARIANCE_FLOOR`` and was floored (the
+    starting levels are not counted).
+
+    The filter levels are stepped block by block but not kept.  The normals
+    are drawn one step ahead, on a helper thread, into two (drivers, width)
+    slots per block, so the memory a simulation holds does not grow with
+    the horizon.  The values depend only on the seed and the block size:
+    each block's generator is used by one thread, in step order.
 
     ``horizons`` holds the realized snapshot times: each requested horizon
     is snapped to a whole number of steps of ``dt_years``, so it can differ
@@ -117,6 +130,7 @@ class PathEnsemble:
     control_var: np.ndarray
     antithetic: bool
     dt_years: float
+    floor_hits: int
 
     def horizon_index(self, horizon: float) -> int:
         i = int(np.argmin(np.abs(self.horizons - horizon)))
@@ -187,44 +201,58 @@ def simulate_pricing(
     iv_out = np.empty((n_h, total))
 
     sqrt_dt = math.sqrt(dt)
-    for start in range(0, total, cfg.block_size):
-        width = min(cfg.block_size, total - start)
-        key = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.block_size,))
-        rng = np.random.Generator(np.random.Philox(key))
-        n_draws = width // 2 if cfg.antithetic else width
+    floor_hits = 0
+    # Imported here so that `import tailvol` loads no thread machinery.  The
+    # pool starts its one thread at the first submit (none on one CPU), and
+    # leaving the `with` joins it, also when a step or a draw raises.
+    from concurrent.futures import ThreadPoolExecutor
 
-        x = np.repeat(state0.x[:, None], width, axis=1)
-        # The filter update goes into two per-block buffers: fresh (k, width)
-        # arrays each step would tie the speed to the allocator's trimming.
-        x_next, shock = np.empty_like(x), np.empty_like(x)
-        log_s = np.zeros(width)
-        log_c = np.zeros(width)
-        int_var = np.zeros(width)
-        zeta = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
-        snap = 0
-        for step in range(n_steps):
-            factors = _standard_normals(rng, (n_drivers, n_draws)) * sqrt_dt
-            if cfg.antithetic:
-                factors = np.stack((factors, -factors), axis=-1).reshape(n_drivers, width)
-            dw = factors[0]
-            log_s += -0.5 * zeta * dt + np.sqrt(zeta) * dw
-            fc = f_curve[step]
-            log_c += -0.5 * fc * dt + math.sqrt(fc) * dw
-            nu = zeta / growth
-            np.matmul(loads, factors, out=shock)
-            shock *= xi[:, None] * nu
-            np.matmul(drift_mat, x, out=x_next)
-            x_next += shock
-            x, x_next = x_next, x
-            zeta_next = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
-            int_var += 0.5 * (zeta + zeta_next) * dt
-            zeta = zeta_next
-            while snap < n_h and step + 1 == steps_at[snap]:
-                sl = slice(start, start + width)
-                s[snap, sl] = np.exp(log_s)
-                s_ctrl[snap, sl] = np.exp(log_c)
-                iv_out[snap, sl] = int_var
-                snap += 1
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        helper = pool if _usable_cpus() > 1 else _Inline()
+        for start in range(0, total, cfg.block_size):
+            width = min(cfg.block_size, total - start)
+            key = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.block_size,))
+            rng = np.random.Generator(np.random.Philox(key))
+            # Step t reads one slot while the helper fills the other for t + 1.
+            slots = (np.empty((n_drivers, width)), np.empty((n_drivers, width)))
+            half = np.empty((n_drivers, width // 2)) if cfg.antithetic else None
+            drawn = helper.submit(_draw_step, rng, slots[0], half, sqrt_dt)
+
+            x = np.repeat(state0.x[:, None], width, axis=1)
+            # The filter update goes into two per-block buffers: fresh (k, width)
+            # arrays each step would tie the speed to the allocator's trimming.
+            x_next, shock = np.empty_like(x), np.empty_like(x)
+            log_s = np.zeros(width)
+            log_c = np.zeros(width)
+            int_var = np.zeros(width)
+            zeta = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
+            snap = 0
+            for step in range(n_steps):
+                drawn.result()
+                factors = slots[step % 2]
+                if step + 1 < n_steps:
+                    drawn = helper.submit(_draw_step, rng, slots[(step + 1) % 2], half, sqrt_dt)
+                dw = factors[0]
+                log_s += -0.5 * zeta * dt + np.sqrt(zeta) * dw
+                fc = f_curve[step]
+                log_c += -0.5 * fc * dt + math.sqrt(fc) * dw
+                nu = zeta / growth
+                np.matmul(loads, factors, out=shock)
+                shock *= xi[:, None] * nu
+                np.matmul(drift_mat, x, out=x_next)
+                x_next += shock
+                x, x_next = x_next, x
+                nu_next = weights @ x
+                floor_hits += int(np.count_nonzero(nu_next < VARIANCE_FLOOR))
+                zeta_next = growth * np.maximum(nu_next, VARIANCE_FLOOR)
+                int_var += 0.5 * (zeta + zeta_next) * dt
+                zeta = zeta_next
+                while snap < n_h and step + 1 == steps_at[snap]:
+                    sl = slice(start, start + width)
+                    s[snap, sl] = np.exp(log_s)
+                    s_ctrl[snap, sl] = np.exp(log_c)
+                    iv_out[snap, sl] = int_var
+                    snap += 1
 
     return PathEnsemble(
         horizons=realized,
@@ -234,7 +262,43 @@ def simulate_pricing(
         control_var=control_cum[steps_at - 1],
         antithetic=cfg.antithetic,
         dt_years=dt,
+        floor_hits=floor_hits,
     )
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Inline:
+    """Runs each draw when it is submitted, on the calling thread: on one
+    CPU a helper thread could only take turns with the stepping."""
+
+    def submit(self, fn, *args) -> _Inline:
+        fn(*args)
+        return self
+
+    def result(self) -> None:
+        return None
+
+
+def _draw_step(
+    rng: np.random.Generator, slot: np.ndarray, half: np.ndarray | None, sqrt_dt: float
+) -> None:
+    """Write one step's driver increments into ``slot`` (n_drivers, width).
+
+    Antithetic runs draw ``half`` (n_drivers, width // 2) and store each
+    draw next to its negative; the values are those of drawing, scaling by
+    ``sqrt_dt`` and interleaving into fresh arrays.
+    """
+    z = slot if half is None else half
+    _standard_normals(rng, z.shape, out=z)
+    z *= sqrt_dt
+    if half is not None:
+        slot[:, 0::2] = half
+        np.negative(half, out=slot[:, 1::2])
 
 
 def _strip_prices(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

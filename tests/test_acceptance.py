@@ -129,11 +129,11 @@ def test_criterion_1_single_filter_varswap(capsys, gaussian_moments):
     closed = _varswap(spec, state, premia, float(paths.horizons[0]))
     z = (mc - closed) / se
     elapsed = time.perf_counter() - start
-    ok = abs(z) <= 3.0 and elapsed < 60.0
+    ok = abs(z) <= 3.0 and paths.floor_hits == 0 and elapsed < 60.0
     _verdict(
         capsys, "1 single-filter varswap", ok,
         f"recursion rel err worst {worst:.2f}x of tol; MC z={z:+.2f} "
-        f"(100k paths); {elapsed:.1f}s (budget 60s)",
+        f"(100k paths, {paths.floor_hits} variance-floor hits); {elapsed:.1f}s (budget 60s)",
     )
 
 
@@ -208,7 +208,7 @@ def test_criterion_4_expansion_convergence(capsys, three_scale_spec, flat_state,
     width = 12.0 * math.sqrt(co1.v / expiry) * math.sqrt(expiry)
     strikes = np.exp(np.linspace(-width, width, 501))
 
-    errs = []
+    errs, floor_hits = [], []
     for s in scales:
         co = expansion_coefficients(eig, dataclasses.replace(params, xi=params.xi * s), ints)
         want = model_moments(co)
@@ -218,6 +218,7 @@ def test_criterion_4_expansion_convergence(capsys, three_scale_spec, flat_state,
             three_scale_spec, mild_premia, flat_state, gaussian_moments,
             (expiry,), cfg, vol_scale=s,
         )
+        floor_hits.append(paths.floor_hits)
         t_sv = _chain_triple(chain_from_ensemble(paths, expiry, strikes))
         t_ct = _chain_triple(chain_from_ensemble(paths, expiry, strikes, use_control=True))
         sigma_c = math.sqrt(float(paths.control_var[0]) / float(paths.horizons[0]))
@@ -233,7 +234,8 @@ def test_criterion_4_expansion_convergence(capsys, three_scale_spec, flat_state,
     _verdict(
         capsys, "4 expansion error order", ok,
         f"moment error slope {slope:.2f} in vol-of-vol scale (need >= 2.5); "
-        f"errors {[f'{e:.2e}' for e in errs]}; {elapsed:.1f}s (budget 600s)",
+        f"errors {[f'{e:.2e}' for e in errs]}; variance-floor hits {floor_hits} "
+        f"of {cfg.n_paths * round(expiry * 252)} path-steps each; {elapsed:.1f}s (budget 600s)",
     )
 
 
@@ -313,11 +315,11 @@ def test_criterion_6_premia_recovery_from_mc_smiles(capsys, gaussian_moments):
     e3 = abs(res.premia.lambda3 - lam3_true)
     e4 = abs(res.premia.lambda4 - floor)
     elapsed = time.perf_counter() - start
-    ok = e2 <= 0.05 and e3 <= 0.05 and e4 <= 0.05 and elapsed < 900.0
+    ok = e2 <= 0.05 and e3 <= 0.05 and e4 <= 0.05 and paths.floor_hits == 0 and elapsed < 900.0
     _verdict(
         capsys, "6 premia recovery from MC smiles", ok,
         f"|lambda2 err|={e2:.4f}, |lambda3 err|={e3:.4f}, |lambda4 err|={e4:.4f} "
-        f"(tol 0.05 each); {elapsed:.1f}s (budget 900s)",
+        f"(tol 0.05 each); {paths.floor_hits} variance-floor hits; {elapsed:.1f}s (budget 900s)",
     )
 
 

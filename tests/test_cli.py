@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -297,6 +298,44 @@ def test_estimate_smoke(tmp_path, capsys):
     assert payload["spec"]["filters"][0]["length_days"] is None
     assert math.isinf(spec.filters[0].length_days)
     assert "nll" in payload and math.isfinite(payload["nll"])
+
+
+def _digests_by_content(tmp_path, write, run):
+    """``run(path)`` for the same input file written by ``write(dir)`` into
+    two directories, then for the first copy with its last digit edited."""
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+    paths = [write(tmp_path / sub) for sub in ("a", "b")]
+    assert pathlib.Path(paths[0]).read_bytes() == pathlib.Path(paths[1]).read_bytes()
+    digests = [run(p) for p in paths]
+    edited = pathlib.Path(paths[0])
+    text = edited.read_text()
+    edited.write_text(text[:-2] + ("1" if text[-2] != "1" else "2") + "\n")
+    return digests + [run(paths[0])]
+
+
+def test_estimate_digest_follows_the_series_contents(tmp_path, capsys):
+    def run(series):
+        out = tmp_path / "fit.json"
+        rc = main(["estimate", series, "--out", str(out), "--kinds", "symmetric",
+                   "--init-weights", "0.2", "--init-lengths", "20", "--restarts", "1"])
+        assert rc == 0
+        return load_json(out)["config_digest"]
+
+    copy_a, copy_b, edited = _digests_by_content(tmp_path, _returns_csv, run)
+    assert copy_a == copy_b != edited
+
+
+def test_calibrate_digest_follows_the_chains_contents(configs, tmp_path, capsys):
+    def run(chains):
+        out = tmp_path / "premia.json"
+        rc = main(["calibrate", "--spec", configs["spec"], "--state", configs["state"],
+                   "--chains", chains, "--mode", "saturate_kurtosis", "--out", str(out)])
+        assert rc == 0
+        return load_json(out)["config_digest"]
+
+    copy_a, copy_b, edited = _digests_by_content(tmp_path, _chains_csv, run)
+    assert copy_a == copy_b != edited
 
 
 def test_version_flag_exits_zero(capsys):

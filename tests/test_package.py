@@ -333,22 +333,32 @@ def test_traced_lookups_resolve_to_callables(monkeypatch):
     assert sorted(bench.rglob("*")) == before
 
 
-def _scipy_modules_after(code: str, cwd: pathlib.Path) -> list[str]:
-    """The scipy modules in ``sys.modules`` after a fresh interpreter runs
-    ``code`` against this checkout of the package."""
+def _fresh_report(code: str, report: str, cwd: pathlib.Path):
+    """What the expression ``report`` evaluates to (as JSON) after a fresh
+    interpreter runs ``code`` against this checkout of the package."""
     src = str(pathlib.Path(tailvol.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    report = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     run = subprocess.run(
-        [sys.executable, "-c", f"{code}\n{report}"],
+        [sys.executable, "-c", f"{code}\nimport json, sys, threading\nprint(json.dumps({report}))"],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stderr
     return json.loads(run.stdout.splitlines()[-1])
 
 
+def _scipy_modules_after(code: str, cwd: pathlib.Path) -> list[str]:
+    """The scipy modules in ``sys.modules`` after a fresh interpreter runs
+    ``code`` against this checkout of the package."""
+    return _fresh_report(code, "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')", cwd)
+
+
 def test_import_tailvol_loads_no_scipy(tmp_path):
     assert _scipy_modules_after("import tailvol", tmp_path) == []
+
+
+def test_import_tailvol_starts_no_thread_and_loads_no_thread_pool(tmp_path):
+    report = "[threading.active_count(), 'concurrent.futures' in sys.modules]"
+    assert _fresh_report("import tailvol", report, tmp_path) == [1, False]
 
 
 def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):

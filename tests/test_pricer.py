@@ -1,10 +1,13 @@
 import datetime as dt
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tailvol import pricer
 from tailvol.expansion import ForwardVarianceCurve
 from tailvol.filters import (
     VARIANCE_FLOOR,
@@ -330,3 +333,100 @@ def test_simulation_memory_does_not_grow_with_the_horizon(
     run(0.1)()  # warm-up: lazy imports and first-call caches
     short, long = _traced_peak(run(0.1)), _traced_peak(run(1.0))
     assert long <= 1.5 * short, (short, long)
+
+
+# --- the helper thread that draws one step ahead ------------------------------
+
+
+class _DrawFailed(Exception):
+    pass
+
+
+def test_a_failing_draw_propagates_and_leaves_no_thread(
+    monkeypatch, three_scale_spec, flat_state, mild_premia, gaussian_moments
+):
+    baseline = threading.active_count()
+    draws = []
+
+    def fail_at_step_5(rng, size, out=None):
+        draws.append(size)
+        if len(draws) == 6:
+            raise _DrawFailed("no normals for step 5")
+        return _standard_normals(rng, size, out=out)
+
+    monkeypatch.setattr(pricer, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pricer, "_standard_normals", fail_at_step_5)
+    with pytest.raises(_DrawFailed, match="step 5"):
+        _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=2_000)
+    assert len(draws) == 6
+    assert threading.active_count() == baseline
+
+
+def test_draws_run_on_one_helper_thread_unless_there_is_one_cpu(
+    monkeypatch, three_scale_spec, flat_state, mild_premia, gaussian_moments
+):
+    def record_threads(cpus):
+        monkeypatch.setattr(pricer, "_usable_cpus", lambda: cpus)
+        threads = []
+
+        def draw(rng, size, out=None):
+            threads.append(threading.get_ident())
+            return _standard_normals(rng, size, out=out)
+
+        monkeypatch.setattr(pricer, "_standard_normals", draw)
+        paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments,
+                       n=3_000, block_size=1024)
+        return set(threads), paths
+
+    helpers, threaded = record_threads(2)
+    callers, inline = record_threads(1)
+    assert len(helpers) == 1 and threading.get_ident() not in helpers
+    assert callers == {threading.get_ident()}
+    for name in ("s", "s_control", "int_var"):
+        assert getattr(threaded, name).tobytes() == getattr(inline, name).tobytes(), name
+
+
+def test_concurrent_calls_return_the_bytes_of_serial_calls(
+    three_scale_spec, flat_state, mild_premia, gaussian_moments
+):
+    # more callers than cores, different seeds and widths, and thread switches
+    # every few microseconds: a buffer or pool shared between calls would mix
+    # their draws
+    cfgs = [McConfig(n_paths=3_000, seed=seed, block_size=1024) for seed in (1, 2)]
+    cfgs += [McConfig(n_paths=2_000, seed=seed, antithetic=False) for seed in (3, 4)]
+    args = (three_scale_spec, mild_premia, flat_state, gaussian_moments, (0.1, 0.5))
+    serial = [simulate_pricing(*args, cfg) for cfg in cfgs]
+    together = [None] * len(cfgs)
+
+    def run(i):
+        together[i] = simulate_pricing(*args, cfgs[i])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(cfgs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(serial, together):
+        for name in ("horizons", "s", "s_control", "int_var", "control_var"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+        assert a.floor_hits == b.floor_hits
+
+
+def test_floor_hits_count_the_floored_path_steps(three_scale_spec, flat_state, mild_premia, gaussian_moments):
+    def hits(vol_scale, steps_per_day=1):
+        cfg = McConfig(n_paths=2_000, seed=7, steps_per_day=steps_per_day)
+        return simulate_pricing(
+            three_scale_spec, mild_premia, flat_state, gaussian_moments, (0.5,), cfg, vol_scale=vol_scale
+        ).floor_hits
+
+    # the frozen diffusion overshoots zero on a few daily steps of the model
+    # itself, on none at half-day steps, and on most steps at 5x the vol-of-vol
+    assert hits(0.5) == 0
+    assert hits(1.0, steps_per_day=2) == 0
+    assert 0 < hits(1.0) < hits(5.0) < 126 * 2_000
