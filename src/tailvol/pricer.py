@@ -24,9 +24,9 @@ horizon.  A helper thread, started and joined inside each
 :func:`simulate_pricing` call, draws step t + 1's normals into one of two
 per-block slots while the calling thread steps t from the other.  Only the
 helper touches a block's generator, one step after the other, so the
-stream and every path are what a single thread would compute; with one
-usable CPU the draws run on the calling thread.  Antithetic pairs are
-adjacent (paths 2i and 2i+1), and standard errors then use pair means.
+stream and every path are what a single thread would compute.  Antithetic
+pairs are adjacent (paths 2i and 2i+1), and standard errors then use pair
+means.
 
 Each path also carries a control spot: the same spot driver applied to the
 deterministic forward-variance curve.  Its terminal distribution is exactly
@@ -37,7 +37,6 @@ zero-bias control variate for smile and moment studies.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,12 +202,11 @@ def simulate_pricing(
     sqrt_dt = math.sqrt(dt)
     floor_hits = 0
     # Imported here so that `import tailvol` loads no thread machinery.  The
-    # pool starts its one thread at the first submit (none on one CPU), and
-    # leaving the `with` joins it, also when a step or a draw raises.
+    # pool starts its one thread at the first submit, and leaving the `with`
+    # joins it, also when a step or a draw raises.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        helper = pool if _usable_cpus() > 1 else _Inline()
+    with ThreadPoolExecutor(max_workers=1) as helper:
         for start in range(0, total, cfg.block_size):
             width = min(cfg.block_size, total - start)
             key = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.block_size,))
@@ -264,24 +262,6 @@ def simulate_pricing(
         dt_years=dt,
         floor_hits=floor_hits,
     )
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _Inline:
-    """Runs each draw when it is submitted, on the calling thread: on one
-    CPU a helper thread could only take turns with the stepping."""
-
-    def submit(self, fn, *args) -> _Inline:
-        fn(*args)
-        return self
-
-    def result(self) -> None:
-        return None
 
 
 def _draw_step(

@@ -235,7 +235,8 @@ def test_criterion_4_expansion_convergence(capsys, three_scale_spec, flat_state,
         capsys, "4 expansion error order", ok,
         f"moment error slope {slope:.2f} in vol-of-vol scale (need >= 2.5); "
         f"errors {[f'{e:.2e}' for e in errs]}; variance-floor hits {floor_hits} "
-        f"of {cfg.n_paths * round(expiry * 252)} path-steps each; {elapsed:.1f}s (budget 600s)",
+        f"of {cfg.n_paths * round(paths.horizons[0] / paths.dt_years)} path-steps each; "
+        f"{elapsed:.1f}s (budget 600s)",
     )
 
 

@@ -354,7 +354,6 @@ def test_a_failing_draw_propagates_and_leaves_no_thread(
             raise _DrawFailed("no normals for step 5")
         return _standard_normals(rng, size, out=out)
 
-    monkeypatch.setattr(pricer, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pricer, "_standard_normals", fail_at_step_5)
     with pytest.raises(_DrawFailed, match="step 5"):
         _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=2_000)
@@ -362,28 +361,18 @@ def test_a_failing_draw_propagates_and_leaves_no_thread(
     assert threading.active_count() == baseline
 
 
-def test_draws_run_on_one_helper_thread_unless_there_is_one_cpu(
+def test_draws_run_on_one_helper_thread(
     monkeypatch, three_scale_spec, flat_state, mild_premia, gaussian_moments
 ):
-    def record_threads(cpus):
-        monkeypatch.setattr(pricer, "_usable_cpus", lambda: cpus)
-        threads = []
+    threads = []
 
-        def draw(rng, size, out=None):
-            threads.append(threading.get_ident())
-            return _standard_normals(rng, size, out=out)
+    def draw(rng, size, out=None):
+        threads.append(threading.get_ident())
+        return _standard_normals(rng, size, out=out)
 
-        monkeypatch.setattr(pricer, "_standard_normals", draw)
-        paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments,
-                       n=3_000, block_size=1024)
-        return set(threads), paths
-
-    helpers, threaded = record_threads(2)
-    callers, inline = record_threads(1)
-    assert len(helpers) == 1 and threading.get_ident() not in helpers
-    assert callers == {threading.get_ident()}
-    for name in ("s", "s_control", "int_var"):
-        assert getattr(threaded, name).tobytes() == getattr(inline, name).tobytes(), name
+    monkeypatch.setattr(pricer, "_standard_normals", draw)
+    _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=3_000, block_size=1024)
+    assert len(set(threads)) == 1 and threading.get_ident() not in threads
 
 
 def test_concurrent_calls_return_the_bytes_of_serial_calls(
