@@ -250,15 +250,12 @@ class NoiseModel:
 def _standard_normals(
     rng: np.random.Generator, size, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Standard normals by inverse CDF, the one source of Gaussian draws in
-    the package.  Uniforms are clipped into the open interval so ndtri never
-    returns inf.  Given ``out`` (a C-contiguous float64 array of shape
-    ``size``), the draws are written into it and it is returned; either way
-    the values are the same bits."""
-    from scipy.special import ndtri
-    u = rng.random(size, out=out)
-    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
-    return ndtri(u, out=u)
+    """Standard normals by numpy's ziggurat sampler on the generator's Philox
+    stream, the one source of Gaussian draws in the package; the bits are
+    fixed for a given numpy version.  Given ``out`` (a C-contiguous float64
+    array of shape ``size``), the draws are written into it and it is
+    returned; either way the values are the same bits."""
+    return rng.standard_normal(size, out=out)
 
 
 def filter_path(driver: np.ndarray, length_days: float, x0: float) -> np.ndarray:

@@ -17,10 +17,10 @@ spot stays an exact martingale.  Integrated variance accumulates by the
 trapezoid rule.
 
 Randomness comes from a counter-based generator (Philox) keyed by the seed
-and a block index, mapped to normals through the inverse CDF; runs are
-bit-reproducible for a given seed and block size.  Each step draws its own
-normals from the block's generator, so memory does not grow with the
-horizon.  A helper thread, started and joined inside each
+and a block index, drawn as normals by numpy's ziggurat sampler; runs are
+bit-reproducible for a given seed, block size and numpy version.  Each step
+draws its own normals from the block's generator, so memory does not grow
+with the horizon.  A helper thread, started and joined inside each
 :func:`simulate_pricing` call, draws step t + 1's normals into one of two
 per-block slots while the calling thread steps t from the other.  Only the
 helper touches a block's generator, one step after the other, so the

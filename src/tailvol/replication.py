@@ -112,6 +112,11 @@ def _trapezoid_weights(x) -> np.ndarray:
     return w
 
 
+def _ndtr(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def _d1(forward: float, strike: float, expiry: float, vol: float) -> float:
     return (math.log(forward / strike) + 0.5 * vol * vol * expiry) / (
         vol * math.sqrt(expiry)
@@ -122,7 +127,6 @@ def bs_price(
     forward: float, strike: float, expiry: float, vol: float, kind: OptionKind
 ) -> float:
     """Undiscounted Black price on the forward.  ``vol = 0`` gives intrinsic."""
-    from scipy.special import ndtr
     kind = OptionKind(kind)
     if forward <= 0.0 or strike <= 0.0 or expiry <= 0.0:
         raise ValueError("forward, strike and expiry must be positive")
@@ -134,20 +138,19 @@ def bs_price(
     d1 = _d1(forward, strike, expiry, vol)
     d2 = d1 - vol * math.sqrt(expiry)
     if kind is OptionKind.CALL:
-        return forward * ndtr(d1) - strike * ndtr(d2)
-    return strike * ndtr(-d2) - forward * ndtr(-d1)
+        return forward * _ndtr(d1) - strike * _ndtr(d2)
+    return strike * _ndtr(-d2) - forward * _ndtr(-d1)
 
 
 def bs_delta(
     forward: float, strike: float, expiry: float, vol: float, kind: OptionKind
 ) -> float:
     """Forward delta: N(d1) for calls, N(d1) - 1 for puts."""
-    from scipy.special import ndtr
     kind = OptionKind(kind)
     if vol <= 0.0:
         raise ValueError(f"volatility must be > 0, got {vol}")
     d1 = _d1(forward, strike, expiry, vol)
-    return float(ndtr(d1)) if kind is OptionKind.CALL else float(ndtr(d1) - 1.0)
+    return _ndtr(d1) if kind is OptionKind.CALL else _ndtr(d1) - 1.0
 
 
 def bs_vega(forward: float, strike: float, expiry: float, vol: float) -> float:

@@ -21,11 +21,13 @@ from tailvol.filters import (
     _ema_scan,
     _filter_drivers,
     _simulate,
+    _standard_normals,
     compute_filters,
     filter_path,
     simulate_panel_returns,
     simulate_realworld,
 )
+from tailvol.replication import _ndtr
 
 
 def _dates(n, start=dt.date(2020, 1, 1)):
@@ -325,6 +327,37 @@ def test_simulate_panel_returns_shape_and_determinism():
     np.testing.assert_array_equal(a, b)
     # distinct series within the panel
     assert not np.array_equal(a[:, 0], a[:, 1])
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def test_standard_normals_are_standard_normal():
+    # the first four moments within 5 standard errors, and the
+    # Kolmogorov-Smirnov statistic against the erfc CDF below its critical
+    # value for a false-alarm rate of 1e-6, P(sqrt(n) D > c) ~ 2 exp(-2 c^2)
+    n = 200_000
+    z = _standard_normals(_philox(2024), n)
+    c = z - z.mean()
+    var = float(np.mean(c**2))
+    assert abs(z.mean()) <= 5.0 * math.sqrt(1.0 / n)
+    assert abs(var - 1.0) <= 5.0 * math.sqrt(2.0 / n)
+    assert abs(np.mean(c**3) / var**1.5) <= 5.0 * math.sqrt(6.0 / n)
+    assert abs(np.mean(c**4) / var**2 - 3.0) <= 5.0 * math.sqrt(24.0 / n)
+    cdf = np.array([_ndtr(v) for v in np.sort(z).tolist()])
+    ranks = np.arange(1, n + 1) / n
+    ks = max(float(np.max(ranks - cdf)), float(np.max(cdf - (ranks - 1.0 / n))))
+    assert math.sqrt(n) * ks <= math.sqrt(0.5 * math.log(2.0 / 1e-6))
+
+
+def test_standard_normals_into_out_are_the_returned_bits():
+    a, b = _philox(5), _philox(5)
+    fresh = _standard_normals(a, (3, 1001))
+    out = np.empty((3, 1001))
+    assert _standard_normals(b, (3, 1001), out=out) is out
+    assert out.tobytes() == fresh.tobytes()
+    assert a.random() == b.random()  # both forms leave the stream in the same place
 
 
 _ORACLE_SPECS = {

@@ -178,7 +178,8 @@ def test_modules_import_neither_scipy_integrate_nor_stats():
 
 def _scipy_imports_at_load(source: str) -> list[str]:
     """scipy imports that run when the module loads (outside every function
-    body), and imports of scipy.signal anywhere, as ``module (line n)``."""
+    body), and imports of scipy.signal or scipy.special anywhere, as
+    ``module (line n)``."""
     out = []
 
     def visit(node: ast.AST, in_function: bool) -> None:
@@ -189,7 +190,7 @@ def _scipy_imports_at_load(source: str) -> list[str]:
                 names = [child.module] + [f"{child.module}.{alias.name}" for alias in child.names]
             else:
                 names = []
-            banned = ("scipy.signal",) if in_function else ("scipy",)
+            banned = ("scipy.signal", "scipy.special") if in_function else ("scipy",)
             hits = [n for n in names if any(n == b or n.startswith(b + ".") for b in banned)]
             out.extend([f"{hits[0]} (line {child.lineno})"] if hits else [])
             nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
@@ -207,10 +208,13 @@ def test_scipy_import_check_flags_module_level_and_signal():
         "    def m(self):\n        from scipy import signal\n        return signal\n"
         "if True:\n    import scipy.optimize\n"
         "from . import filters\n"
+        "def g(x):\n    from scipy.special import ndtr\n    import scipy.special as sp\n"
+        "    from scipy import special\n    return ndtr(x) + sp.erf(x) + special.erfc(x)\n"
     )
     assert _scipy_imports_at_load(source) == [
         "scipy.special (line 2)", "scipy (line 3)", "scipy (line 8)",
         "scipy.signal (line 10)", "scipy.optimize (line 13)",
+        "scipy.special (line 16)", "scipy.special (line 17)", "scipy.special (line 18)",
     ]
 
 
@@ -361,7 +365,8 @@ def test_import_tailvol_starts_no_thread_and_loads_no_thread_pool(tmp_path):
     assert _fresh_report("import tailvol", report, tmp_path) == [1, False]
 
 
-def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
+def _write_model_files(tmp_path: pathlib.Path) -> None:
+    """A three-filter ``spec.json``, a flat ``state.json`` and ``premia.json``."""
     spec = {
         "dt_years": 1.0 / 252.0,
         "filters": [
@@ -373,6 +378,21 @@ def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
     dump_json(tmp_path / "spec.json", spec)
     dump_json(tmp_path / "state.json", {"x": [0.04] * 3, "nu": 0.04, "as_of": "2024-01-02", "burn_in": False})
     dump_json(tmp_path / "premia.json", {"lambda2": 0.2, "lambda3": 0.1, "lambda4": 1.0})
+
+
+def _run_commands_code(argvs: list[list[str]]) -> str:
+    """Code that runs each argv through ``cli.main`` and fails on a nonzero exit."""
+    return (
+        "from tailvol.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    rc = main(argv)\n"
+        "    if rc != 0:\n"
+        "        raise SystemExit(f'{argv[0]} exited {rc}')"
+    )
+
+
+def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
+    _write_model_files(tmp_path)
     rows = [f"2020-01-{day:02d},{0.01 * (-1) ** day}" for day in range(1, 29)]
     (tmp_path / "rets.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
     argvs = [
@@ -381,15 +401,17 @@ def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
         ["validate", "--spec", "spec.json", "--premia", "premia.json"],
         ["filters", "rets.csv", "--spec", "spec.json", "--out", "states.csv", "--state-out", "s.json"],
     ]
-    code = (
-        "from tailvol.cli import main\n"
-        f"for argv in {argvs!r}:\n"
-        "    rc = main(argv)\n"
-        "    if rc != 0:\n"
-        "        raise SystemExit(f'{argv[0]} exited {rc}')"
-    )
-    assert _scipy_modules_after(code, tmp_path) == []
+    assert _scipy_modules_after(_run_commands_code(argvs), tmp_path) == []
     assert (tmp_path / "varswap.csv").exists() and (tmp_path / "states.csv").exists()
+
+
+def test_smile_command_loads_no_scipy(tmp_path):
+    # the draws are numpy's and the Black formula's CDF is math.erfc
+    _write_model_files(tmp_path)
+    argv = ["smile", "--spec", "spec.json", "--state", "state.json", "--premia", "premia.json",
+            "--expiries", "0.25", "--strikes", "0.9:1.1:5", "--paths", "2000", "--out", "smile.csv"]
+    assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
+    assert len((tmp_path / "smile.csv").read_text().splitlines()) > 1
 
 
 def _mentions(source: str) -> set[str]:

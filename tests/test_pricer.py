@@ -212,7 +212,8 @@ def test_drift_check_runs_and_reports(gaussian_moments):
 
 
 def _oracle_block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Deterministic standard normals for one work unit, via inverse CDF."""
+    """Deterministic standard normals for one work unit, from the package's
+    one source of Gaussian draws."""
     bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
     return _standard_normals(np.random.Generator(bits), shape)
 

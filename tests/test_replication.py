@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from tailvol.measure import ModelError
 from tailvol.replication import (
@@ -18,6 +20,8 @@ from tailvol.replication import (
     market_moment_triple,
     replicate_moments,
     select_otm,
+    _IV_TOL,
+    _ndtr,
     _trapezoid_weights,
 )
 
@@ -73,6 +77,17 @@ def test_trapezoid_weights_reject_disorder():
 
 
 # ---------------------------------------------------------------- Black utils
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    # down to x = -38, where the CDF underflows; relative error is measured
+    # where scipy's value is still a normal float
+    x = np.linspace(-38.0, 8.0, 46001)
+    got = np.array([_ndtr(v) for v in x.tolist()])
+    want = ndtr(x)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=np.finfo(float).eps)
+    normal = want >= np.finfo(float).tiny
+    np.testing.assert_allclose(got[normal], want[normal], rtol=5e-13, atol=0.0)
 
 
 def test_bs_price_intrinsic_at_zero_vol():
@@ -163,6 +178,43 @@ def test_implied_vol_raises_when_iterations_run_out(monkeypatch):
             patch.setattr(replication, "_IV_TOL", 0.0)
             implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL)
     assert implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL) == pytest.approx(0.2000005, abs=1e-12)
+
+
+def _black_rounding(strike, expiry, vol, kind):
+    """Rounding of a forward-1 Black price as computed: an ulp of the terms
+    of ``kind``'s formula and of the out-of-the-money formula the solver
+    evaluates."""
+    sd = vol * math.sqrt(expiry)
+    d1 = -math.log(strike) / sd + 0.5 * sd
+    call = ndtr(d1) + strike * ndtr(d1 - sd)
+    put = strike * ndtr(sd - d1) + ndtr(-d1)
+    quoted = call if kind is OptionKind.CALL else put
+    return np.finfo(float).eps * (quoted + (put if strike < 1.0 else call))
+
+
+@pytest.mark.parametrize("kind", [OptionKind.CALL, OptionKind.PUT])
+def test_implied_vol_recovers_or_raises_model_error_over_a_wide_box(kind):
+    # every point either returns the vol to _IV_TOL, widened only by what
+    # the price's own rounding allows (rounding / vega), or raises
+    # ModelError, and a time value of at least 1e-12 always inverts; the
+    # worst recovered point sits at 0.93 of the unwidened bound
+    recovered = 0
+    for vol, expiry, logm in itertools.product(
+        np.geomspace(0.01, 3.0, 21).tolist(), np.geomspace(1.0 / 252.0, 5.0, 21).tolist(),
+        np.linspace(-3.0, 3.0, 49).tolist(),
+    ):
+        strike = math.exp(logm)
+        price = bs_price(1.0, strike, expiry, vol, kind)
+        try:
+            got = implied_vol(price, 1.0, strike, expiry, kind)
+        except ModelError:
+            otm = OptionKind.PUT if strike < 1.0 else OptionKind.CALL
+            assert bs_price(1.0, strike, expiry, vol, otm) < 1e-12, (vol, expiry, logm)
+            continue
+        shift = _black_rounding(strike, expiry, vol, kind) / bs_vega(1.0, strike, expiry, vol)
+        assert abs(got - vol) <= 4.0 * (_IV_TOL * vol + shift), (vol, expiry, logm)
+        recovered += 1
+    assert recovered > 7000
 
 
 def test_implied_vol_rejects_arbitrage_price():
