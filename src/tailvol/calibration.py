@@ -125,21 +125,30 @@ class CalibrationResult:
 def _grid_then_refine(
     objective: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, bool]:
-    """Coarse grid scan followed by a bounded scalar refinement.
+    """Coarse grid scan, then a golden-section search between the best grid
+    point's neighbours down to ``_XATOL``.
 
-    Robust to mild non-unimodality; returns (argmin, min, at_boundary).
+    Robust to mild non-unimodality; returns (argmin, min, at_boundary).  The
+    best grid point is kept when the search finds nothing lower.
     """
-    from scipy.optimize import minimize_scalar
     grid = np.linspace(lo, hi, _N_GRID)
     vals = np.array([objective(g) for g in grid])
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, _N_GRID - 1)]
-    res = minimize_scalar(
-        objective, bounds=(a, b), method="bounded", options={"xatol": _XATOL}
-    )
-    x = float(res.x)
-    fx = float(res.fun)
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = objective(c), objective(d)
+    while b - a > _XATOL:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = objective(d)
+    x, fx = (float(c), fc) if fc < fd else (float(d), fd)
     if vals[i] < fx:
         x, fx = float(grid[i]), float(vals[i])
     at_boundary = x <= lo + 10 * _XATOL or x >= hi - 10 * _XATOL

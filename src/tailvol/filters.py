@@ -379,20 +379,19 @@ def simulate_realworld(
     noise: NoiseModel,
     n_days: int,
     seed: int,
-) -> tuple[ReturnSeries, list[FilterState]]:
+) -> tuple[ReturnSeries, np.ndarray]:
     """Simulate the discrete return model under the real-world measure.
 
     Returns the simulated series (column 0 of :func:`simulate_panel_returns`
-    from ``init.x``) together with the filter states the simulator stepped
-    through, one per day and none flagged burn-in; the run is reproducible
-    from the seed.
+    from ``init.x``) together with the filter levels the simulator stepped
+    through, shape (n_days, n_filters), whose row ``d`` holds the levels
+    after day ``d``; the run is reproducible from the seed.
     """
     if n_days < 1:
         raise ValueError("n_days must be >= 1")
     returns, levels = _simulate(spec, init.x, noise, n_days, 1, seed)
     dates = tuple(init.as_of + dt.timedelta(days=k + 1) for k in range(n_days))
-    states = [FilterState.from_levels(levels[k + 1, :, 0], spec, dates[k]) for k in range(n_days)]
-    return ReturnSeries(dates=dates, returns=returns[:, 0]), states
+    return ReturnSeries(dates=dates, returns=returns[:, 0]), levels[1:, :, 0]
 
 
 def simulate_panel_returns(

@@ -165,14 +165,15 @@ def implied_vol(
     expiry: float,
     kind: OptionKind,
 ) -> float:
-    """Invert the Black formula: safeguarded Newton with a bisection fallback.
+    """Invert the Black formula by geometric bisection over [1e-9, 10].
 
     The solver works on the time value (the price less intrinsic), which
     put-call parity makes the price of the out-of-the-money option at the
-    same strike, and runs Newton on its logarithm, so deep wings converge as
-    fast as the money.  It stops in volatility space, once a Newton step or
-    the bracket is no wider than ``_IV_TOL`` (1e-12) times the volatility.  Prices at or
-    below intrinsic, or above the trivial upper bound, raise
+    same strike, and splits the bracket at the geometric mean of its ends,
+    so deep wings converge as fast as the money.  It stops once the bracket
+    is no wider than ``_IV_TOL`` (1e-12) times its lower end and returns the
+    midpoint.  Prices at or below intrinsic, or within 16 ulps of it (a time
+    value that is rounding noise), or above the trivial upper bound raise
     :class:`ModelError`; so does a price the solver cannot resolve within
     100 iterations.
     """
@@ -184,7 +185,7 @@ def implied_vol(
     scale = max(forward, 1e-300)
     if not math.isfinite(price):
         raise ModelError(f"price must be finite, got {price}")
-    if price <= intrinsic + 1e-14 * scale:
+    if price <= intrinsic + max(1e-14 * scale, 16.0 * math.ulp(intrinsic)):
         raise ModelError(
             f"price {price} is at or below intrinsic {intrinsic}; no implied volatility"
         )
@@ -193,34 +194,19 @@ def implied_vol(
 
     otm_kind = OptionKind.PUT if strike < forward else OptionKind.CALL
     target = price - intrinsic
-    log_target = math.log(target)
-
     lo, hi = 1e-9, 10.0
     if bs_price(forward, strike, expiry, lo, otm_kind) > target or (
         bs_price(forward, strike, expiry, hi, otm_kind) < target
     ):
         raise ModelError("price is outside the attainable Black range")
-    vol = math.sqrt(2.0 * abs(math.log(forward / strike) + 1e-12) / expiry)
-    vol = min(max(vol, 0.05), 5.0)
     for _ in range(100):
-        value = bs_price(forward, strike, expiry, vol, otm_kind)
-        if value > target:
+        if hi - lo <= _IV_TOL * lo:
+            return 0.5 * (lo + hi)
+        vol = math.sqrt(lo * hi)
+        if bs_price(forward, strike, expiry, vol, otm_kind) > target:
             hi = vol
         else:
             lo = vol
-        vega = bs_vega(forward, strike, expiry, vol)
-        if value > 0.0 and vega > 0.0:
-            step = (math.log(value) - log_target) * value / vega
-        else:
-            step = math.inf
-        candidate = vol - step
-        if abs(step) <= _IV_TOL * vol and lo <= candidate <= hi:
-            return float(candidate)
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-            if hi - lo <= _IV_TOL * candidate:
-                return float(candidate)
-        vol = candidate
     raise ModelError(
         "implied volatility did not converge in 100 iterations "
         f"(price {price}, strike {strike}, expiry {expiry})"

@@ -1,8 +1,12 @@
 import dataclasses
+import importlib
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from tailvol import calibration
 from tailvol.calibration import (
@@ -221,7 +225,22 @@ def test_noise_model_feeds_through_to_fits(three_scale_spec, flat_state):
     assert res.premia.lambda4 == pytest.approx(1.2, abs=1e-4)
 
 
-# --- the exact skew and kurtosis stages against a grid-plus-Brent oracle ------
+# --- the stages against a grid-plus-Brent oracle -----------------------------
+
+
+def _oracle_grid_then_refine(objective, lo, hi):
+    """The grid scan plus bounded Brent refinement that the golden-section
+    search replaced: (argmin, min, at_boundary)."""
+    n, xatol = calibration._N_GRID, calibration._XATOL
+    grid = np.linspace(lo, hi, n)
+    vals = np.array([objective(g) for g in grid])
+    i = int(np.argmin(vals))
+    bounds = (grid[max(i - 1, 0)], grid[min(i + 1, n - 1)])
+    res = minimize_scalar(objective, bounds=bounds, method="bounded", options={"xatol": xatol})
+    x, fx = float(res.x), float(res.fun)
+    if vals[i] < fx:
+        x, fx = float(grid[i]), float(vals[i])
+    return x, fx, x <= lo + 10 * xatol or x >= hi - 10 * xatol
 
 
 def _oracle_fit_lambda3(inputs, lambda2, pre):
@@ -242,7 +261,7 @@ def _oracle_fit_lambda3(inputs, lambda2, pre):
             err += (skew - target) ** 2
         return err
 
-    x, fx, boundary = calibration._grid_then_refine(objective, *calibration._LAMBDA3_BRACKET)
+    x, fx, boundary = _oracle_grid_then_refine(objective, *calibration._LAMBDA3_BRACKET)
     return StageResult(value=x, residual=fx, at_boundary=boundary)
 
 
@@ -268,7 +287,7 @@ def _oracle_fit_lambda4(inputs, lambda2, lambda3, pre):
         return err
 
     width = calibration._LAMBDA4_WIDTH
-    x, fx, boundary = calibration._grid_then_refine(objective, floor - width, floor + width)
+    x, fx, boundary = _oracle_grid_then_refine(objective, floor - width, floor + width)
     saturated = x < floor
     if saturated:
         x, fx, boundary = floor, objective(floor), False
@@ -295,8 +314,16 @@ def _round_trip_markets(spec, state):
     return out
 
 
-def test_exact_stages_match_the_oracle_on_the_round_trip_markets(three_scale_spec, flat_state):
+def test_exact_stages_match_the_oracle_on_the_round_trip_markets(
+    monkeypatch, three_scale_spec, flat_state
+):
     for label, inputs, lam2 in _round_trip_markets(three_scale_spec, flat_state):
+        new2 = fit_lambda2(inputs)
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "_grid_then_refine", _oracle_grid_then_refine)
+            old2 = fit_lambda2(inputs)
+        assert new2.value == pytest.approx(old2.value, abs=10 * calibration._XATOL), label
+        assert new2.at_boundary == old2.at_boundary
         pre = calibration._stage_integrals(inputs, lam2)
         new3 = calibration.fit_lambda3(inputs, lam2, _precomputed=pre)
         old3 = _oracle_fit_lambda3(inputs, lam2, pre)
@@ -305,6 +332,30 @@ def test_exact_stages_match_the_oracle_on_the_round_trip_markets(three_scale_spe
         old4, old_sat, _ = _oracle_fit_lambda4(inputs, lam2, new3.value, pre)
         assert new4.value == pytest.approx(old4.value, abs=1e-7), label
         assert new_sat == old_sat == (label == "saturating")
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workload module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    yield importlib.import_module("bench_workloads")
+    for name in ("bench_checks", "bench_workloads"):
+        sys.modules.pop(name, None)
+
+
+def test_lambda2_matches_the_oracle_on_the_benchmark_inputs(monkeypatch, bench_workloads,
+                                                           tmp_path):
+    # the calibrate workload's ops 0-4 at seed 1, whose premia check is 1e-6
+    workload = bench_workloads.Calibrate(1, tmp_path, None)
+    for i in range(5):
+        inp = workload.inputs(i)
+        new = workload.op(inp).premia.lambda2
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "_grid_then_refine", _oracle_grid_then_refine)
+            old = workload.op(inp).premia.lambda2
+        assert new == pytest.approx(old, abs=10 * calibration._XATOL), i
+        assert new == pytest.approx(bench_workloads.PREMIA.lambda2, abs=1e-6), i
 
 
 def test_exact_stages_never_fit_worse_than_the_oracle(three_scale_spec, flat_state):

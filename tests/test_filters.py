@@ -285,10 +285,11 @@ def test_student_t_log_density_matches_scipy(dof):
 
 def test_simulate_realworld_reproducible(three_scale_spec, flat_state):
     noise = NoiseModel()
-    a_series, a_states = simulate_realworld(three_scale_spec, flat_state, noise, 300, seed=9)
-    b_series, b_states = simulate_realworld(three_scale_spec, flat_state, noise, 300, seed=9)
+    a_series, a_levels = simulate_realworld(three_scale_spec, flat_state, noise, 300, seed=9)
+    b_series, b_levels = simulate_realworld(three_scale_spec, flat_state, noise, 300, seed=9)
     np.testing.assert_array_equal(a_series.returns, b_series.returns)
-    assert a_states[-1].x == pytest.approx(b_states[-1].x)
+    np.testing.assert_array_equal(a_levels, b_levels)
+    assert a_levels.shape == (300, 3)
     c_series, _ = simulate_realworld(three_scale_spec, flat_state, noise, 300, seed=10)
     assert not np.array_equal(a_series.returns, c_series.returns)
 
@@ -303,16 +304,15 @@ def test_simulate_realworld_returns_scale_with_variance(three_scale_spec):
 
 
 def test_simulate_realworld_filters_consistent_with_compute(three_scale_spec, flat_state):
-    # the returned states are the ones the simulator stepped through:
+    # the returned levels are the ones the simulator stepped through:
     # dividing each return by the forecast of the day before recovers the
     # noise drawn from the seed
     for noise in (NoiseModel(), NoiseModel("student_t", dof=6.0)):
-        series, states = simulate_realworld(three_scale_spec, flat_state, noise, 150, seed=21)
-        nu_before = np.array([flat_state.nu] + [s.nu for s in states[:-1]])
+        series, levels = simulate_realworld(three_scale_spec, flat_state, noise, 150, seed=21)
+        nu_before = np.append(flat_state.nu, levels[:-1] @ three_scale_spec.weights)
         eps = series.returns / np.sqrt(nu_before * three_scale_spec.dt_years)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
         np.testing.assert_allclose(eps, noise.sample(rng, 150), rtol=1e-12)
-        assert not any(s.burn_in for s in states)
 
 
 def test_simulate_panel_returns_shape_and_determinism():
@@ -391,9 +391,9 @@ def test_simulated_levels_match_a_rescan_of_the_returns(noise, name, n_series):
     )
     if n_series == 1:
         init = FilterState.from_levels(x0, spec, dt.date(2024, 1, 2))
-        series, states = simulate_realworld(spec, init, noise, 400, 17)
+        series, stepped = simulate_realworld(spec, init, noise, 400, 17)
         np.testing.assert_array_equal(series.returns, returns[:, 0])
-        np.testing.assert_array_equal(np.array([s.x for s in states]), levels[1:, :, 0])
+        np.testing.assert_array_equal(stepped, levels[1:, :, 0])
 
 
 def test_trading_day_constant():

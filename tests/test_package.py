@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,6 +12,7 @@ import sys
 import tailvol
 import tailvol.data
 from tailvol.data import dump_json
+from tailvol.replication import OptionKind, bs_price
 
 MODULES = ("filters", "estimation", "measure", "expansion", "replication", "calibration", "pricer")
 
@@ -142,10 +144,9 @@ def test_functions_read_every_parameter():
     assert {name: params for name, params in unread.items() if params} == {}
 
 
-def _quadrature_and_stats_imports(source: str) -> list[str]:
-    """Imports of scipy.integrate or scipy.stats (or anything inside them),
-    as ``module (line n)``; the closed forms made both unnecessary."""
-    banned = ("scipy.integrate", "scipy.stats")
+def _imports_of(source: str, banned: tuple[str, ...]) -> list[str]:
+    """Imports of the ``banned`` modules (or anything inside them), as
+    ``module (line n)``."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -164,15 +165,31 @@ def test_banned_import_check_flags_integrate_and_stats():
         "import scipy.stats\nfrom scipy import integrate, special\n"
         "def f():\n    from scipy.stats import t\n    return t\n"
         "from scipy.special import ndtr\nimport scipy.signal\nfrom . import filters\n"
+        "import scipyx\nfrom .scipy import optimize\n"
     )
-    assert _quadrature_and_stats_imports(source) == [
+    assert _imports_of(source, ("scipy.integrate", "scipy.stats")) == [
         "scipy.stats (line 1)", "scipy.integrate (line 2)", "scipy.stats (line 4)"
+    ]
+    assert _imports_of(source, ("scipy",)) == [
+        "scipy.stats (line 1)", "scipy (line 2)", "scipy.special (line 6)",
+        "scipy.signal (line 7)", "scipy.stats (line 4)",
     ]
 
 
 def test_modules_import_neither_scipy_integrate_nor_stats():
+    # the closed forms made both unnecessary
     src = pathlib.Path(tailvol.__file__).parent
-    found = {path.name: _quadrature_and_stats_imports(path.read_text()) for path in sorted(src.glob("*.py"))}
+    found = {path.name: _imports_of(path.read_text(), ("scipy.integrate", "scipy.stats"))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_only_estimation_imports_scipy():
+    # implied vols bisect, the lambda2 stage runs its own golden section and
+    # the Black CDF is math.erfc: only the pooled-NLL fit needs scipy.optimize
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {path.name: _imports_of(path.read_text(), ("scipy",))
+             for path in sorted(src.glob("*.py")) if path.name != "estimation.py"}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -412,6 +429,22 @@ def test_smile_command_loads_no_scipy(tmp_path):
             "--expiries", "0.25", "--strikes", "0.9:1.1:5", "--paths", "2000", "--out", "smile.csv"]
     assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
     assert len((tmp_path / "smile.csv").read_text().splitlines()) > 1
+
+
+def test_calibrate_command_loads_no_scipy(tmp_path):
+    # the lambda2 stage refines its grid by a golden-section search of its own
+    _write_model_files(tmp_path)
+    rows = ["expiry_years,strike,kind,mid,forward,rate,implied_vol"]
+    for t in (0.25, 0.5):
+        for i in range(41):
+            k = math.exp(1.2 * math.sqrt(t) * (i / 20.0 - 1.0))
+            kind = OptionKind.PUT if k <= 1.0 else OptionKind.CALL
+            rows.append(f"{t!r},{k!r},{kind.value},{bs_price(1.0, k, t, 0.2, kind)!r},1.0,0.0,0.2")
+    (tmp_path / "chains.csv").write_text("\n".join(rows) + "\n")
+    argv = ["calibrate", "--spec", "spec.json", "--state", "state.json", "--chains", "chains.csv",
+            "--mode", "saturate_kurtosis", "--delta-range", "0.01,0.99", "--out", "premia_fit.json"]
+    assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
+    assert "lambda2" in json.loads((tmp_path / "premia_fit.json").read_text())
 
 
 def _mentions(source: str) -> set[str]:

@@ -180,6 +180,43 @@ def test_implied_vol_raises_when_iterations_run_out(monkeypatch):
     assert implied_vol(price, 1.0, 1.1, 0.5, OptionKind.CALL) == pytest.approx(0.2000005, abs=1e-12)
 
 
+def _newton_implied_vol(price, forward, strike, expiry, kind):
+    """The safeguarded Newton solver that bisection replaced: Newton on the
+    log of the out-of-the-money time value, falling back to bisection of
+    its bracket, with the solver's own entry checks."""
+    intrinsic = max((forward - strike) if kind is OptionKind.CALL else (strike - forward), 0.0)
+    upper = forward if kind is OptionKind.CALL else strike
+    if price <= intrinsic + 1e-14 * forward or price >= upper - 1e-14 * forward:
+        raise ModelError("price outside the no-arbitrage bounds")
+    otm_kind = OptionKind.PUT if strike < forward else OptionKind.CALL
+    target = price - intrinsic
+    log_target = math.log(target)
+    lo, hi = 1e-9, 10.0
+    if bs_price(forward, strike, expiry, lo, otm_kind) > target or (
+        bs_price(forward, strike, expiry, hi, otm_kind) < target
+    ):
+        raise ModelError("price is outside the attainable Black range")
+    vol = math.sqrt(2.0 * abs(math.log(forward / strike) + 1e-12) / expiry)
+    vol = min(max(vol, 0.05), 5.0)
+    for _ in range(100):
+        value = bs_price(forward, strike, expiry, vol, otm_kind)
+        if value > target:
+            hi = vol
+        else:
+            lo = vol
+        vega = bs_vega(forward, strike, expiry, vol)
+        step = (math.log(value) - log_target) * value / vega if value > 0.0 and vega > 0.0 else math.inf
+        candidate = vol - step
+        if abs(step) <= _IV_TOL * vol and lo <= candidate <= hi:
+            return candidate
+        if not (lo < candidate < hi):
+            candidate = 0.5 * (lo + hi)
+            if hi - lo <= _IV_TOL * candidate:
+                return candidate
+        vol = candidate
+    raise ModelError("implied volatility did not converge in 100 iterations")
+
+
 def _black_rounding(strike, expiry, vol, kind):
     """Rounding of a forward-1 Black price as computed: an ulp of the terms
     of ``kind``'s formula and of the out-of-the-money formula the solver
@@ -197,7 +234,8 @@ def test_implied_vol_recovers_or_raises_model_error_over_a_wide_box(kind):
     # every point either returns the vol to _IV_TOL, widened only by what
     # the price's own rounding allows (rounding / vega), or raises
     # ModelError, and a time value of at least 1e-12 always inverts; the
-    # worst recovered point sits at 0.93 of the unwidened bound
+    # worst recovered point sits at 0.93 of the unwidened bound.  The Newton
+    # oracle returns a vol at every recovered point, within the same bound
     recovered = 0
     for vol, expiry, logm in itertools.product(
         np.geomspace(0.01, 3.0, 21).tolist(), np.geomspace(1.0 / 252.0, 5.0, 21).tolist(),
@@ -212,9 +250,25 @@ def test_implied_vol_recovers_or_raises_model_error_over_a_wide_box(kind):
             assert bs_price(1.0, strike, expiry, vol, otm) < 1e-12, (vol, expiry, logm)
             continue
         shift = _black_rounding(strike, expiry, vol, kind) / bs_vega(1.0, strike, expiry, vol)
-        assert abs(got - vol) <= 4.0 * (_IV_TOL * vol + shift), (vol, expiry, logm)
+        bound = 4.0 * (_IV_TOL * vol + shift)
+        assert abs(got - vol) <= bound, (vol, expiry, logm)
+        newton = _newton_implied_vol(price, 1.0, strike, expiry, kind)
+        assert abs(got - newton) <= bound, (vol, expiry, logm)
         recovered += 1
     assert recovered > 7000
+
+
+def test_implied_vol_rejects_a_time_value_lost_in_rounding():
+    # the put's time value, 3.2e-14, is 9 ulps of its price: rounding noise
+    # that inverted to 2.99846, while the out-of-the-money call at the same
+    # strike carries the vol
+    strike, expiry = math.exp(2.9), 0.01756
+    put = bs_price(1.0, strike, expiry, 3.0, OptionKind.PUT)
+    assert put == 17.174145369443092
+    with pytest.raises(ModelError, match="at or below intrinsic"):
+        implied_vol(put, 1.0, strike, expiry, OptionKind.PUT)
+    call = bs_price(1.0, strike, expiry, 3.0, OptionKind.CALL)
+    assert implied_vol(call, 1.0, strike, expiry, OptionKind.CALL) == pytest.approx(3.0, rel=1e-11)
 
 
 def test_implied_vol_rejects_arbitrage_price():
