@@ -97,8 +97,8 @@ class CalibrationInput:
         if len(self.market) < 2:
             raise ValueError("calibration needs at least two expiries")
         ts = [t for t, _ in self.market]
-        if any(t <= 0.0 for t in ts):
-            raise ValueError("expiries must be positive")
+        if not all(0.0 < t < math.inf for t in ts):
+            raise ValueError("expiries must be positive and finite")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("expiries must be strictly increasing")
 

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .calibration import CalibrationInput, calibrate_sequential
 from .data import (
+    _write_csv,
     config_digest,
     dump_json,
     load_json,
@@ -42,9 +43,10 @@ from .data import (
 )
 from .estimation import fit_garch
 from .expansion import ForwardVarianceCurve, expansion_coefficients, expansion_integrals, model_moments, atm_skew
-from .filters import DataError, FilterKind, FilterSpec, GarchSpec, NoiseModel, compute_filters
+from .filters import DataError, FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel, compute_filters
 from .measure import (
     ModelError,
+    RiskPremia,
     kurtosis_bound,
     noise_moments,
     omega_eigen,
@@ -58,15 +60,15 @@ from .replication import market_moment_triple, replicate_moments, select_otm
 __all__ = ["main"]
 
 
-class ConfigError(ValueError):
-    """Raised for malformed command-line or config-file input."""
-
-
 def _floats(text: str) -> list[float]:
+    """Comma-separated finite numbers; anything else is a ``ValueError``."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"numbers must be finite, got {text!r}")
+    return values
 
 
 def _strike_grid(text: str) -> np.ndarray:
@@ -74,33 +76,18 @@ def _strike_grid(text: str) -> np.ndarray:
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"strike grid must be lo:hi:n, got {text!r}")
+            raise ValueError(f"strike grid must be lo:hi:n, got {text!r}")
         try:
             lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError as exc:
-            raise ConfigError(f"bad strike grid {text!r}") from exc
-        if not (0.0 < lo < hi and n >= 2):
-            raise ConfigError(f"strike grid needs 0 < lo < hi and n >= 2, got {text!r}")
+            raise ValueError(f"bad strike grid {text!r}") from exc
+        if not (0.0 < lo < hi < math.inf and n >= 2):
+            raise ValueError(f"strike grid needs 0 < lo < hi < inf and n >= 2, got {text!r}")
         return np.linspace(lo, hi, n)
     grid = np.array(_floats(text))
     if grid.size == 0:
-        raise ConfigError("empty strike grid")
+        raise ValueError("empty strike grid")
     return grid
-
-
-def _noise_from_args(args: argparse.Namespace) -> NoiseModel:
-    try:
-        return NoiseModel(family=args.noise_family, dof=args.noise_dof)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _content_digest(path: str) -> str:
@@ -109,11 +96,23 @@ def _content_digest(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _write_artifact(path: str, cfg: dict, fields: dict) -> None:
+    """A JSON artifact: the package version, the digest of ``cfg``, then ``fields``."""
+    dump_json(path, {"version": __version__, "config_digest": config_digest(cfg), **fields})
+
+
+def _model(args: argparse.Namespace) -> tuple[GarchSpec, FilterState, RiskPremia]:
+    """The spec, state and premia files a pricing command reads."""
+    spec = spec_from_dict(load_json(args.spec))
+    state = state_from_dict(load_json(args.state), spec)
+    return spec, state, premia_from_dict(load_json(args.premia))
+
+
 # --- subcommands ------------------------------------------------------------
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    noise = _noise_from_args(args)
+    noise = NoiseModel(args.noise_family, args.noise_dof)
     kinds = []
     for tok in args.kinds.split(","):
         tok = tok.strip().lower()
@@ -122,11 +121,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         elif tok in ("asymmetric", "asym", "a"):
             kinds.append(FilterKind.ASYMMETRIC)
         else:
-            raise ConfigError(f"unknown filter kind {tok!r}")
+            raise ValueError(f"unknown filter kind {tok!r}")
     weights = _floats(args.init_weights)
     lengths = _floats(args.init_lengths)
     if not (len(kinds) == len(weights) == len(lengths)):
-        raise ConfigError(
+        raise ValueError(
             f"kinds/init-weights/init-lengths must have equal length, got "
             f"{len(kinds)}/{len(weights)}/{len(lengths)}"
         )
@@ -143,15 +142,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "restarts": args.restarts,
     }
-    payload = {
-        "version": __version__,
-        "config_digest": config_digest(cfg),
+    fields = {
         "converged": result.converged,
         "nll": result.nll,
         "n_iter": result.n_iter,
         "spec": spec_to_dict(result.spec),
     }
-    dump_json(args.out, payload)
+    _write_artifact(args.out, cfg, fields)
     print(f"wrote {args.out} (nll={result.nll:.6f}, converged={result.converged})")
     return 0
 
@@ -162,63 +159,52 @@ def _cmd_filters(args: argparse.Namespace) -> int:
     states = compute_filters(series, spec)
     write_states_csv(args.out, states)
     if args.state_out:
-        payload = {"version": __version__, **state_to_dict(states[-1])}
-        dump_json(args.state_out, payload)
+        cfg = {"command": "filters", "spec": spec_to_dict(spec),
+               "series": _content_digest(args.series)}
+        _write_artifact(args.state_out, cfg, state_to_dict(states[-1]))
     print(f"wrote {args.out} ({len(states)} states)")
     return 0
 
 
 def _cmd_varswap(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(load_json(args.spec))
-    state = state_from_dict(load_json(args.state), spec)
-    premia = premia_from_dict(load_json(args.premia))
-    maturities = _floats(args.maturities)
-    if any(t <= 0 for t in maturities):
-        raise ConfigError("maturities must be positive")
+    spec, state, premia = _model(args)
     eig = omega_eigen(spec, premia)
-    lines = ["maturity_years,total_variance,fair_vol"]
-    for t in maturities:
+    rows = []
+    for t in _floats(args.maturities):
         total = varswap_price(state, eig, premia, t)
-        if total <= 0.0:
-            raise ModelError(f"non-positive varswap price {total!r} at maturity {t}")
-        lines.append(f"{t!r},{total!r},{(total / t) ** 0.5!r}")
-    _emit(args, "\n".join(lines) + "\n")
+        if not 0.0 < total < math.inf:
+            raise ModelError(f"varswap price {total!r} at maturity {t} is not positive and finite")
+        rows.append((t, total, (total / t) ** 0.5))
+    _write_csv(args.out, ["maturity_years", "total_variance", "fair_vol"], rows)
     return 0
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(load_json(args.spec))
-    state = state_from_dict(load_json(args.state), spec)
-    premia = premia_from_dict(load_json(args.premia))
-    noise = _noise_from_args(args)
-    mom = noise_moments(noise)
+    spec, state, premia = _model(args)
+    mom = noise_moments(NoiseModel(args.noise_family, args.noise_dof))
     expiries = _floats(args.expiries)
-    if any(t <= 0 for t in expiries):
-        raise ConfigError("expiries must be positive")
-
     params = pricing_params(spec, premia, mom)
     eig = omega_eigen(spec, premia)
     curve = ForwardVarianceCurve.from_state(state, eig, premia)
-    lines = ["expiry_years,vswap_vol,skew_moment,kurt_moment,atm_skew"]
+    rows = []
     for t in expiries:
         coeffs = expansion_coefficients(eig, params, expansion_integrals(curve, t))
         trip = model_moments(coeffs)
-        lines.append(
-            f"{t!r},{trip.vswap_vol!r},{trip.skew_m!r},{trip.kurt_m!r},{atm_skew(coeffs)!r}"
-        )
-    _emit(args, "\n".join(lines) + "\n")
+        rows.append((t, trip.vswap_vol, trip.skew_m, trip.kurt_m, atm_skew(coeffs)))
+    header = ["expiry_years", "vswap_vol", "skew_moment", "kurt_moment", "atm_skew"]
+    _write_csv(args.out, header, rows)
     return 0
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
     spec = spec_from_dict(load_json(args.spec))
     state = state_from_dict(load_json(args.state), spec)
-    noise = _noise_from_args(args)
+    noise = NoiseModel(args.noise_family, args.noise_dof)
     chains = load_option_chains(args.chains)
     if args.delta_range:
         bounds = _floats(args.delta_range)
         if len(bounds) != 2:
-            raise ConfigError("--delta-range needs two numbers lo,hi")
+            raise ValueError("--delta-range needs two numbers lo,hi")
         chains = [select_otm(c, *bounds) for c in chains]
     market = []
     for chain in chains:
@@ -238,9 +224,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         "mode": args.mode,
         "delta_range": args.delta_range,
     }
-    payload = {
-        "version": __version__,
-        "config_digest": config_digest(cfg),
+    fields = {
         **premia_to_dict(result.premia),
         "bound_saturated": result.bound_saturated,
         "kurtosis_floor": result.kurtosis_floor,
@@ -250,7 +234,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             for name, stage in result.stages.items()
         },
     }
-    dump_json(args.out, payload)
+    _write_artifact(args.out, cfg, fields)
     print(
         f"wrote {args.out} (lambda2={result.premia.lambda2:.4f}, "
         f"lambda3={result.premia.lambda3:.4f}, lambda4={result.premia.lambda4:.4f}"
@@ -260,22 +244,18 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smile(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(load_json(args.spec))
-    state = state_from_dict(load_json(args.state), spec)
-    premia = premia_from_dict(load_json(args.premia))
-    noise = _noise_from_args(args)
+    spec, state, premia = _model(args)
+    noise = NoiseModel(args.noise_family, args.noise_dof)
     expiries = _floats(args.expiries)
     grid = _strike_grid(args.strikes)
     cfg = McConfig(n_paths=args.paths, seed=args.seed, antithetic=not args.no_antithetic)
     surface = smile(spec, premia, state, noise_moments(noise), expiries, grid, cfg)
-
-    lines = ["expiry_years,strike,implied_vol,stderr"]
-    for t, ks, vols, errs in zip(
-        surface.expiries, surface.strikes, surface.vols, surface.stderrs
-    ):
-        for k, v, e in zip(ks, vols, errs):
-            lines.append(f"{float(t)!r},{float(k)!r},{float(v)!r},{float(e)!r}")
-    _emit(args, "\n".join(lines) + "\n")
+    rows = [
+        (t, k, v, e)
+        for t, ks, vols, errs in zip(surface.expiries, surface.strikes, surface.vols, surface.stderrs)
+        for k, v, e in zip(ks, vols, errs)
+    ]
+    _write_csv(args.out, ["expiry_years", "strike", "implied_vol", "stderr"], rows)
     for t, k, reason in surface.dropped:
         print(f"dropped expiry {t} strike {k}: {reason}", file=sys.stderr)
     return 0
@@ -284,8 +264,7 @@ def _cmd_smile(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = spec_from_dict(load_json(args.spec))
     premia = premia_from_dict(load_json(args.premia))
-    noise = _noise_from_args(args)
-    mom = noise_moments(noise)
+    mom = noise_moments(NoiseModel(args.noise_family, args.noise_dof))
     check = validate_premia(spec, premia, mom)
     floor = kurtosis_bound(premia.lambda2, premia.lambda3, mom, spec)
     print(f"rho_plus         = {check.rho_plus:+.6f}")
@@ -312,6 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise-family", default="gaussian", choices=["gaussian", "student_t"])
         p.add_argument("--noise-dof", type=float, default=None, help="student_t degrees of freedom")
 
+    def add_files(p: argparse.ArgumentParser, *names: str) -> None:
+        for name in names:
+            p.add_argument(f"--{name}", required=True, help=f"{name} JSON")
+
     p = sub.add_parser("estimate", help="fit filter weights/lengths to return series")
     p.add_argument("series", nargs="+", help="CSV files with date,return or date,price")
     p.add_argument("--out", required=True, help="output JSON path")
@@ -325,31 +308,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filters", help="run a spec's filters over a return series")
     p.add_argument("series", help="CSV file with date,return or date,price")
-    p.add_argument("--spec", required=True, help="spec JSON")
+    add_files(p, "spec")
     p.add_argument("--out", required=True, help="output CSV of filter states")
     p.add_argument("--state-out", default=None, help="also write the final state JSON here")
     p.set_defaults(func=_cmd_filters)
 
     p = sub.add_parser("varswap", help="variance-swap term structure from a state")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--premia", required=True)
+    add_files(p, "spec", "state", "premia")
     p.add_argument("--maturities", required=True, help="comma list of years")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     p.set_defaults(func=_cmd_varswap)
 
     p = sub.add_parser("moments", help="model-implied moment triples per expiry")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--premia", required=True)
+    add_files(p, "spec", "state", "premia")
     p.add_argument("--expiries", required=True, help="comma list of years")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     add_noise(p)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("calibrate", help="back premia out of option chains")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--state", required=True)
+    add_files(p, "spec", "state")
     p.add_argument("--chains", required=True, help="option quotes CSV")
     p.add_argument("--out", required=True, help="output premia JSON")
     p.add_argument("--mode", default="fit_all", choices=["fit_all", "saturate_kurtosis"])
@@ -362,9 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("smile", help="Monte Carlo implied-volatility smile")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--state", required=True)
-    p.add_argument("--premia", required=True)
+    add_files(p, "spec", "state", "premia")
     p.add_argument("--expiries", required=True, help="comma list of years")
     p.add_argument("--strikes", required=True, help="lo:hi:n or comma list (forward = 1)")
     p.add_argument("--paths", type=int, default=100_000)
@@ -375,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_smile)
 
     p = sub.add_parser("validate", help="check a premia triple against its bounds")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--premia", required=True)
+    add_files(p, "spec", "premia")
     add_noise(p)
     p.set_defaults(func=_cmd_validate)
 

@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -276,7 +277,9 @@ def state_from_dict(obj: dict, spec: GarchSpec) -> FilterState:
     try:
         x = np.asarray(obj["x"], dtype=float)
         as_of = _parse_date(obj["as_of"])
-        burn = bool(obj.get("burn_in", False))
+        burn = obj.get("burn_in", False)
+        if not isinstance(burn, bool):
+            raise TypeError(f"burn_in must be true or false, got {burn!r}")
         return FilterState.from_levels(x, spec, as_of, burn_in=burn)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad filter state: {exc}") from exc
@@ -308,17 +311,24 @@ def noise_to_dict(noise: NoiseModel) -> dict:
     return out
 
 
+def _write_csv(path: str | Path | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a table with ``\\n`` line endings and every float cell as the
+    ``repr`` of a Python float (a numpy scalar's ``repr`` names its type);
+    to stdout when ``path`` is None."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(c)) if isinstance(c, float) else c for c in row] for row in rows)
+    if path is None:
+        sys.stdout.write(buf.getvalue())
+    else:
+        Path(path).write_text(buf.getvalue())
+
+
 def write_states_csv(path: str | Path, states: Iterable[FilterState]) -> None:
     """One row per date: the variance forecast, then each filter level."""
     states = list(states)
     if not states:
         raise ValueError("no states to write")
-    k = states[0].x.size
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["date", "nu", "burn_in"] + [f"x{i + 1}" for i in range(k)])
-    for s in states:
-        writer.writerow(
-            [s.as_of.isoformat(), repr(s.nu), int(s.burn_in)] + [repr(float(v)) for v in s.x]
-        )
-    Path(path).write_text(buf.getvalue())
+    header = ["date", "nu", "burn_in"] + [f"x{i + 1}" for i in range(states[0].x.size)]
+    _write_csv(path, header, ([s.as_of.isoformat(), s.nu, int(s.burn_in), *s.x] for s in states))

@@ -373,8 +373,8 @@ def varswap_slope(eig: EigenSystem, premia: RiskPremia, maturity) -> np.ndarray:
     filter's entry carries the long-run level it anchors.
     """
     maturity = np.asarray(maturity, dtype=float)
-    if (maturity <= 0.0).any():
-        raise ValueError("maturity must be > 0")
+    if not ((maturity > 0.0) & (maturity < np.inf)).all():
+        raise ValueError("maturity must be finite and > 0")
     decay = decay_integral(eig.rates[None, :], np.atleast_1d(maturity)[:, None])
     g = (decay * ((1.0 + premia.lambda2) * eig.weights_tilde)) @ eig.u_inv
     return g[0] if maturity.ndim == 0 else g

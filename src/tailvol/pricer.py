@@ -167,8 +167,8 @@ def simulate_pricing(
     curve = ForwardVarianceCurve.from_state(state0, eig, premia)
 
     horizons = np.atleast_1d(np.asarray(horizons, dtype=float))
-    if horizons.size == 0 or (horizons <= 0.0).any():
-        raise ValueError("horizons must be positive")
+    if horizons.size == 0 or not ((horizons > 0.0) & (horizons < np.inf)).all():
+        raise ValueError("horizons must be positive and finite")
     if (np.diff(horizons) <= 0.0).any():
         raise ValueError("horizons must be strictly increasing")
     dt = spec.dt_years / cfg.steps_per_day

@@ -71,6 +71,10 @@ def test_input_validation(three_scale_spec, flat_state, gaussian_moments):
             three_scale_spec, flat_state, gaussian_moments,
             ((-0.1, trip), (0.25, trip)),
         )
+    # a nan expiry compares false both ways, so it passed the order check too
+    for bad in ((0.25, math.nan), (math.nan, 0.25), (0.25, math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _inputs(three_scale_spec, flat_state, gaussian_moments, tuple((t, trip) for t in bad))
     with pytest.raises(ValueError):
         ImpliedMomentTriple(-0.2, 0.0, 0.0)
     with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from tailvol import __version__
 from tailvol.cli import main
 from tailvol.data import dump_json, load_json, spec_from_dict, spec_to_dict
 from tailvol.measure import RiskPremia, omega_eigen, varswap_price
@@ -165,6 +166,50 @@ def test_config_errors_exit_2(configs, tmp_path, capsys):
     assert not out.exists()
 
 
+def _nonfinite_argv(flag, bad, configs, tmp_path):
+    model = ["--spec", configs["spec"], "--state", configs["state"], "--premia", configs["premia"]]
+    smile = ["smile", *model, "--paths", "2000"]
+    estimate = ["estimate", _returns_csv(tmp_path), "--restarts", "1"]
+    return {
+        "varswap --maturities": ["varswap", *model, "--maturities", f"0.25,{bad}"],
+        "moments --expiries": ["moments", *model, "--expiries", f"0.25,{bad}"],
+        "smile --expiries": [*smile, "--expiries", bad, "--strikes", "0.9:1.1:3"],
+        "smile --strikes list": [*smile, "--expiries", "0.25", "--strikes", f"0.9,{bad}"],
+        "smile --strikes lo:hi:n": [*smile, "--expiries", "0.25", "--strikes", f"0.8:{bad}:5"],
+        "estimate --init-weights": [*estimate, "--init-weights", bad],
+        "estimate --init-lengths": [*estimate, "--init-lengths", bad],
+        "calibrate --delta-range": ["calibrate", "--spec", configs["spec"], "--state",
+                                    configs["state"], "--chains", _chains_csv(tmp_path),
+                                    "--delta-range", f"0.01,{bad}"],
+    }[flag]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "flag",
+    ["varswap --maturities", "moments --expiries", "smile --expiries", "smile --strikes list",
+     "smile --strikes lo:hi:n", "estimate --init-weights", "estimate --init-lengths",
+     "calibrate --delta-range"],
+)
+def test_nonfinite_numbers_exit_2_and_write_nothing(configs, tmp_path, capsys, flag, bad):
+    out = tmp_path / "out"
+    rc = main(_nonfinite_argv(flag, bad, configs, tmp_path) + ["--out", str(out)])
+    assert rc == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_varswap_overflow_is_a_model_error(configs, tmp_path, capsys):
+    # these premia make the variance explosive: the price overflows to inf
+    out = tmp_path / "varswap.csv"
+    rc = main(["varswap", "--spec", configs["spec"], "--state", configs["state"],
+               "--premia", configs["premia"], "--maturities", "0.25,1e300", "--out", str(out)])
+    assert rc == 4
+    assert "not positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_data_errors_exit_3(configs, tmp_path, capsys):
     broken = tmp_path / "broken.csv"
     broken.write_text("day,value\n2020-01-01,0.01\n")
@@ -314,13 +359,21 @@ def _digests_by_content(tmp_path, write, run):
     return digests + [run(paths[0])]
 
 
+def _artifact_digest(path):
+    """The digest of a JSON artifact that carries the package version."""
+    payload = load_json(path)
+    assert payload["version"] == __version__
+    assert len(payload["config_digest"]) == 64
+    return payload["config_digest"]
+
+
 def test_estimate_digest_follows_the_series_contents(tmp_path, capsys):
     def run(series):
         out = tmp_path / "fit.json"
         rc = main(["estimate", series, "--out", str(out), "--kinds", "symmetric",
                    "--init-weights", "0.2", "--init-lengths", "20", "--restarts", "1"])
         assert rc == 0
-        return load_json(out)["config_digest"]
+        return _artifact_digest(out)
 
     copy_a, copy_b, edited = _digests_by_content(tmp_path, _returns_csv, run)
     assert copy_a == copy_b != edited
@@ -332,9 +385,21 @@ def test_calibrate_digest_follows_the_chains_contents(configs, tmp_path, capsys)
         rc = main(["calibrate", "--spec", configs["spec"], "--state", configs["state"],
                    "--chains", chains, "--mode", "saturate_kurtosis", "--out", str(out)])
         assert rc == 0
-        return load_json(out)["config_digest"]
+        return _artifact_digest(out)
 
     copy_a, copy_b, edited = _digests_by_content(tmp_path, _chains_csv, run)
+    assert copy_a == copy_b != edited
+
+
+def test_filters_state_digest_follows_the_series_contents(configs, tmp_path, capsys):
+    def run(series):
+        out = tmp_path / "state.json"
+        rc = main(["filters", series, "--spec", configs["spec"],
+                   "--out", str(tmp_path / "states.csv"), "--state-out", str(out)])
+        assert rc == 0
+        return _artifact_digest(out)
+
+    copy_a, copy_b, edited = _digests_by_content(tmp_path, _returns_csv, run)
     assert copy_a == copy_b != edited
 
 

@@ -193,6 +193,10 @@ def test_state_round_trip(three_scale_spec, flat_state):
     )
     with pytest.raises(DataError, match="bad filter state"):
         state_from_dict({"x": [0.04]}, three_scale_spec)
+    # bool("false") is True: only a JSON boolean is a burn-in flag
+    for burn in ("false", 0, None):
+        with pytest.raises(DataError, match="burn_in must be true or false"):
+            state_from_dict({**obj, "burn_in": burn}, three_scale_spec)
 
 
 def test_premia_and_noise_round_trips():

@@ -449,6 +449,16 @@ def test_varswap_price_vectorized(three_scale_spec, flat_state, mild_premia):
     np.testing.assert_allclose(vals, singles, rtol=1e-13)
 
 
+@pytest.mark.parametrize("maturity", [0.0, math.nan, math.inf, [0.5, math.nan]])
+def test_varswap_price_rejects_maturities_not_positive_and_finite(
+    three_scale_spec, flat_state, mild_premia, maturity
+):
+    # a nan maturity used to price as nan
+    eig = omega_eigen(three_scale_spec, mild_premia)
+    with pytest.raises(ValueError, match="maturity must be finite and > 0"):
+        varswap_price(flat_state, eig, mild_premia, maturity)
+
+
 # ------------------------------------------------------------------ GARCH(1,1)
 # GARCH(1,1) is a constant anchor of weight 1 - alpha plus one EMA of weight
 # alpha.  Its closed-form variance swap, kept here as an independent oracle,

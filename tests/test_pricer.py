@@ -51,6 +51,16 @@ def test_mc_config_validation():
         McConfig(n_paths=100, seed=1, steps_per_day=0)
 
 
+@pytest.mark.parametrize("horizons", [(0.0,), (math.nan,), (math.inf,), (0.25, math.inf)])
+def test_simulate_pricing_rejects_horizons_not_positive_and_finite(
+    three_scale_spec, flat_state, mild_premia, gaussian_moments, horizons
+):
+    # inf used to fail as an OverflowError and nan on the integer conversion
+    with pytest.raises(ValueError, match="horizons must be positive and finite"):
+        _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments,
+               horizons=horizons, n=2_000)
+
+
 def test_horizon_index(three_scale_spec, flat_state, mild_premia, gaussian_moments):
     paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments,
                    horizons=(0.1, 0.5), n=2_000)
