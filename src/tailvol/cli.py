@@ -197,14 +197,14 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    bounds = _floats(args.delta_range) if args.delta_range else None
+    if bounds is not None and len(bounds) != 2:
+        raise ValueError("--delta-range needs two numbers lo,hi")
     spec = spec_from_dict(load_json(args.spec))
     state = state_from_dict(load_json(args.state), spec)
     noise = NoiseModel(args.noise_family, args.noise_dof)
     chains = load_option_chains(args.chains)
-    if args.delta_range:
-        bounds = _floats(args.delta_range)
-        if len(bounds) != 2:
-            raise ValueError("--delta-range needs two numbers lo,hi")
+    if bounds is not None:
         chains = [select_otm(c, *bounds) for c in chains]
     market = []
     for chain in chains:
@@ -372,7 +372,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -28,6 +28,7 @@ from .filters import (
     NoiseModel,
     ReturnSeries,
     _filter_drivers,
+    _stream,
     filter_path,
 )
 
@@ -126,7 +127,7 @@ def pooled_nll(spec: GarchSpec, panel: ReturnPanel, noise: NoiseModel) -> float:
     below -1e-12 (the anchor's weight may miss zero by rounding, as
     stick-breaking weights do).
     """
-    if any(f.weight < (-1e-12 if f.length_days == math.inf else 0.0) for f in spec.filters):
+    if (spec.weights < np.where(spec.moving, 0.0, -1e-12)).any():
         raise ValueError(f"negative weight in {spec.weights}")
     spec = replace(spec, dt_years=1.0)
     by_length: dict[int, list[np.ndarray]] = {}
@@ -154,8 +155,8 @@ def fit_garch(
     the best restart: ``converged`` is its L-BFGS-B success flag and
     ``n_iter`` counts the L-BFGS-B iterations of all restarts.
     """
-    anchor, *moving = init.filters
-    if anchor.length_days != math.inf or not moving:
+    moving = init.filters[1:]
+    if init.moving[0] or not moving:
         raise ValueError("init must be a constant anchor followed by moving filters")
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
@@ -166,7 +167,7 @@ def fit_garch(
     first = np.concatenate([_stick_fractions(init.weights[1:]), init.lengths[1:]])
     if not ((lo <= first) & (first <= hi)).all():
         raise ValueError("initial parameters violate the bounds")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
 
     def spec_at(vec: np.ndarray) -> GarchSpec:
         weights = _stick_weights(vec[:k]).tolist()

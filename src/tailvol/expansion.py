@@ -106,8 +106,7 @@ class ExpansionIntegrals:
     Rate-normalized forms are what the coefficient contractions consume and
     they remain finite at zero rates.  :func:`expansion_integrals` computes
     the nested ``jmu`` by one backward sweep over its quadrature panels, in
-    work linear in the number of panels: about 14 ms at T = 2 y for the
-    README model on one x86-64 core.
+    work linear in the number of panels.
     """
 
     maturity: float

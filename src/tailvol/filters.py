@@ -128,14 +128,19 @@ class GarchSpec:
         return np.array([f.kind is FilterKind.ASYMMETRIC for f in self.filters])
 
     @property
+    def moving(self) -> np.ndarray:
+        """Which filters move: those of finite length (the one test of it)."""
+        return np.isfinite(self.lengths)
+
+    @property
     def has_symmetric(self) -> bool:
         """Whether a moving symmetric filter (one with a noise factor) exists."""
-        return bool((~self.is_asymmetric & np.isfinite(self.lengths)).any())
+        return bool((~self.is_asymmetric & self.moving).any())
 
     @property
     def has_asymmetric(self) -> bool:
         """Whether a moving asymmetric filter exists."""
-        return bool((self.is_asymmetric & np.isfinite(self.lengths)).any())
+        return bool((self.is_asymmetric & self.moving).any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,21 +290,25 @@ def _ema_scan(driver: np.ndarray, w: float, x0: float) -> np.ndarray:
     return out
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The one rule that turns a seed (and a block index, where a simulation
+    runs in blocks) into a random stream."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> list[np.ndarray]:
     """Per-filter input sequences of a return array, each shaped like it."""
-    return _drivers(returns**2 / spec.dt_years, returns < 0.0, spec)
+    asym = (spec.is_asymmetric & spec.moving).tolist()
+    return _drivers(returns**2 / spec.dt_years, returns < 0.0, asym)
 
 
-def _drivers(r2: np.ndarray, down: np.ndarray, spec: GarchSpec) -> list[np.ndarray]:
+def _drivers(r2: np.ndarray, down: np.ndarray, asym: list[bool]) -> list[np.ndarray]:
     """Per-filter drivers from annualized squared returns ``r2`` and the
-    down-day mask ``down``: a moving asymmetric filter absorbs ``2 * r2`` on
-    down days and nothing otherwise, every other filter absorbs ``r2``.  The
-    filters share these two arrays; :func:`filter_path` reads without writing.
+    down-day mask ``down``: a moving asymmetric filter (flagged in ``asym``)
+    absorbs ``2 * r2`` on down days and nothing otherwise, every other filter
+    absorbs ``r2``.  The filters share these two arrays; :func:`filter_path`
+    reads without writing.
     """
-    asym = [
-        f.kind is FilterKind.ASYMMETRIC and math.isfinite(f.length_days)
-        for f in spec.filters
-    ]
     down_r2 = 2.0 * r2 * down if any(asym) else None
     return [down_r2 if a else r2 for a in asym]
 
@@ -309,8 +318,8 @@ def _auto_seed(returns: np.ndarray, spec: GarchSpec) -> np.ndarray:
     returns, and each constant filter, which never moves off its seed, with
     the sample variance of the whole series."""
     seeds = np.empty(spec.n_filters)
-    for i, f in enumerate(spec.filters):
-        n = returns.size if math.isinf(f.length_days) else int(min(f.length_days, 60.0))
+    for i, (f, moving) in enumerate(zip(spec.filters, spec.moving)):
+        n = int(min(f.length_days, 60.0)) if moving else returns.size
         n = max(min(n, returns.size), 1)
         seeds[i] = max(float(np.var(returns[:n])) / spec.dt_years, VARIANCE_FLOOR)
     return seeds
@@ -330,8 +339,7 @@ def compute_filters(series: ReturnSeries, spec: GarchSpec) -> list[FilterState]:
     for i, f in enumerate(spec.filters):
         levels[:, i] = filter_path(drivers[i], f.length_days, x0[i])
 
-    finite = [f.length_days for f in spec.filters if math.isfinite(f.length_days)]
-    warmup = int(math.ceil(max(finite, default=0.0)))
+    warmup = int(math.ceil(max(spec.lengths[spec.moving], default=0.0)))
     if len(series) <= warmup:
         warnings.warn(
             f"series has {len(series)} observations, shorter than the "
@@ -356,11 +364,11 @@ def _simulate(
     """
     if np.shape(x0) != (spec.n_filters,):
         raise ValueError("initial state does not match spec")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    eps = noise.sample(rng, (n_days, n_series))
+    eps = noise.sample(_stream(seed), (n_days, n_series))
     eps2, down = eps**2, eps < 0.0
     inv_len = (1.0 / spec.lengths)[:, None]
     weights = spec.weights
+    asym = (spec.is_asymmetric & spec.moving).tolist()
 
     levels = np.empty((n_days + 1, spec.n_filters, n_series))
     levels[0] = np.asarray(x0)[:, None]
@@ -368,7 +376,7 @@ def _simulate(
     for k in range(n_days):
         x = levels[k]
         nu[k] = np.maximum(weights @ x, VARIANCE_FLOOR)
-        drivers = np.array(_drivers(nu[k] * eps2[k], down[k], spec))
+        drivers = np.array(_drivers(nu[k] * eps2[k], down[k], asym))
         levels[k + 1] = x + inv_len * (drivers - x)
     return np.sqrt(nu) * math.sqrt(spec.dt_years) * eps, levels
 

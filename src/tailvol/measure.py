@@ -334,13 +334,15 @@ def omega_eigen(spec: GarchSpec, premia: RiskPremia) -> EigenSystem:
     omega = theta[:, None] * (np.eye(theta.size) - np.outer(delta, spec.weights))
     ev, u = np.linalg.eig(omega)
     scale = max(float(np.max(np.abs(ev))), 1e-300)
-    if np.max(np.abs(ev.imag)) > 1e-10 * scale or np.max(np.abs(u.imag)) > 1e-8:
+    if np.max(np.abs(ev.imag)) > 1e-10 * scale:
         raise ModelError(
             "variance generator has a complex spectrum; "
             "the exponential pricing formulas do not apply"
         )
+    # a repeated real rate may come back as a ± εi: the real and imaginary
+    # parts of its conjugate vectors are then two real eigenvectors of a
+    u = np.where(ev.imag < 0.0, u.imag, u.real)
     ev = ev.real
-    u = u.real
     order = np.argsort(ev)
     ev = ev[order]
     u = u[:, order]

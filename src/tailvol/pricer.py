@@ -17,10 +17,12 @@ spot stays an exact martingale.  Integrated variance accumulates by the
 trapezoid rule.
 
 Randomness comes from a counter-based generator (Philox) keyed by the seed
-and a block index, drawn as normals by numpy's ziggurat sampler; runs are
-bit-reproducible for a given seed, block size and numpy version.  Each step
-draws its own normals from the block's generator, so memory does not grow
-with the horizon.  A helper thread, started and joined inside each
+and a block index through ``filters._stream``, the one rule that turns a
+seed into a random stream (the real-world simulator and the estimation
+restarts use it too), drawn as normals by numpy's ziggurat sampler; runs
+are bit-reproducible for a given seed, block size and numpy version.  Each
+step draws its own normals from the block's generator, so memory does not
+grow with the horizon.  A helper thread, started and joined inside each
 :func:`simulate_pricing` call, draws step t + 1's normals into one of two
 per-block slots while the calling thread steps t from the other.  Only the
 helper touches a block's generator, one step after the other, so the
@@ -49,6 +51,7 @@ from .filters import (
     NoiseModel,
     _simulate,
     _standard_normals,
+    _stream,
 )
 from .measure import (
     ModelError,
@@ -59,7 +62,7 @@ from .measure import (
     pricing_params,
     varswap_slope,
 )
-from .replication import OptionChain, OptionKind, Quote, bs_delta, bs_vega, implied_vol
+from .replication import OptionChain, OptionKind, Quote, _otm, bs_delta, bs_vega, implied_vol
 
 __all__ = [
     "McConfig",
@@ -209,8 +212,7 @@ def simulate_pricing(
     with ThreadPoolExecutor(max_workers=1) as helper:
         for start in range(0, total, cfg.block_size):
             width = min(cfg.block_size, total - start)
-            key = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(start // cfg.block_size,))
-            rng = np.random.Generator(np.random.Philox(key))
+            rng = _stream(cfg.seed, start // cfg.block_size)
             # Step t reads one slot while the helper fills the other for t + 1.
             slots = (np.empty((n_drivers, width)), np.empty((n_drivers, width)))
             half = np.empty((n_drivers, width // 2)) if cfg.antithetic else None
@@ -321,10 +323,9 @@ def chain_from_ensemble(
     puts, calls = _strip_prices(s, strikes)
     quotes = []
     for k_, p_, c_ in zip(strikes, puts, calls):
-        if k_ <= forward:
-            quotes.append(Quote(strike=k_, kind=OptionKind.PUT, mid=p_))
-        if k_ >= forward:
-            quotes.append(Quote(strike=k_, kind=OptionKind.CALL, mid=c_))
+        for kind, mid in ((OptionKind.PUT, p_), (OptionKind.CALL, c_)):
+            if _otm(kind, k_, forward):
+                quotes.append(Quote(strike=k_, kind=kind, mid=mid))
     return OptionChain(
         expiry_years=float(paths.horizons[i]),
         forward=forward,
@@ -373,7 +374,7 @@ def smile(
         s = paths.s[i]
         ks, vols, errs = [], [], []
         for k_ in grid:
-            kind = OptionKind.PUT if k_ <= 1.0 else OptionKind.CALL
+            kind = OptionKind.PUT if _otm(OptionKind.PUT, k_, 1.0) else OptionKind.CALL
             payoff = np.maximum(k_ - s, 0.0) if kind is OptionKind.PUT else np.maximum(s - k_, 0.0)
             price, se = _mean_se(payoff, paths.antithetic)
             try:
@@ -388,7 +389,7 @@ def smile(
             vega = bs_vega(1.0, float(k_), float(t), vol)
             ks.append(float(k_))
             vols.append(vol)
-            errs.append(se / vega if vega > 1e-300 else math.inf)
+            errs.append(se / vega)
         out_k.append(np.array(ks))
         out_v.append(np.array(vols))
         out_e.append(np.array(errs))

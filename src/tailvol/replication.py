@@ -93,8 +93,11 @@ class OptionChain:
                         f"got {a} then {b}"
                     )
 
-    def side(self, kind: OptionKind) -> list[Quote]:
-        return [q for q in self.quotes if q.kind is kind]
+
+def _otm(kind: OptionKind, strike: float, forward: float) -> bool:
+    """The one out-of-the-money test: a put at or below the forward, a call
+    at or above it, so both sides are out of the money at the forward."""
+    return strike <= forward if kind is OptionKind.PUT else strike >= forward
 
 
 def _trapezoid_weights(x) -> np.ndarray:
@@ -128,10 +131,10 @@ def bs_price(
 ) -> float:
     """Undiscounted Black price on the forward.  ``vol = 0`` gives intrinsic."""
     kind = OptionKind(kind)
-    if forward <= 0.0 or strike <= 0.0 or expiry <= 0.0:
-        raise ValueError("forward, strike and expiry must be positive")
-    if vol < 0.0:
-        raise ValueError(f"volatility must be >= 0, got {vol}")
+    if not (0.0 < forward < math.inf and 0.0 < strike < math.inf and 0.0 < expiry < math.inf):
+        raise ValueError("forward, strike and expiry must be positive and finite")
+    if not 0.0 <= vol < math.inf:
+        raise ValueError(f"volatility must be finite and >= 0, got {vol}")
     if vol == 0.0:
         intrinsic = forward - strike if kind is OptionKind.CALL else strike - forward
         return max(intrinsic, 0.0)
@@ -147,8 +150,8 @@ def bs_delta(
 ) -> float:
     """Forward delta: N(d1) for calls, N(d1) - 1 for puts."""
     kind = OptionKind(kind)
-    if vol <= 0.0:
-        raise ValueError(f"volatility must be > 0, got {vol}")
+    if not 0.0 < vol < math.inf:
+        raise ValueError(f"volatility must be finite and > 0, got {vol}")
     d1 = _d1(forward, strike, expiry, vol)
     return _ndtr(d1) if kind is OptionKind.CALL else _ndtr(d1) - 1.0
 
@@ -192,7 +195,7 @@ def implied_vol(
     if price >= upper - 1e-14 * scale:
         raise ModelError(f"price {price} exceeds the upper no-arbitrage bound {upper}")
 
-    otm_kind = OptionKind.PUT if strike < forward else OptionKind.CALL
+    otm_kind = OptionKind.CALL if _otm(OptionKind.CALL, strike, forward) else OptionKind.PUT
     target = price - intrinsic
     lo, hi = 1e-9, 10.0
     if bs_price(forward, strike, expiry, lo, otm_kind) > target or (
@@ -235,12 +238,7 @@ def select_otm(chain: OptionChain, delta_lo: float, delta_hi: float) -> OptionCh
     missing = []
     kept = []
     for q in chain.quotes:
-        otm = (
-            q.strike <= chain.forward
-            if q.kind is OptionKind.PUT
-            else q.strike >= chain.forward
-        )
-        if not otm:
+        if not _otm(q.kind, q.strike, chain.forward):
             continue
         try:
             adelta = _abs_delta(q, chain)
@@ -277,26 +275,20 @@ def _bridge_forward(
 
     The out-of-the-money price envelope is continuous at the forward
     (put-call parity makes the at-the-forward put and call prices equal),
-    so when no quote sits exactly there its value is interpolated between
-    the innermost put and call and closes both strips.  Without this node
-    the panel between the innermost quotes would be dropped entirely and
-    the quadrature would degrade to first order.
+    so its value there is interpolated between the innermost put and call,
+    which gives a quote sitting at the forward its own mid exactly, and
+    closes whichever strip lacks the node.  Without it the panel between the
+    innermost quotes would be dropped and the quadrature would degrade to
+    first order.
     """
     kp, kc = puts[-1], calls[0]
-    at_put = kp.strike == forward
-    at_call = kc.strike == forward
-    if at_put and at_call:
+    if kp.strike == kc.strike:  # both strips already end at the forward
         return puts, calls
-    if at_put:
-        value = kp.mid
-    elif at_call:
-        value = kc.mid
-    else:
-        t = (forward - kp.strike) / (kc.strike - kp.strike)
-        value = (1.0 - t) * kp.mid + t * kc.mid
-    if not at_put:
+    t = (forward - kp.strike) / (kc.strike - kp.strike)
+    value = (1.0 - t) * kp.mid + t * kc.mid
+    if kp.strike < forward:
         puts = puts + [Quote(strike=forward, kind=OptionKind.PUT, mid=value)]
-    if not at_call:
+    if kc.strike > forward:
         calls = [Quote(strike=forward, kind=OptionKind.CALL, mid=value)] + calls
     return puts, calls
 
@@ -304,14 +296,14 @@ def _bridge_forward(
 def replicate_moments(chain: OptionChain) -> tuple[float, float, float]:
     """Replicate (M1, M2, M3) from the chain's out-of-the-money strip.
 
-    Uses puts at strikes up to the forward and calls from the forward up;
-    a strike exactly at the forward contributes on both sides (it is the
-    shared boundary node of the two integrals), and when no quote sits at
-    the forward a parity-interpolated node is inserted there so the strips
-    meet.  Requires at least three usable quotes per side.
+    Uses the quotes :func:`_otm` passes, so a strike exactly at the forward
+    is the shared boundary node of the put and call integrals; when no
+    quote sits there a parity-interpolated node closes the strips.
+    Requires at least three usable quotes per side.
     """
-    puts = [q for q in chain.side(OptionKind.PUT) if q.strike <= chain.forward]
-    calls = [q for q in chain.side(OptionKind.CALL) if q.strike >= chain.forward]
+    otm = [q for q in chain.quotes if _otm(q.kind, q.strike, chain.forward)]
+    puts = [q for q in otm if q.kind is OptionKind.PUT]
+    calls = [q for q in otm if q.kind is OptionKind.CALL]
     if len(puts) < 3 or len(calls) < 3:
         raise DataError(
             f"need at least 3 OTM quotes per side, got {len(puts)} puts / "
@@ -335,8 +327,8 @@ def market_moment_triple(
     A non-negative first moment has no variance-swap interpretation and
     raises (it would need a degenerate or arbitrage-violating surface).
     """
-    if not expiry > 0.0:
-        raise ValueError(f"expiry must be positive, got {expiry}")
+    if not 0.0 < expiry < math.inf:
+        raise ValueError(f"expiry must be positive and finite, got {expiry}")
     if m1 >= 0.0:
         raise ModelError(f"replicated M1 = {m1} must be negative")
     total_var = -2.0 * m1

@@ -1,4 +1,5 @@
 import dataclasses
+import datetime as dt
 import importlib
 import math
 import pathlib
@@ -25,7 +26,7 @@ from tailvol.expansion import (
     expansion_integrals,
     model_moments,
 )
-from tailvol.filters import NoiseModel
+from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel
 from tailvol.measure import (
     ModelError,
     RiskPremia,
@@ -133,6 +134,51 @@ def test_fit_lambda2_recovers_generating_value(
     assert stage.value == pytest.approx(0.3, abs=1e-6)
     assert stage.residual < 1e-12
     assert not stage.at_boundary
+
+
+def test_fit_lambda2_penalizes_inadmissible_candidates(monkeypatch, gaussian_moments):
+    # negative weights give this generator a complex spectrum at some
+    # lambda2 in the bracket: those grid points are penalized, not raised
+    spec = GarchSpec(
+        filters=tuple(
+            FilterSpec(length, weight, FilterKind.ASYMMETRIC)
+            for length, weight in ((40.45, 2.449), (48.22, -0.595), (8.38, -0.854))
+        ),
+        dt_years=1.0 / 252.0,
+    )
+    state = FilterState(x=np.full(3, 0.04), nu=0.04, as_of=dt.date(2024, 1, 2))
+    gen = RiskPremia(0.5, 0.0, 0.0)
+    eig = omega_eigen(spec, gen)
+    market = tuple(
+        (t, ImpliedMomentTriple(math.sqrt(varswap_price(state, eig, gen, t) / t), 0.0, 0.0))
+        for t in EXPIRIES
+    )
+    rejected = []
+
+    def counting(spec, premia):
+        try:
+            return omega_eigen(spec, premia)
+        except ModelError:
+            rejected.append(premia.lambda2)
+            raise
+
+    monkeypatch.setattr(calibration, "omega_eigen", counting)
+    stage = fit_lambda2(_inputs(spec, state, gaussian_moments, market))
+    assert len(rejected) >= 4
+    assert stage.value == pytest.approx(0.5, abs=1e-6)
+    assert stage.residual < 1e-12
+
+
+def test_fit_lambda2_fails_when_no_candidate_is_admissible(
+    monkeypatch, three_scale_spec, flat_state, gaussian_moments, mild_premia
+):
+    def defective(*args, **kwargs):
+        raise ModelError("generator is defective")
+
+    market = _model_triples(three_scale_spec, flat_state, mild_premia, gaussian_moments)
+    monkeypatch.setattr(calibration, "omega_eigen", defective)
+    with pytest.raises(CalibrationError, match="no admissible lambda2"):
+        fit_lambda2(_inputs(three_scale_spec, flat_state, gaussian_moments, market))
 
 
 def test_fit_lambda2_flags_boundary_when_targets_unreachable(

@@ -320,6 +320,55 @@ def test_calibrate_delta_range_needs_two_numbers(configs, tmp_path, capsys, delt
     assert not (tmp_path / "fit.json").exists()
 
 
+def test_calibrate_reads_the_delta_range_before_the_chains(configs, tmp_path, capsys):
+    # a return CSV is no chains file: the bad flag must be reported, not the data
+    out = tmp_path / "fit.json"
+    rc = main(["calibrate", "--spec", configs["spec"], "--state", configs["state"],
+               "--chains", _returns_csv(tmp_path), "--delta-range", "nan,0.5", "--out", str(out)])
+    assert rc == 2
+    assert "configuration error: numbers must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _smile_argv(configs, strikes):
+    return ["smile", "--spec", configs["spec"], "--state", configs["state"], "--premia",
+            configs["premia"], "--expiries", "0.25", "--strikes", strikes, "--paths", "2000"]
+
+
+def test_smile_takes_a_strike_list_and_reports_dropped_strikes(configs, capsys):
+    # at strike 100 no path pays off, so the price is intrinsic and has no vol
+    assert main(_smile_argv(configs, "1.1,0.9,100")) == 0
+    captured = capsys.readouterr()
+    rows = captured.out.strip().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [0.9, 1.1]
+    (dropped,) = captured.err.strip().splitlines()
+    assert dropped.startswith("dropped expiry 0.25") and " strike 100.0: " in dropped
+
+
+@pytest.mark.parametrize(
+    "strikes, message",
+    [("0.8:1.2", "must be lo:hi:n"), ("0.8:x:5", "bad strike grid"),
+     ("1.2:0.8:5", "needs 0 < lo < hi < inf"), ("0.8:1.2:1", "n >= 2"), (",", "empty strike grid")],
+)
+def test_malformed_strike_grid_exits_2(configs, capsys, strikes, message):
+    assert main(_smile_argv(configs, strikes)) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--kinds", "symmetric,skewed", "--init-weights", "0.2,0.1", "--init-lengths", "20,5"],
+      "unknown filter kind 'skewed'"),
+     (["--kinds", "symmetric,asymmetric", "--init-weights", "0.2", "--init-lengths", "20,5"],
+      "must have equal length, got 2/1/2")],
+)
+def test_estimate_rejects_bad_filter_lists(tmp_path, capsys, flags, message):
+    out = tmp_path / "fit.json"
+    assert main(["estimate", _returns_csv(tmp_path), *flags, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_estimate_smoke(tmp_path, capsys):
     series = [_returns_csv(tmp_path, seed=s, name=f"r{s}.csv") for s in (1, 2)]
     out = tmp_path / "fit.json"

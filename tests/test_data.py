@@ -108,6 +108,20 @@ def test_nonpositive_price_is_a_bad_row(tmp_path):
         load_return_series(p)
 
 
+def test_nonfinite_value_is_a_bad_row(tmp_path):
+    rows = [f"2024-01-{d:02d},0.001" for d in range(1, 11)]
+    rows[3] = "2024-01-04,nan"
+    rows[6] = "2024-01-07,inf"
+    p = _write(tmp_path / "r.csv", "date,return\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataError, match="non-finite value 'nan'.*non-finite value 'inf'"):
+        load_return_series(p)
+
+
+def test_a_single_price_gives_no_returns(tmp_path):
+    with pytest.raises(DataError, match="at least two prices"):
+        load_return_series(_write(tmp_path / "px.csv", "date,price\n2024-01-02,100.0\n"))
+
+
 def test_load_return_panel_names_by_stem(tmp_path):
     rng = np.random.default_rng(3)
     for name in ("spx", "ndx"):
@@ -152,6 +166,21 @@ def test_option_chain_forward_must_be_constant_per_expiry(tmp_path):
     )
     with pytest.raises(DataError, match="forward"):
         load_option_chains(_write(tmp_path / "c.csv", text))
+
+
+def test_option_chain_rate_must_be_constant_per_expiry(tmp_path):
+    text = (
+        "expiry_years,strike,kind,mid,forward,rate\n"
+        "0.5,90.0,put,2.0,100.0,0.01\n"
+        "0.5,110.0,call,1.5,100.0,0.02\n"
+    )
+    with pytest.raises(DataError, match="line 3: rate changes within expiry 0.5"):
+        load_option_chains(_write(tmp_path / "c.csv", text))
+
+
+def test_option_chains_need_a_usable_quote(tmp_path):
+    with pytest.raises(DataError, match="no usable quotes"):
+        load_option_chains(_write(tmp_path / "c.csv", "expiry_years,strike,kind,mid,forward,rate\n"))
 
 
 def test_option_chain_missing_columns(tmp_path):

@@ -367,6 +367,31 @@ def test_eigen_rejects_complex_spectrum():
         omega_eigen(spec, RiskPremia(-0.804, 0.0, 0.0))
 
 
+def test_eigen_accepts_a_repeated_rate_from_equal_lengths():
+    # eig returns the repeated rate 42 as 42 +- 9e-15i with conjugate
+    # vectors; their real and imaginary parts are two real eigenvectors
+    def spec(third_length):
+        return GarchSpec(
+            filters=(FilterSpec(6.0, 0.3), FilterSpec(6.0, 0.3),
+                     FilterSpec(third_length, 0.4, FilterKind.ASYMMETRIC)),
+            dt_years=DT,
+        )
+
+    premia = RiskPremia(1.5, 0.0, 0.0)
+    eig = omega_eigen(spec(6.0), premia)
+    np.testing.assert_allclose(eig.rates, [-88.2, 42.0, 42.0], rtol=1e-12)
+    assert np.isrealobj(eig.u)
+    np.testing.assert_allclose(eig.u @ np.diag(eig.rates) @ eig.u_inv, _omega(spec(6.0), 1.5),
+                               atol=1e-10)
+    # prices match a spec whose lengths differ by 1e-6 days, where eig
+    # returns three distinct real rates
+    state = FilterState(x=np.array([0.04, 0.05, 0.06]), nu=0.052, as_of=dt.date(2024, 1, 2))
+    near = omega_eigen(spec(6.0 + 1e-6), premia)
+    for t in (0.1, 0.5, 1.0):
+        assert varswap_price(state, eig, premia, t) == pytest.approx(
+            varswap_price(state, near, premia, t), rel=1e-5)
+
+
 @st.composite
 def _filter_banks(draw):
     """1-5 filters of distinct whole-day lengths, the first optionally a

@@ -294,6 +294,59 @@ def test_gaussian_draws_come_only_from_standard_normals():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
+def _stream_builds(source: str, allowed: str | None) -> list[str]:
+    """Mentions of ``Philox``, ``SeedSequence`` or ``default_rng`` (a name, an
+    attribute or an imported name) outside the function named ``allowed``,
+    as ``name (line n)``."""
+    banned = ("Philox", "SeedSequence", "default_rng")
+    out = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.alias):
+                name = child.name
+            else:
+                name = None
+            out.extend([f"{name} (line {child.lineno})"] if name in banned and not inside else [])
+            own = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == allowed
+            visit(child, inside or own)
+
+    visit(ast.parse(source), False)
+    return out
+
+
+def test_stream_check_flags_generators_built_outside_the_one_rule():
+    source = (
+        "import numpy as np\nfrom numpy.random import Philox as P, default_rng\n"
+        "def _stream(seed, *key):\n"
+        "    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))\n"
+        "def f(seed):\n    return np.random.Generator(P(np.random.SeedSequence(seed)))\n"
+        "class K:\n    bits = staticmethod(np.random.Philox)\n"
+    )
+    assert _stream_builds(source, "_stream") == [
+        "Philox (line 2)", "default_rng (line 2)", "SeedSequence (line 6)", "Philox (line 8)"
+    ]
+    assert _stream_builds(source, None) == [
+        "Philox (line 2)", "default_rng (line 2)", "Philox (line 4)", "SeedSequence (line 4)",
+        "SeedSequence (line 6)", "Philox (line 8)",
+    ]
+
+
+def test_random_streams_come_only_from_stream():
+    # one rule turns a seed into a stream, so a seed means the same draws in
+    # the real-world simulator, the estimation restarts and the pricer
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {
+        path.name: _stream_builds(path.read_text(), "_stream" if path.name == "filters.py" else None)
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
 def _rescan_names(source: str) -> list[str]:
     """Every mention of ``filter_path`` or ``_filter_drivers`` (a name, an
     attribute or an imported alias), as ``name (line n)``."""

@@ -337,6 +337,22 @@ def test_forward_node_bridge_matches_explicit_node():
     assert odd.vswap_vol == pytest.approx(0.2, abs=3e-5)
 
 
+@pytest.mark.parametrize("missing", [OptionKind.PUT, OptionKind.CALL])
+def test_forward_node_bridge_gives_a_lone_quote_at_the_forward_its_own_mid(missing):
+    # an odd grid has a put and a call at the forward; with one of them gone
+    # the bridge closes that strip with the other's mid, exactly
+    full = bs_chain(0.2, 0.25, 401, 6.0)
+    at_forward = {q.kind: q for q in full.quotes if q.strike == full.forward}
+    assert set(at_forward) == {OptionKind.PUT, OptionKind.CALL}
+    other = at_forward[OptionKind.CALL if missing is OptionKind.PUT else OptionKind.PUT]
+    lone = OptionChain(full.expiry_years, full.forward, full.rate,
+                       tuple(q for q in full.quotes if q is not at_forward[missing]))
+    mirrored = OptionChain(full.expiry_years, full.forward, full.rate, tuple(
+        Quote(q.strike, q.kind, other.mid) if q is at_forward[missing] else q for q in full.quotes
+    ))
+    assert replicate_moments(lone) == replicate_moments(mirrored)
+
+
 def test_replication_scale_invariant():
     a = replicate_moments(bs_chain(0.25, 0.5, 301, 6.0, forward=1.0))
     b = replicate_moments(bs_chain(0.25, 0.5, 301, 6.0, forward=87.3))
@@ -368,6 +384,19 @@ def test_market_moment_triple_lognormal_is_centered():
     assert trip.vswap_vol == pytest.approx(0.2, abs=5e-5)
     assert abs(trip.skew_m) < 1e-5
     assert abs(trip.kurt_m) < 0.05
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_black_layer_rejects_nonfinite_inputs(bad):
+    for args in ((bad, 1.0, 0.5, 0.2), (1.0, bad, 0.5, 0.2), (1.0, 1.0, bad, 0.2),
+                 (1.0, 1.0, 0.5, bad)):
+        for kind in OptionKind:
+            with pytest.raises(ValueError):
+                bs_price(*args, kind)
+    with pytest.raises(ValueError):
+        bs_delta(1.0, 1.1, 0.5, bad, OptionKind.CALL)
+    with pytest.raises(ValueError):
+        market_moment_triple(-0.01, 0.02, -0.001, bad)
 
 
 def test_market_moment_triple_rejects_positive_m1():
