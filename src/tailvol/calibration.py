@@ -42,6 +42,7 @@ from .expansion import (
 )
 from .filters import FilterState, GarchSpec
 from .measure import (
+    EigenSystem,
     ModelError,
     NoiseMoments,
     RiskPremia,
@@ -190,7 +191,7 @@ def _require_moving_filter(spec: GarchSpec) -> None:
 
 def _stage_integrals(
     inputs: CalibrationInput, lambda2: float
-) -> tuple[object, list[ExpansionIntegrals]]:
+) -> tuple[EigenSystem, list[ExpansionIntegrals]]:
     premia = RiskPremia(lambda2, 0.0, 0.0)
     eig = omega_eigen(inputs.spec, premia)
     curve = ForwardVarianceCurve.from_state(inputs.state, eig, premia)
@@ -237,12 +238,13 @@ def _least_squares(polys: list[Polynomial], targets, lo: float, hi: float):
 def fit_lambda3(
     inputs: CalibrationInput,
     lambda2: float,
-    _precomputed: tuple[object, list[ExpansionIntegrals]] | None = None,
+    eig: EigenSystem,
+    integrals: list[ExpansionIntegrals],
 ) -> StageResult:
     """Least-squares fit of ``lambda3`` to the skew moment across expiries,
-    solved exactly from three evaluations of that quadratic in ``lambda3``."""
+    solved exactly from three evaluations of that quadratic in ``lambda3``,
+    on the ``eig`` and ``integrals`` that :func:`_stage_integrals` builds."""
     _require_moving_filter(inputs.spec)
-    eig, integrals = _precomputed or _stage_integrals(inputs, lambda2)
     no_cov = np.zeros((inputs.spec.n_filters,) * 2)  # skew_m does not read cff
 
     def covariances(lam3: float):
@@ -258,16 +260,17 @@ def fit_lambda4(
     inputs: CalibrationInput,
     lambda2: float,
     lambda3: float,
-    _precomputed: tuple[object, list[ExpansionIntegrals]] | None = None,
+    eig: EigenSystem,
+    integrals: list[ExpansionIntegrals],
 ) -> tuple[StageResult, bool, float]:
     """Fit ``lambda4`` to the kurtosis moment, respecting its floor.
 
     The kurtosis moment is affine in ``lambda4`` on both sides of the floor,
     so two evaluations give the unconstrained optimum exactly; if it
     violates the floor, the floor value is returned with a saturation flag.
+    ``eig`` and ``integrals`` are as for :func:`fit_lambda3`.
     """
     _require_moving_filter(inputs.spec)
-    eig, integrals = _precomputed or _stage_integrals(inputs, lambda2)
     floor = kurtosis_bound(lambda2, lambda3, inputs.noise, inputs.spec)
     spot_cov = spot_cov_products(inputs.spec, lambda2, lambda3, inputs.noise)
 
@@ -284,11 +287,11 @@ def fit_lambda4(
     return StageResult(value=x, residual=fx, at_boundary=boundary), saturated, floor
 
 
-def _run_stage(name: str, fit: Callable, *args, **kwargs):
+def _run_stage(name: str, fit: Callable, *args):
     """Call one stage fit, turning a model or value failure into a
     ``CalibrationError`` that names the stage."""
     try:
-        return fit(*args, **kwargs)
+        return fit(*args)
     except CalibrationError:
         raise
     except (ModelError, ValueError) as exc:
@@ -310,7 +313,7 @@ def calibrate_sequential(
     stage2 = _run_stage("lambda2", fit_lambda2, inputs)
 
     pre = _stage_integrals(inputs, stage2.value)
-    stage3 = _run_stage("lambda3", fit_lambda3, inputs, stage2.value, _precomputed=pre)
+    stage3 = _run_stage("lambda3", fit_lambda3, inputs, stage2.value, *pre)
 
     if mode == "saturate_kurtosis":
         floor = _run_stage(
@@ -320,7 +323,7 @@ def calibrate_sequential(
         saturated = True
     else:
         stage4, saturated, floor = _run_stage(
-            "lambda4", fit_lambda4, inputs, stage2.value, stage3.value, _precomputed=pre
+            "lambda4", fit_lambda4, inputs, stage2.value, stage3.value, *pre
         )
 
     premia = RiskPremia(stage2.value, stage3.value, stage4.value)

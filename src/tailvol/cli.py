@@ -113,15 +113,7 @@ def _model(args: argparse.Namespace) -> tuple[GarchSpec, FilterState, RiskPremia
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     noise = NoiseModel(args.noise_family, args.noise_dof)
-    kinds = []
-    for tok in args.kinds.split(","):
-        tok = tok.strip().lower()
-        if tok in ("symmetric", "sym", "s"):
-            kinds.append(FilterKind.SYMMETRIC)
-        elif tok in ("asymmetric", "asym", "a"):
-            kinds.append(FilterKind.ASYMMETRIC)
-        else:
-            raise ValueError(f"unknown filter kind {tok!r}")
+    kinds = [FilterKind(tok.strip().lower()) for tok in args.kinds.split(",")]
     weights = _floats(args.init_weights)
     lengths = _floats(args.init_lengths)
     if not (len(kinds) == len(weights) == len(lengths)):

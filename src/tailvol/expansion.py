@@ -116,9 +116,7 @@ class ExpansionIntegrals:
     jmu: np.ndarray
 
 
-def expansion_integrals(
-    curve: ForwardVarianceCurve, maturity: float, _panel_scale: float = 1.0
-) -> ExpansionIntegrals:
+def expansion_integrals(curve: ForwardVarianceCurve, maturity: float) -> ExpansionIntegrals:
     """Evaluate the expansion integrals by panelized Gauss-Legendre quadrature.
 
     [0, T] is cut into equal panels no longer than the fastest eigenmode's
@@ -144,7 +142,7 @@ def expansion_integrals(
     if not (maturity > 0.0 and math.isfinite(maturity)):
         raise ValueError(f"maturity must be positive, got {maturity}")
     rates = curve.rates
-    max_rate = float(np.max(np.abs(rates))) * _panel_scale
+    max_rate = float(np.max(np.abs(rates)))
     panel = min(1.0 / max_rate, maturity / 8.0) if max_rate > 0 else maturity / 8.0
     n_panels = max(int(math.ceil(maturity / panel)), 1)
     edges = np.linspace(0.0, maturity, n_panels + 1)

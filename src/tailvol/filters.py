@@ -228,17 +228,11 @@ class NoiseModel:
         elif self.dof is not None:
             raise ValueError("dof only applies to student_t noise")
 
-    @property
-    def t_scale(self) -> float:
-        """Scale turning a standard Student-t draw into a unit-variance one."""
-        if self.family != "student_t":
-            raise ValueError("t_scale only defined for student_t noise")
-        return math.sqrt((self.dof - 2.0) / self.dof)
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.family == "gaussian":
             return _standard_normals(rng, size)
-        return rng.standard_t(self.dof, size=size) * self.t_scale
+        # scaled from a standard Student-t draw to unit variance
+        return rng.standard_t(self.dof, size=size) * math.sqrt((self.dof - 2.0) / self.dof)
 
     def log_density(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=float)

@@ -31,7 +31,6 @@ from .filters import FilterState, GarchSpec, NoiseModel
 
 __all__ = [
     "ModelError",
-    "PremiaBoundError",
     "RiskPremia",
     "NoiseMoments",
     "PremiaCheck",
@@ -56,14 +55,6 @@ _BOUND_TOL = 1e-9
 
 class ModelError(ValueError):
     """Raised when model inputs are outside the domain of validity."""
-
-
-class PremiaBoundError(ModelError):
-    """Raised when a premia triple violates a consistency condition."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = list(violations)
-        super().__init__("premia violate consistency conditions: " + ", ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -167,7 +158,8 @@ def _inv_scale(spec: GarchSpec) -> np.ndarray:
 def validate_premia(
     spec: GarchSpec, premia: RiskPremia, mom: NoiseMoments
 ) -> PremiaCheck:
-    """Check every consistency condition the premia must satisfy.
+    """Check the correlation-consistency conditions, all that "admissible" covers:
+    a growing generator eigenmode is allowed by design (``calibration._LAMBDA2_BRACKET``).
 
     Violation names: ``rho_plus_bound`` (spot/symmetric correlation),
     ``rho_minus_bound`` (spot/asymmetric), ``rho_cross_bound`` and
@@ -259,12 +251,12 @@ def pricing_params(
     kind's innovation in the (spot, symmetric, asymmetric) covariance, so
     same-kind filters have equal rows and mixed pairs meet at the cross
     correlation.  Nothing divides, so spot correlations of +-1 and premia on
-    the kurtosis floor are safe.  Raises :class:`PremiaBoundError` naming
-    the failed conditions when the premia are inconsistent.
+    the kurtosis floor are safe.  Raises :class:`ModelError` naming the
+    failed conditions when the premia are inconsistent.
     """
     check = validate_premia(spec, premia, mom)
     if not check.ok:
-        raise PremiaBoundError(list(check.violations))
+        raise ModelError(f"premia violate consistency conditions: {', '.join(check.violations)}")
     variance = np.diag(_innovation_cov(premia, mom))[1 + spec.is_asymmetric]
 
     def rest(r: float) -> float:

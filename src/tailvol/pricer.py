@@ -62,7 +62,9 @@ from .measure import (
     pricing_params,
     varswap_slope,
 )
-from .replication import OptionChain, OptionKind, Quote, _otm, bs_delta, bs_vega, implied_vol
+from .replication import (
+    OptionChain, OptionKind, Quote, _otm, _payoff, bs_delta, bs_vega, implied_vol
+)
 
 __all__ = [
     "McConfig",
@@ -317,8 +319,8 @@ def chain_from_ensemble(
     i = paths.horizon_index(expiry)
     s = paths.s_control[i] if use_control else paths.s[i]
     strikes = np.sort(np.asarray(strikes, dtype=float))
-    if (strikes <= 0.0).any():
-        raise ValueError("strikes must be positive")
+    if not ((strikes > 0.0) & (strikes < np.inf)).all():
+        raise ValueError("strikes must be positive and finite")
     forward = 1.0
     puts, calls = _strip_prices(s, strikes)
     quotes = []
@@ -375,8 +377,7 @@ def smile(
         ks, vols, errs = [], [], []
         for k_ in grid:
             kind = OptionKind.PUT if _otm(OptionKind.PUT, k_, 1.0) else OptionKind.CALL
-            payoff = np.maximum(k_ - s, 0.0) if kind is OptionKind.PUT else np.maximum(s - k_, 0.0)
-            price, se = _mean_se(payoff, paths.antithetic)
+            price, se = _mean_se(_payoff(kind, k_, s), paths.antithetic)
             try:
                 vol = implied_vol(price, 1.0, float(k_), float(t), kind)
             except ModelError as exc:

@@ -120,24 +120,26 @@ def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _payoff(kind: OptionKind, strike: float, s):
+    """Exercise value at spot ``s``: ``max(s - K, 0)`` for a call, else ``max(K - s, 0)``."""
+    return np.maximum(s - strike, 0.0) if kind is OptionKind.CALL else np.maximum(strike - s, 0.0)
+
+
 def _d1(forward: float, strike: float, expiry: float, vol: float) -> float:
-    return (math.log(forward / strike) + 0.5 * vol * vol * expiry) / (
-        vol * math.sqrt(expiry)
-    )
+    """Black's d1, and the one argument check of the Black functions."""
+    if not all(0.0 < v < math.inf for v in (forward, strike, expiry, vol)):
+        raise ValueError(
+            "forward, strike, expiry and vol must be positive and finite, got "
+            f"{forward}, {strike}, {expiry}, {vol}"
+        )
+    return (math.log(forward / strike) + 0.5 * vol * vol * expiry) / (vol * math.sqrt(expiry))
 
 
 def bs_price(
     forward: float, strike: float, expiry: float, vol: float, kind: OptionKind
 ) -> float:
-    """Undiscounted Black price on the forward.  ``vol = 0`` gives intrinsic."""
+    """Undiscounted Black price on the forward."""
     kind = OptionKind(kind)
-    if not (0.0 < forward < math.inf and 0.0 < strike < math.inf and 0.0 < expiry < math.inf):
-        raise ValueError("forward, strike and expiry must be positive and finite")
-    if not 0.0 <= vol < math.inf:
-        raise ValueError(f"volatility must be finite and >= 0, got {vol}")
-    if vol == 0.0:
-        intrinsic = forward - strike if kind is OptionKind.CALL else strike - forward
-        return max(intrinsic, 0.0)
     d1 = _d1(forward, strike, expiry, vol)
     d2 = d1 - vol * math.sqrt(expiry)
     if kind is OptionKind.CALL:
@@ -150,8 +152,6 @@ def bs_delta(
 ) -> float:
     """Forward delta: N(d1) for calls, N(d1) - 1 for puts."""
     kind = OptionKind(kind)
-    if not 0.0 < vol < math.inf:
-        raise ValueError(f"volatility must be finite and > 0, got {vol}")
     d1 = _d1(forward, strike, expiry, vol)
     return _ndtr(d1) if kind is OptionKind.CALL else _ndtr(d1) - 1.0
 
@@ -181,9 +181,7 @@ def implied_vol(
     100 iterations.
     """
     kind = OptionKind(kind)
-    intrinsic = max(
-        (forward - strike) if kind is OptionKind.CALL else (strike - forward), 0.0
-    )
+    intrinsic = float(_payoff(kind, strike, forward))
     upper = forward if kind is OptionKind.CALL else strike
     scale = max(forward, 1e-300)
     if not math.isfinite(price):

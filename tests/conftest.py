@@ -1,4 +1,7 @@
 import datetime as dt
+import importlib
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -39,3 +42,13 @@ def flat_state(three_scale_spec):
 @pytest.fixture
 def mild_premia():
     return RiskPremia(0.3, 0.5, 1.0)
+
+
+@pytest.fixture
+def bench_workloads(monkeypatch):
+    """The benchmark's workload module, loaded without writing bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
+    yield importlib.import_module("bench_workloads")
+    for name in ("bench_checks", "bench_trace", "bench_workloads"):
+        sys.modules.pop(name, None)

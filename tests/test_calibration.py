@@ -1,9 +1,6 @@
 import dataclasses
 import datetime as dt
-import importlib
 import math
-import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -254,7 +251,9 @@ def test_fit_lambda4_saturates_when_market_kurtosis_is_too_low(
         for t, trip in at_floor
     )
     inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
-    stage, saturated, got_floor = fit_lambda4(inputs, lam2, lam3)
+    stage, saturated, got_floor = fit_lambda4(
+        inputs, lam2, lam3, *calibration._stage_integrals(inputs, lam2)
+    )
     assert saturated
     assert stage.value == pytest.approx(floor, rel=1e-12)
     assert got_floor == pytest.approx(floor, rel=1e-12)
@@ -375,23 +374,13 @@ def test_exact_stages_match_the_oracle_on_the_round_trip_markets(
         assert new2.value == pytest.approx(old2.value, abs=10 * calibration._XATOL), label
         assert new2.at_boundary == old2.at_boundary
         pre = calibration._stage_integrals(inputs, lam2)
-        new3 = calibration.fit_lambda3(inputs, lam2, _precomputed=pre)
+        new3 = calibration.fit_lambda3(inputs, lam2, *pre)
         old3 = _oracle_fit_lambda3(inputs, lam2, pre)
         assert new3.value == pytest.approx(old3.value, abs=1e-7), label
-        new4, new_sat, _ = fit_lambda4(inputs, lam2, new3.value, _precomputed=pre)
+        new4, new_sat, _ = fit_lambda4(inputs, lam2, new3.value, *pre)
         old4, old_sat, _ = _oracle_fit_lambda4(inputs, lam2, new3.value, pre)
         assert new4.value == pytest.approx(old4.value, abs=1e-7), label
         assert new_sat == old_sat == (label == "saturating")
-
-
-@pytest.fixture
-def bench_workloads(monkeypatch):
-    """The benchmark's workload module, loaded without writing bytecode."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "perfbench"))
-    yield importlib.import_module("bench_workloads")
-    for name in ("bench_checks", "bench_workloads"):
-        sys.modules.pop(name, None)
 
 
 def test_lambda2_matches_the_oracle_on_the_benchmark_inputs(monkeypatch, bench_workloads,
@@ -425,10 +414,10 @@ def test_exact_stages_never_fit_worse_than_the_oracle(three_scale_spec, flat_sta
             for t, trip in inputs.market
         )
         jittered = dataclasses.replace(inputs, market=market)
-        new3 = calibration.fit_lambda3(jittered, lam2, _precomputed=pre)
+        new3 = calibration.fit_lambda3(jittered, lam2, *pre)
         old3 = _oracle_fit_lambda3(jittered, lam2, pre)
         assert new3.residual <= old3.residual + 1e-12
-        new4, _, _ = fit_lambda4(jittered, lam2, new3.value, _precomputed=pre)
+        new4, _, _ = fit_lambda4(jittered, lam2, new3.value, *pre)
         old4, _, _ = _oracle_fit_lambda4(jittered, lam2, new3.value, pre)
         assert new4.residual <= old4.residual + 1e-12
 
@@ -451,8 +440,8 @@ def test_stage_polynomials_are_the_model_moments(
     inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
     lam2, lam3 = mild_premia.lambda2, mild_premia.lambda3
     eig, integrals = pre = calibration._stage_integrals(inputs, lam2)
-    calibration.fit_lambda3(inputs, lam2, _precomputed=pre)
-    fit_lambda4(inputs, lam2, lam3, _precomputed=pre)
+    calibration.fit_lambda3(inputs, lam2, *pre)
+    fit_lambda4(inputs, lam2, lam3, *pre)
     skew_polys, kurt_polys = fitted
     floor = kurtosis_bound(lam2, lam3, gaussian_moments, three_scale_spec)
 

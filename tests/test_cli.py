@@ -358,7 +358,7 @@ def test_malformed_strike_grid_exits_2(configs, capsys, strikes, message):
 @pytest.mark.parametrize(
     "flags, message",
     [(["--kinds", "symmetric,skewed", "--init-weights", "0.2,0.1", "--init-lengths", "20,5"],
-      "unknown filter kind 'skewed'"),
+      "'skewed' is not a valid FilterKind"),
      (["--kinds", "symmetric,asymmetric", "--init-weights", "0.2", "--init-lengths", "20,5"],
       "must have equal length, got 2/1/2")],
 )

@@ -183,6 +183,26 @@ def test_option_chains_need_a_usable_quote(tmp_path):
         load_option_chains(_write(tmp_path / "c.csv", "expiry_years,strike,kind,mid,forward,rate\n"))
 
 
+def test_option_chains_skip_one_malformed_row_among_a_hundred(tmp_path):
+    rows = ["expiry_years,strike,kind,mid,forward,rate"]
+    rows += [f"0.5,{80.0 + 0.5 * k!r},put,1.0,100.0,0.01" for k in range(100)]
+    rows[40] = "0.5,not-a-strike,put,1.0,100.0,0.01"
+    with pytest.warns(UserWarning, match="skipped 1 malformed rows — line 41"):
+        chains = load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+    assert len(chains) == 1 and len(chains[0].quotes) == 99
+
+
+def test_option_chain_rejects_two_quotes_of_one_kind_at_a_strike(tmp_path):
+    text = (
+        "expiry_years,strike,kind,mid,forward,rate\n"
+        "0.25,95.0,put,1.0,100.0,0.01\n"
+        "0.5,90.0,put,2.0,100.0,0.01\n"
+        "0.5,90.0,put,2.1,100.0,0.01\n"
+    )
+    with pytest.raises(DataError, match="expiry 0.5: put strikes must be strictly increasing"):
+        load_option_chains(_write(tmp_path / "c.csv", text))
+
+
 def test_option_chain_missing_columns(tmp_path):
     with pytest.raises(DataError, match="missing columns"):
         load_option_chains(

@@ -104,11 +104,11 @@ def test_expansion_integrals_symmetry_and_total_variance(two_mode_curve):
 
 
 def test_expansion_integrals_panel_refinement_stable(two_mode_curve):
-    a = expansion_integrals(two_mode_curve, 0.5, _panel_scale=1.0)
-    b = expansion_integrals(two_mode_curve, 0.5, _panel_scale=2.0)
-    np.testing.assert_allclose(a.jxf, b.jxf, rtol=1e-11)
-    np.testing.assert_allclose(a.jff, b.jff, rtol=1e-11)
-    np.testing.assert_allclose(a.jmu, b.jmu, rtol=1e-9)
+    a = expansion_integrals(two_mode_curve, 0.5)
+    jxf, jff, jmu = _oracle_integrals(two_mode_curve, 0.5, 2.0)
+    np.testing.assert_allclose(a.jxf, jxf, rtol=1e-11)
+    np.testing.assert_allclose(a.jff, jff, rtol=1e-11)
+    np.testing.assert_allclose(a.jmu, jmu, rtol=1e-9)
 
 
 def test_integrals_reject_nonpositive_curve():
@@ -139,10 +139,11 @@ def _panel_nodes(a: float, b: float, max_rate: float) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
-def _oracle_integrals(curve, maturity, _panel_scale=1.0):
-    """(jxf, jff, jmu) by the nested double loop."""
+def _oracle_integrals(curve, maturity, panel_scale=1.0):
+    """(jxf, jff, jmu) by the nested double loop, on panels ``panel_scale``
+    times denser than the ones ``expansion_integrals`` cuts."""
     rates = curve.rates
-    max_rate = float(np.max(np.abs(rates))) * _panel_scale
+    max_rate = float(np.max(np.abs(rates))) * panel_scale
     t, wt = _panel_nodes(0.0, maturity, max_rate)
     f = curve(t)
     if (f <= 0.0).any():
@@ -184,7 +185,7 @@ def test_expansion_integrals_match_nested_oracle(maturity, panel_scale):
     # the README model: its generator has a growing mode (rate -0.916/y)
     curve = _paper_style_setup(lam2=0.1, lam3=0.4, lam4=1.0)[-1]
     assert (curve.rates < 0.0).any()
-    ints = expansion_integrals(curve, maturity, _panel_scale=panel_scale)
+    ints = expansion_integrals(curve, maturity)
     for got, want in zip((ints.jxf, ints.jff, ints.jmu), _oracle_integrals(curve, maturity, panel_scale)):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -192,7 +193,7 @@ def test_expansion_integrals_match_nested_oracle(maturity, panel_scale):
 @pytest.mark.parametrize("panel_scale", [1.0, 2.0])
 def test_expansion_integrals_match_nested_oracle_zero_rate(panel_scale):
     curve = ForwardVarianceCurve(weights=np.array([0.03, 0.01, -0.005]), rates=np.array([0.0, 3.0, 12.0]))
-    ints = expansion_integrals(curve, 1.0, _panel_scale=panel_scale)
+    ints = expansion_integrals(curve, 1.0)
     for got, want in zip((ints.jxf, ints.jff, ints.jmu), _oracle_integrals(curve, 1.0, panel_scale)):
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 

@@ -279,7 +279,7 @@ def test_student_t_log_density_matches_scipy(dof):
 
     noise = NoiseModel("student_t", dof=dof)
     z = np.linspace(-40.0, 40.0, 801)
-    want = student_t.logpdf(z, dof, scale=noise.t_scale)
+    want = student_t.logpdf(z, dof, scale=math.sqrt((dof - 2.0) / dof))
     np.testing.assert_allclose(noise.log_density(z), want, rtol=1e-12)
 
 

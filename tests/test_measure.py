@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from tailvol.calibration import (
     CalibrationError,
     CalibrationInput,
+    _stage_integrals,
     calibrate_sequential,
     fit_lambda3,
     fit_lambda4,
@@ -21,7 +22,6 @@ from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, Nois
 from tailvol.measure import (
     _drift_targets,
     ModelError,
-    PremiaBoundError,
     RiskPremia,
     decay_integral,
     filter_cov_matrix,
@@ -84,7 +84,7 @@ def test_student_t_moments_match_quadrature():
 
     for dof in (4.5, 5.0, 8.0, 30.0):
         noise = NoiseModel("student_t", dof=dof)
-        dist = student_t(dof, scale=noise.t_scale)
+        dist = student_t(dof, scale=math.sqrt((dof - 2.0) / dof))
         m4 = 2.0 * quad(lambda x: x**4 * dist.pdf(x), 0.0, np.inf, epsrel=1e-11)[0]
         m3m = quad(lambda x: x**3 * dist.pdf(x), -np.inf, 0.0, epsrel=1e-11)[0]
         mom = noise_moments(noise)
@@ -158,9 +158,18 @@ def test_filter_cov_matrix_matches_loadings(three_scale_spec, gaussian_moments):
     np.testing.assert_allclose(gram, cov, rtol=1e-10, atol=1e-12)
 
 
+def test_validate_premia_flags_a_cross_correlation_beyond_one(three_scale_spec, gaussian_moments):
+    premia = RiskPremia(0.0, gaussian_moments.m3_minus, -1.22)
+    check = validate_premia(three_scale_spec, premia, gaussian_moments)
+    assert check.violations == ("rho_cross_bound", "rho_cross_resid_bound")
+    assert check.rho_cross < -1.0
+    with pytest.raises(ModelError, match="rho_cross_bound, rho_cross_resid_bound"):
+        pricing_params(three_scale_spec, premia, gaussian_moments)
+
+
 def test_pricing_params_rejects_premia_below_floor(three_scale_spec, gaussian_moments):
     floor = kurtosis_bound(0.3, 0.5, gaussian_moments, three_scale_spec)
-    with pytest.raises(PremiaBoundError):
+    with pytest.raises(ModelError, match="premia violate consistency conditions"):
         pricing_params(three_scale_spec, RiskPremia(0.3, 0.5, floor - 0.01), gaussian_moments)
     premia = RiskPremia(0.3, 0.5, floor + 1e-6)
     pricing_params(three_scale_spec, premia, gaussian_moments)
@@ -609,8 +618,8 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     inputs = CalibrationInput(state, constant, gaussian_moments, market)
     for run in (
         lambda: calibrate_sequential(inputs),
-        lambda: fit_lambda3(inputs, 0.1),
-        lambda: fit_lambda4(inputs, 0.1, 0.4),
+        lambda: fit_lambda3(inputs, 0.1, *_stage_integrals(inputs, 0.1)),
+        lambda: fit_lambda4(inputs, 0.1, 0.4, *_stage_integrals(inputs, 0.1)),
     ):
         with pytest.raises(CalibrationError, match="no moving filter"):
             run()

@@ -144,6 +144,52 @@ def test_functions_read_every_parameter():
     assert {name: params for name, params in unread.items() if params} == {}
 
 
+def _underscore_parameters(source: str) -> list[str]:
+    """Parameters named with a leading ``_`` of the module's public functions
+    and of the public methods of its public classes, as
+    ``function.parameter (line n)``."""
+    out = []
+
+    def visit(body: list[ast.stmt], prefix: str) -> None:
+        for node in body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+                out.extend(
+                    f"{prefix}{node.name}.{arg.arg} (line {arg.lineno})"
+                    for arg in params if arg.arg.startswith("_")
+                )
+
+    visit(ast.parse(source).body, "")
+    return out
+
+
+def test_underscore_parameter_check_flags_public_functions_and_methods():
+    source = (
+        "def f(a, _b=1, *, _c=None):\n    pass\n"
+        "def _g(_d):\n    pass\n"
+        "class K:\n    def m(self, _e, **_kw):\n        def inner(_f):\n            pass\n"
+        "    def _n(self, _h):\n        pass\n"
+        "class _P:\n    def m(self, _i):\n        pass\n"
+    )
+    assert _underscore_parameters(source) == [
+        "f._b (line 1)", "f._c (line 1)", "K.m._e (line 6)", "K.m._kw (line 6)"
+    ]
+
+
+def test_public_functions_take_no_underscore_parameters():
+    # a leading underscore marks a parameter that only tests pass: what a
+    # public function takes, a program may pass
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {path.name: _underscore_parameters(path.read_text()) for path in sorted(src.glob("*.py"))}
+    assert {name: params for name, params in found.items() if params} == {}
+
+
 def _imports_of(source: str, banned: tuple[str, ...]) -> list[str]:
     """Imports of the ``banned`` modules (or anything inside them), as
     ``module (line n)``."""

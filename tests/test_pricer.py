@@ -61,6 +61,19 @@ def test_simulate_pricing_rejects_horizons_not_positive_and_finite(
                horizons=horizons, n=2_000)
 
 
+@pytest.mark.parametrize("horizons, message", [
+    ((0.5, 0.25), "horizons must be strictly increasing"),
+    ((0.25, 0.25), "horizons must be strictly increasing"),
+    ((0.001,), "every horizon must cover at least one time step"),  # under half a day
+])
+def test_simulate_pricing_rejects_horizons_out_of_order_or_under_half_a_step(
+    three_scale_spec, flat_state, mild_premia, gaussian_moments, horizons, message
+):
+    with pytest.raises(ValueError, match=message):
+        _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments,
+               horizons=horizons, n=2_000)
+
+
 def test_horizon_index(three_scale_spec, flat_state, mild_premia, gaussian_moments):
     paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments,
                    horizons=(0.1, 0.5), n=2_000)
@@ -182,6 +195,16 @@ def test_chain_from_control_paths(three_scale_spec, flat_state, mild_premia, gau
     assert ctrl.quotes[0].mid != sv.quotes[0].mid
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_chain_rejects_nonfinite_strikes(three_scale_spec, flat_state, mild_premia,
+                                         gaussian_moments, bad):
+    # a nan strike is out of the money on neither side, so it used to be
+    # dropped without a word
+    paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=2_000)
+    with pytest.raises(ValueError, match="strikes must be positive and finite"):
+        chain_from_ensemble(paths, 0.5, [0.9, bad, 1.1])
+
+
 def test_smile_skews_down_with_large_skew_premium(three_scale_spec, flat_state, gaussian_moments):
     # lambda4 must clear the kurtosis floor for this (lambda2, lambda3) pair
     premia = RiskPremia(0.2, 0.8, 2.0)
@@ -203,6 +226,20 @@ def test_smile_drops_unpriceable_strikes(three_scale_spec, flat_state, mild_prem
     )
     assert len(surf.dropped) == 2
     assert list(surf.strikes[0]) == [1.0]
+
+
+def test_smile_drops_strikes_outside_the_delta_range(three_scale_spec, gaussian_moments):
+    # at levels of 0.01 and T = 0.1 the wings price, but with absolute Black
+    # deltas below 0.001
+    state = FilterState.from_levels(np.full(3, 0.01), three_scale_spec, dt.date(2024, 1, 2))
+    grid = np.linspace(0.7, 1.3, 25)
+    surf = smile(three_scale_spec, RiskPremia(0.1, 0.4, 1.0), state, gaussian_moments,
+                 (0.1,), grid, McConfig(n_paths=20_000, seed=3))
+    by_delta = [k for _, k, why in surf.dropped if why == "outside delta range"]
+    np.testing.assert_allclose(by_delta, [0.75, 0.775, 0.8, 0.825, 1.1], rtol=1e-12)
+    # each strike is kept or dropped once
+    kept_or_dropped = sorted([*surf.strikes[0], *(k for _, k, _ in surf.dropped)])
+    np.testing.assert_array_equal(kept_or_dropped, grid)
 
 
 def test_drift_check_runs_and_reports(gaussian_moments):

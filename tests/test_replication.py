@@ -26,7 +26,8 @@ from tailvol.replication import (
 )
 
 
-def bs_chain(sigma, expiry, n_strikes, width_sd, forward=1.0, rate=0.0, with_vols=False):
+def bs_chain(sigma, expiry, n_strikes, width_sd, forward=1.0, rate=0.0, with_vols=False,
+             both_sides=False):
     sd = sigma * math.sqrt(expiry)
     ks = forward * np.exp(np.linspace(-width_sd * sd, width_sd * sd, n_strikes))
     disc = math.exp(-rate * expiry)
@@ -34,7 +35,7 @@ def bs_chain(sigma, expiry, n_strikes, width_sd, forward=1.0, rate=0.0, with_vol
     quotes = []
     for k in ks:
         k = float(k)
-        if k <= forward:
+        if k <= forward or both_sides:
             quotes.append(
                 Quote(
                     k,
@@ -43,7 +44,7 @@ def bs_chain(sigma, expiry, n_strikes, width_sd, forward=1.0, rate=0.0, with_vol
                     implied_vol=iv,
                 )
             )
-        if k >= forward:
+        if k >= forward or both_sides:
             quotes.append(
                 Quote(
                     k,
@@ -90,10 +91,10 @@ def test_normal_cdf_matches_scipy_ndtr():
     np.testing.assert_allclose(got[normal], want[normal], rtol=5e-13, atol=0.0)
 
 
-def test_bs_price_intrinsic_at_zero_vol():
-    assert bs_price(1.0, 0.8, 1.0, 0.0, OptionKind.CALL) == pytest.approx(0.2)
-    assert bs_price(1.0, 1.2, 1.0, 0.0, OptionKind.CALL) == 0.0
-    assert bs_price(1.0, 1.2, 1.0, 0.0, OptionKind.PUT) == pytest.approx(0.2)
+def test_bs_price_rejects_zero_vol():
+    for kind in OptionKind:
+        with pytest.raises(ValueError, match="positive and finite"):
+            bs_price(1.0, 0.8, 1.0, 0.0, kind)
 
 
 def test_bs_put_call_parity():
@@ -165,12 +166,14 @@ def test_implied_vol_short_expiry_wings(strike, kind):
 
 def test_implied_vol_raises_when_iterations_run_out(monkeypatch):
     # a price that jumps at vol = 0.2000005 never meets a target between its
-    # steps, and a zero tolerance never accepts the bracket around the jump
+    # steps, and a zero tolerance never accepts the bracket around the jump;
+    # the rounding stops at the bracket's lower end, as bs_price takes no zero vol
     import tailvol.replication as replication
 
     exact = replication.bs_price
     monkeypatch.setattr(
-        replication, "bs_price", lambda f, k, t, vol, kind: exact(f, k, t, round(vol, 6), kind)
+        replication, "bs_price",
+        lambda f, k, t, vol, kind: exact(f, k, t, max(round(vol, 6), 1e-9), kind),
     )
     price = exact(1.0, 1.1, 0.5, 0.2000005, OptionKind.CALL)
     with pytest.raises(ModelError, match="did not converge"):
@@ -271,6 +274,18 @@ def test_implied_vol_rejects_a_time_value_lost_in_rounding():
     assert implied_vol(call, 1.0, strike, expiry, OptionKind.CALL) == pytest.approx(3.0, rel=1e-11)
 
 
+@pytest.mark.parametrize("price", [math.nan, math.inf])
+def test_implied_vol_rejects_a_nonfinite_price(price):
+    with pytest.raises(ModelError, match="price must be finite"):
+        implied_vol(price, 1.0, 1.0, 0.5, OptionKind.CALL)
+
+
+def test_implied_vol_rejects_a_price_beyond_the_bracket():
+    # below the no-arbitrage bound of 1, but worth a vol above 10 at T = 0.01
+    with pytest.raises(ModelError, match="outside the attainable Black range"):
+        implied_vol(0.9999, 1.0, 1.0, 0.01, "call")
+
+
 def test_implied_vol_rejects_arbitrage_price():
     with pytest.raises(ModelError):
         implied_vol(1.5, 1.0, 1.0, 0.5, OptionKind.CALL)  # above forward
@@ -280,7 +295,8 @@ def test_implied_vol_rejects_arbitrage_price():
 
 
 def test_select_otm_keeps_wings_and_drops_itm():
-    ch = bs_chain(0.2, 0.25, 41, 4.0, with_vols=True)
+    ch = bs_chain(0.2, 0.25, 41, 4.0, with_vols=True, both_sides=True)
+    assert len(ch.quotes) == 82  # a put and a call at every strike
     out = select_otm(ch, 0.05, 0.5)
     assert len(out.quotes) > 0
     for q in out.quotes:
@@ -290,6 +306,37 @@ def test_select_otm_keeps_wings_and_drops_itm():
             assert q.strike >= ch.forward
         adelta = abs(bs_delta(ch.forward, q.strike, ch.expiry_years, 0.2, q.kind))
         assert 0.05 - 1e-9 <= adelta <= 0.5 + 1e-9
+
+
+def test_select_otm_reads_a_quoted_delta_before_the_vol():
+    # at vol 0.2 the 0.8 put's delta is -0.011 and the 0.9 put's -0.135:
+    # their quoted deltas put the first inside the band and the second out
+    quotes = (
+        Quote(0.8, OptionKind.PUT, 0.01, implied_vol=0.2, delta=-0.3),
+        Quote(0.9, OptionKind.PUT, 0.02, implied_vol=0.2, delta=-0.01),
+        Quote(1.1, OptionKind.CALL, 0.02, delta=0.25),
+    )
+    out = select_otm(OptionChain(0.25, 1.0, 0.0, quotes), 0.05, 0.5)
+    assert [q.strike for q in out.quotes] == [0.8, 1.1]
+
+
+def test_select_otm_reports_every_quote_missing_delta_and_vol_at_once():
+    quotes = (
+        Quote(0.8, OptionKind.PUT, 0.01),
+        Quote(0.9, OptionKind.PUT, 0.02, delta=-0.2),
+        Quote(1.1, OptionKind.CALL, 0.02),
+    )
+    with pytest.raises(DataError, match=(
+        "^put 0.8: neither delta nor implied vol quoted; "
+        "call 1.1: neither delta nor implied vol quoted$"
+    )):
+        select_otm(OptionChain(0.25, 1.0, 0.0, quotes), 0.05, 0.5)
+
+
+@pytest.mark.parametrize("lo, hi", [(-0.1, 0.5), (0.5, 0.5), (0.6, 0.5), (0.1, 1.1)])
+def test_select_otm_rejects_a_band_outside_the_unit_interval(lo, hi):
+    with pytest.raises(ValueError, match="need 0 <= delta_lo < delta_hi <= 1"):
+        select_otm(bs_chain(0.2, 0.25, 11, 2.0, with_vols=True), lo, hi)
 
 
 def test_select_otm_full_range_keeps_all_otm():
@@ -397,6 +444,22 @@ def test_black_layer_rejects_nonfinite_inputs(bad):
         bs_delta(1.0, 1.1, 0.5, bad, OptionKind.CALL)
     with pytest.raises(ValueError):
         market_moment_triple(-0.01, 0.02, -0.001, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.2])
+@pytest.mark.parametrize("position", range(4))
+def test_black_functions_share_one_argument_check(position, bad):
+    # forward, strike, expiry and vol: bs_delta and bs_vega used to return
+    # nan on non-finite inputs, and bs_vega a number at a negative vol
+    args = [1.0, 1.0, 0.5, 0.2]
+    args[position] = bad
+    for call in (
+        lambda: bs_price(*args, OptionKind.CALL),
+        lambda: bs_delta(*args, OptionKind.PUT),
+        lambda: bs_vega(*args),
+    ):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            call()
 
 
 def test_market_moment_triple_rejects_positive_m1():
