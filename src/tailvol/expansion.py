@@ -66,8 +66,8 @@ class ForwardVarianceCurve:
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
         k = np.asarray(self.rates, dtype=float)
-        if w.shape != k.shape or w.ndim != 1 or w.size == 0:
-            raise ValueError("weights and rates must be equal-length 1-d arrays")
+        if w.shape != k.shape or w.ndim != 1 or w.size == 0 or not np.isfinite([w, k]).all():
+            raise ValueError("weights and rates must be finite, equal-length 1-d arrays")
         w.flags.writeable = False
         k.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -77,8 +77,7 @@ class ForwardVarianceCurve:
     def from_state(
         cls, state: FilterState, eig: EigenSystem, premia: RiskPremia
     ) -> "ForwardVarianceCurve":
-        w = (1.0 + premia.lambda2) * eig.weights_tilde * (eig.u_inv @ state.x)
-        return cls(weights=w, rates=eig.rates.copy())
+        return cls(weights=(1.0 + premia.lambda2) * (eig.modes @ state.x), rates=eig.rates.copy())
 
     def __call__(self, t) -> np.ndarray | float:
         t = np.asarray(t, dtype=float)
@@ -151,7 +150,7 @@ def expansion_integrals(curve: ForwardVarianceCurve, maturity: float) -> Expansi
     t = (mid[:, None] + half[:, None] * _GL_Z[None, :]).ravel()
     wt = (half[:, None] * _GL_W[None, :]).ravel()
     f = curve(t)
-    if (f <= 0.0).any():
+    if not (f > 0.0).all():
         raise ModelError(
             "forward-variance curve is not positive on [0, T]; "
             "the expansion integrals are undefined"
@@ -176,7 +175,7 @@ def expansion_integrals(curve: ForwardVarianceCurve, maturity: float) -> Expansi
         h_in = 0.5 * (right - tp)[:, None]
         u = 0.5 * (right + tp)[:, None] + h_in * _GL_Z[None, :]
         fu = curve(u)
-        if (fu <= 0.0).any():
+        if not (fu > 0.0).all():
             raise ModelError("forward-variance curve is not positive on [0, T]")
         decay_i = np.exp(-(u - tp[:, None])[..., None] * rates)
         phi_j = decay_integral(rates, (maturity - u)[..., None])
@@ -221,13 +220,13 @@ def coefficients_from_covariances(
     """Contract spot/filter products ``xi_i rho_i`` and filter-factor
     covariances ``xi_k xi_l rho_kl`` with precomputed integrals.
 
-    Both are moved to the eigenbasis in the rate-normalized convention of
-    :class:`ExpansionIntegrals`, as ``a = wt * (U^-1 spot_cov)`` and
-    ``b = wt wt^T * (U^-1 cov U^-T)``; the coefficients are quadratic in
-    ``a`` and linear in ``b``.
+    Both are moved to the eigenmodes in the rate-normalized convention of
+    :class:`ExpansionIntegrals`, as ``a = modes @ spot_cov`` and
+    ``b = modes @ cov @ modes.T``; the coefficients are quadratic in ``a``
+    and linear in ``b``.
     """
-    a = eig.weights_tilde * (eig.u_inv @ spot_cov)
-    b = np.outer(eig.weights_tilde, eig.weights_tilde) * (eig.u_inv @ cov @ eig.u_inv.T)
+    a = eig.modes @ spot_cov
+    b = eig.modes @ cov @ eig.modes.T
     return ExpansionCoefficients(
         cxf=float(a @ integrals.jxf),
         cff=float(np.sum(b * integrals.jff)),

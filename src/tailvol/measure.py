@@ -304,22 +304,24 @@ def filter_cov_matrix(
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Eigendecomposition of the variance generator Omega = U diag(rates) U^-1;
-    ``u_inv @ x`` are the eigenbasis coordinates of filter levels ``x``."""
+    """The generator Omega's ascending ``rates`` and its ``modes``: row i is
+    the weights times Omega's i-th spectral projector, so ``modes.sum(0) ==
+    weights`` and ``modes @ Omega == rates[:, None] * modes``; ``modes @ x``
+    splits ``weights @ x`` into terms that decay as ``exp(-rates t)``."""
 
     rates: np.ndarray
-    u: np.ndarray
-    u_inv: np.ndarray
-    weights_tilde: np.ndarray
+    modes: np.ndarray
 
 
 def omega_eigen(spec: GarchSpec, premia: RiskPremia) -> EigenSystem:
     """Generator eigensystem for a spec under given premia (only ``lambda2``
-    enters, through the drift targets).
+    enters, through the drift targets), rates sorted ascending.
 
-    Eigenvalues are sorted ascending so downstream output is deterministic;
-    a complex spectrum, or eigenvectors that fail to reconstruct the
-    generator, raise :class:`ModelError`.
+    The secular equation gives the mode of a rate ``r`` that meets no
+    ``theta_j`` as ``w (Theta - r)^-1 / sum_j c_j / (theta_j - r)^2`` with
+    ``c_j = w_j theta_j delta_j``; eigenvectors also cover zero weights and
+    repeated lengths.  A complex spectrum, or eigenvectors that fail to
+    reconstruct the generator, raise :class:`ModelError`.
     """
     theta = 1.0 / (spec.lengths * spec.dt_years)
     delta = _drift_targets(spec, premia.lambda2)
@@ -332,17 +334,15 @@ def omega_eigen(spec: GarchSpec, premia: RiskPremia) -> EigenSystem:
             "the exponential pricing formulas do not apply"
         )
     # a repeated real rate may come back as a ± εi: the real and imaginary
-    # parts of its conjugate vectors are then two real eigenvectors of a
+    # parts of its conjugate vectors are then two real eigenvectors for it
     u = np.where(ev.imag < 0.0, u.imag, u.real)
-    ev = ev.real
-    order = np.argsort(ev)
-    ev = ev[order]
-    u = u[:, order]
+    order = np.argsort(ev.real)
+    ev, u = ev.real[order], u[:, order]
     u_inv = np.linalg.inv(u)
     resid = np.max(np.abs(u @ np.diag(ev) @ u_inv - omega))
     if resid > 1e-8 * max(np.max(np.abs(omega)), 1.0):
         raise ModelError("eigendecomposition failed to reconstruct the generator")
-    return EigenSystem(rates=ev, u=u, u_inv=u_inv, weights_tilde=u.T @ spec.weights)
+    return EigenSystem(rates=ev, modes=(u.T @ spec.weights)[:, None] * u_inv)
 
 
 def decay_integral(rate, tau):
@@ -370,7 +370,7 @@ def varswap_slope(eig: EigenSystem, premia: RiskPremia, maturity) -> np.ndarray:
     if not ((maturity > 0.0) & (maturity < np.inf)).all():
         raise ValueError("maturity must be finite and > 0")
     decay = decay_integral(eig.rates[None, :], np.atleast_1d(maturity)[:, None])
-    g = (decay * ((1.0 + premia.lambda2) * eig.weights_tilde)) @ eig.u_inv
+    g = (1.0 + premia.lambda2) * decay @ eig.modes
     return g[0] if maturity.ndim == 0 else g
 
 

@@ -65,6 +65,10 @@ class Quote:
             raise ValueError(f"strike must be positive, got {self.strike}")
         if not (math.isfinite(self.mid) and self.mid >= 0.0):
             raise ValueError(f"mid must be finite and >= 0, got {self.mid}")
+        if self.implied_vol is not None and not 0.0 < self.implied_vol < math.inf:
+            raise ValueError(f"implied_vol must be positive and finite, got {self.implied_vol}")
+        if self.delta is not None and not -1.0 <= self.delta <= 1.0:
+            raise ValueError(f"delta must be in [-1, 1], got {self.delta}")
 
 
 @dataclass(frozen=True, eq=False)

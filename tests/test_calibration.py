@@ -301,7 +301,7 @@ def _oracle_fit_lambda3(inputs, lambda2, pre):
 
     def objective(lam3):
         xi_rho = spot_cov_products(inputs.spec, lambda2, lam3, inputs.noise)
-        spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
+        spot_loads = eig.modes @ xi_rho
         err = 0.0
         for (t, _), ints, target in zip(inputs.market, integrals, mkt_skew):
             cxf = float(spot_loads @ ints.jxf)
@@ -320,14 +320,13 @@ def _oracle_fit_lambda4(inputs, lambda2, lambda3, pre):
     eig, integrals = pre
     floor = kurtosis_bound(lambda2, lambda3, inputs.noise, inputs.spec)
     xi_rho = spot_cov_products(inputs.spec, lambda2, lambda3, inputs.noise)
-    spot_loads = eig.weights_tilde * (eig.u_inv @ xi_rho)
+    spot_loads = eig.modes @ xi_rho
     mkt_kurt = np.array([trip.kurt_m for _, trip in inputs.market])
     cmu = [float(spot_loads @ ints.jmu @ spot_loads) for ints in integrals]
 
     def objective(lam4):
         cov = filter_cov_matrix(inputs.spec, lam4, inputs.noise)
-        m = eig.u_inv @ cov @ eig.u_inv.T
-        cov_loads = np.outer(eig.weights_tilde, eig.weights_tilde) * m
+        cov_loads = eig.modes @ cov @ eig.modes.T
         err = 0.0
         for (t, _), ints, cm, target in zip(inputs.market, integrals, cmu, mkt_kurt):
             cff = float(np.sum(cov_loads * ints.jff))

@@ -330,6 +330,22 @@ def test_calibrate_reads_the_delta_range_before_the_chains(configs, tmp_path, ca
     assert not out.exists()
 
 
+def test_calibrate_reports_nan_vols_in_the_chains_as_a_data_error(configs, tmp_path, capsys):
+    # a nan implied_vol cell is bad data (exit 3), not a configuration
+    # error (exit 2) raised later by the Black delta of the band filter
+    chains = pathlib.Path(_chains_csv(tmp_path))
+    lines = chains.read_text().splitlines()
+    lines[5:8] = [line.rsplit(",", 1)[0] + ",nan" for line in lines[5:8]]
+    chains.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "fit.json"
+    rc = main(["calibrate", "--spec", configs["spec"], "--state", configs["state"],
+               "--chains", str(chains), "--delta-range", "0.01,0.99", "--out", str(out)])
+    assert rc == 3
+    assert "3/160 rows malformed — line 6: implied_vol must be positive and finite" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def _smile_argv(configs, strikes):
     return ["smile", "--spec", configs["spec"], "--state", configs["state"], "--premia",
             configs["premia"], "--expiries", "0.25", "--strikes", strikes, "--paths", "2000"]

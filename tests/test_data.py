@@ -192,6 +192,20 @@ def test_option_chains_skip_one_malformed_row_among_a_hundred(tmp_path):
     assert len(chains) == 1 and len(chains[0].quotes) == 99
 
 
+@pytest.mark.parametrize("vol, delta", [("nan", ""), ("inf", ""), ("-0.2", ""), ("0", ""),
+                                        ("", "nan"), ("", "1.5"), ("", "-inf")])
+def test_option_chains_count_a_bad_vol_or_delta_cell_as_malformed(tmp_path, vol, delta):
+    rows = ["expiry_years,strike,kind,mid,forward,rate,implied_vol,delta"]
+    rows += [f"0.5,{80.0 + 0.5 * k!r},put,1.0,100.0,0.01,0.2,-0.3" for k in range(100)]
+    rows[40] = f"0.5,99.5,put,1.0,100.0,0.01,{vol},{delta}"
+    with pytest.warns(UserWarning, match="skipped 1 malformed rows — line 41"):
+        chains = load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+    assert len(chains[0].quotes) == 99
+    rows[60] = rows[40]
+    with pytest.raises(DataError, match="2/100 rows malformed — line 41: .*; line 61: "):
+        load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+
+
 def test_option_chain_rejects_two_quotes_of_one_kind_at_a_strike(tmp_path):
     text = (
         "expiry_years,strike,kind,mid,forward,rate\n"

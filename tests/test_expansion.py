@@ -21,6 +21,7 @@ from tailvol.filters import NoiseModel
 from tailvol.measure import (
     ModelError,
     RiskPremia,
+    _drift_targets,
     decay_integral,
     filter_cov_matrix,
     noise_moments,
@@ -115,6 +116,27 @@ def test_integrals_reject_nonpositive_curve():
     curve = ForwardVarianceCurve(weights=np.array([0.02, -0.03]), rates=np.array([0.0, 0.1]))
     with pytest.raises(ModelError):
         expansion_integrals(curve, 1.0)
+
+
+@pytest.mark.parametrize("weights, rates", [
+    ([math.nan, 0.04], [1.0, 2.0]),   # else all-nan integrals
+    ([0.04, 0.01], [1.0, math.inf]),  # else a ZeroDivisionError
+    ([math.inf, 0.01], [1.0, 2.0]),
+    ([0.04, 0.01], [-math.inf, 2.0]),
+])
+def test_curve_rejects_nonfinite_weights_or_rates(weights, rates):
+    with pytest.raises(ValueError, match="weights and rates must be finite"):
+        ForwardVarianceCurve(weights=np.array(weights), rates=np.array(rates))
+
+
+def test_integrals_reject_a_curve_that_overflows_to_nan():
+    # 2 e^{801 t} - e^{800 t} is positive, but past t = 0.887 both terms
+    # overflow and the curve reads inf - inf = nan, which no "<= 0" test sees
+    curve = ForwardVarianceCurve(weights=np.array([2.0, -1.0]), rates=np.array([-801.0, -800.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(curve(1.0))
+        with pytest.raises(ModelError, match="not positive"):
+            expansion_integrals(curve, 1.0)
 
 
 # ------------------------------------------- nested-quadrature oracle for jmu
@@ -270,7 +292,7 @@ def _paper_style_setup(lam2=0.3, lam3=0.5, lam4=1.0):
     eig = omega_eigen(spec, premia)
     params = pricing_params(spec, premia, mom)
     curve = ForwardVarianceCurve(
-        weights=(1.0 + premia.lambda2) * eig.weights_tilde * (eig.u_inv @ np.full(3, 0.04)),
+        weights=(1.0 + premia.lambda2) * (eig.modes @ np.full(3, 0.04)),
         rates=eig.rates.copy(),
     )
     return spec, premia, eig, params, curve
@@ -322,11 +344,15 @@ def test_coefficients_from_covariances_contracts_in_the_eigenbasis():
     spot_cov = np.array([0.2, -0.1, 0.3])
     cov = np.array([[0.5, 0.1, 0.0], [0.1, 0.3, 0.05], [0.0, 0.05, 0.4]])
     co = coefficients_from_covariances(eig, spot_cov, cov, ints)
-    # eigenbasis loadings a = wt * U^-1 s and b = wt wt^T * U^-1 C U^-T
-    a = eig.weights_tilde * np.linalg.solve(eig.u, spot_cov)
-    b = np.outer(eig.weights_tilde, eig.weights_tilde) * np.linalg.solve(
-        eig.u, np.linalg.solve(eig.u, cov).T
-    )
+    # eigenbasis loadings a = wt * U^-1 s and b = wt wt^T * U^-1 C U^-T, with
+    # wt = U^T w, from the eigenvectors U of Omega = Theta (I - delta w^T)
+    theta = 1.0 / (spec.lengths * spec.dt_years)
+    delta = _drift_targets(spec, premia.lambda2)
+    ev, u = np.linalg.eig(theta[:, None] * (np.eye(3) - np.outer(delta, spec.weights)))
+    u = u[:, np.argsort(ev)]
+    wt = u.T @ spec.weights
+    a = wt * np.linalg.solve(u, spot_cov)
+    b = np.outer(wt, wt) * np.linalg.solve(u, np.linalg.solve(u, cov).T)
     assert co.cxf == pytest.approx(float(a @ ints.jxf), rel=1e-12)
     assert co.cff == pytest.approx(float(np.sum(b * ints.jff)), rel=1e-12)
     assert co.cmu == pytest.approx(float(a @ ints.jmu @ a), rel=1e-12)

@@ -45,8 +45,11 @@ def _omega(spec, lam2):
     return theta[:, None] * (np.eye(theta.size) - np.outer(delta, spec.weights))
 
 
-def _reconstructed(eig):
-    return eig.u @ np.diag(eig.rates) @ eig.u_inv
+def _assert_left_eigen(eig, omega, weights, **tol):
+    """The contract of ``modes``: row i is a left eigenvector of ``omega`` at
+    ``rates[i]``, and the rows sum to the weights."""
+    np.testing.assert_allclose(eig.modes @ omega, eig.rates[:, None] * eig.modes, **tol)
+    np.testing.assert_allclose(eig.modes.sum(0), weights, **tol)
 
 
 def _sym_only_spec():
@@ -100,7 +103,7 @@ def test_mean_reversion_rate_is_inverse_length(three_scale_spec):
     eig = omega_eigen(three_scale_spec, RiskPremia(0.0, 0.0, 0.0))
     theta = np.array([252.0 / 1000.0, 7.0, 42.0])
     want = theta[:, None] * (np.eye(3) - np.outer(np.ones(3), three_scale_spec.weights))
-    np.testing.assert_allclose(_reconstructed(eig), want, rtol=1e-10, atol=1e-12)
+    _assert_left_eigen(eig, want, three_scale_spec.weights, rtol=1e-10, atol=1e-12)
 
 
 def test_drift_targets_by_kind(three_scale_spec):
@@ -358,7 +361,7 @@ def test_omega_one_growing_mode_with_positive_premium(three_scale_spec):
 
 def test_eigen_reconstructs_generator(three_scale_spec):
     eig = omega_eigen(three_scale_spec, RiskPremia(0.3, 0.0, 0.0))
-    np.testing.assert_allclose(_reconstructed(eig), _omega(three_scale_spec, 0.3), atol=1e-8)
+    _assert_left_eigen(eig, _omega(three_scale_spec, 0.3), three_scale_spec.weights, atol=1e-8)
     assert np.all(np.diff(eig.rates) >= 0.0)
 
 
@@ -389,9 +392,8 @@ def test_eigen_accepts_a_repeated_rate_from_equal_lengths():
     premia = RiskPremia(1.5, 0.0, 0.0)
     eig = omega_eigen(spec(6.0), premia)
     np.testing.assert_allclose(eig.rates, [-88.2, 42.0, 42.0], rtol=1e-12)
-    assert np.isrealobj(eig.u)
-    np.testing.assert_allclose(eig.u @ np.diag(eig.rates) @ eig.u_inv, _omega(spec(6.0), 1.5),
-                               atol=1e-10)
+    assert np.isrealobj(eig.modes)
+    _assert_left_eigen(eig, _omega(spec(6.0), 1.5), spec(6.0).weights, atol=1e-10)
     # prices match a spec whose lengths differ by 1e-6 days, where eig
     # returns three distinct real rates
     state = FilterState(x=np.array([0.04, 0.05, 0.06]), nu=0.052, as_of=dt.date(2024, 1, 2))
@@ -440,9 +442,51 @@ def test_omega_spectrum_is_real_for_nonnegative_weights(spec, lam2):
     ev = np.sort(np.linalg.eigvals(_omega(spec, lam2)).real)
     assume(np.all(np.diff(ev) > 1e-6 * max(np.max(np.abs(ev)), 1.0)))
     eig = omega_eigen(spec, RiskPremia(lam2, 0.0, 0.0))
-    assert np.isrealobj(eig.rates) and np.isrealobj(eig.u)
+    assert np.isrealobj(eig.rates) and np.isrealobj(eig.modes)
     assert np.all(np.isfinite(eig.rates))
     assert np.all(np.diff(eig.rates) >= 0.0)
+
+
+@given(spec=_filter_banks(), lam2=st.floats(-0.5, 4.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_modes_match_the_eigenvector_form_under_any_vector_scaling(spec, lam2, seed):
+    # the eigenvector form (U^T w)[:, None] * U^-1, from this file's Omega,
+    # with u's columns scaled at random: the scaling cancels, so modes do
+    # not depend on how the eigensolver normalizes its vectors
+    ev, u = np.linalg.eig(_omega(spec, lam2))
+    ev, u = ev.real, u.real
+    assume(np.all(np.diff(np.sort(ev)) > 1e-6 * max(np.max(np.abs(ev)), 1.0)))
+    rng = np.random.default_rng(seed)
+    u = u[:, np.argsort(ev)] * rng.uniform(0.1, 10.0, ev.size) * rng.choice([-1.0, 1.0], ev.size)
+    want = (u.T @ spec.weights)[:, None] * np.linalg.inv(u)
+    got = omega_eigen(spec, RiskPremia(lam2, 0.0, 0.0)).modes
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+_SYM, _ASYM = FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC
+
+
+@pytest.mark.parametrize("lam2", [-0.3, 0.0, 0.3, 1.5, 4.0])
+@pytest.mark.parametrize("bank", [
+    ((1000.0, 0.1, _SYM), (36.0, 0.4, _SYM), (6.0, 0.5, _ASYM)),
+    ((10.0, 0.6, _SYM), (5.0, 0.4, _ASYM)),
+    ((25.0, 1.0, _SYM),),
+    ((20.0, 1.0, _ASYM),),
+    ((500.0, 0.05, _SYM), (120.0, 0.15, _ASYM), (36.0, 0.3, _SYM), (12.0, 0.3, _ASYM),
+     (3.0, 0.2, _SYM)),
+], ids=["three_scale", "two_kinds", "symmetric", "asymmetric", "five"])
+def test_modes_match_the_secular_closed_form(bank, lam2):
+    # with every filter moving, lengths distinct and weights nonzero, no
+    # rate r meets a theta_j, and the secular equation gives each mode as
+    # w (Theta - r)^-1 / sum_j c_j / (theta_j - r)^2, c_j = w_j theta_j
+    # delta_j (Golub, SIAM Review 1973): no eigenvectors and no inverse
+    spec = GarchSpec(filters=tuple(FilterSpec(*f) for f in bank), dt_years=DT)
+    eig = omega_eigen(spec, RiskPremia(lam2, 0.0, 0.0))
+    theta = 1.0 / (spec.lengths * spec.dt_years)
+    c = spec.weights * theta * _drift_targets(spec, lam2)
+    gap = theta[None, :] - eig.rates[:, None]
+    closed = (spec.weights / gap) / (c / gap**2).sum(1)[:, None]
+    np.testing.assert_allclose(closed, eig.modes, rtol=0.0, atol=1e-12 * np.abs(eig.modes).max())
 
 
 # ---------------------------------------------------------------- decay integral
@@ -605,8 +649,11 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     assert want == pytest.approx(-1.2396, abs=1e-4)
     assert kurtosis_bound(0.0, -0.9, gaussian_moments, anchored) == want
     # the anchor neither reverts nor diffuses
-    anchor_row = _reconstructed(omega_eigen(anchored, premia))[0]
-    np.testing.assert_allclose(anchor_row, 0.0, atol=1e-12)
+    omega = _omega(anchored, premia.lambda2)
+    assert not omega[0].any()
+    eig = omega_eigen(anchored, premia)
+    _assert_left_eigen(eig, omega, anchored.weights, atol=1e-12)
+    assert np.abs(eig.rates).min() < 1e-12
     assert pricing_params(anchored, premia, gaussian_moments).xi[0] == 0.0
     # without a moving filter lambda4 enters no condition at all
     constant = GarchSpec(filters=(FilterSpec(math.inf, 1.0),), dt_years=DT)

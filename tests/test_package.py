@@ -340,29 +340,34 @@ def test_gaussian_draws_come_only_from_standard_normals():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def _stream_builds(source: str, allowed: str | None) -> list[str]:
-    """Mentions of ``Philox``, ``SeedSequence`` or ``default_rng`` (a name, an
-    attribute or an imported name) outside the function named ``allowed``,
-    as ``name (line n)``."""
-    banned = ("Philox", "SeedSequence", "default_rng")
+def _names_outside(source: str, banned: tuple[str, ...], allowed: str | None) -> list[str]:
+    """Mentions of the ``banned`` names (a name, an attribute, or a part of
+    an imported module or name) outside the function named ``allowed``, as
+    ``name (line n)``."""
     out = []
 
     def visit(node: ast.AST, inside: bool) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Name):
-                name = child.id
+                names = [child.id]
             elif isinstance(child, ast.Attribute):
-                name = child.attr
+                names = [child.attr]
             elif isinstance(child, ast.alias):
-                name = child.name
+                names = child.name.split(".")
+            elif isinstance(child, ast.ImportFrom):
+                names = (child.module or "").split(".")
             else:
-                name = None
-            out.extend([f"{name} (line {child.lineno})"] if name in banned and not inside else [])
+                names = []
+            out.extend(f"{name} (line {child.lineno})" for name in names
+                       if name in banned and not inside)
             own = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == allowed
             visit(child, inside or own)
 
     visit(ast.parse(source), False)
     return out
+
+
+_STREAM_NAMES = ("Philox", "SeedSequence", "default_rng")
 
 
 def test_stream_check_flags_generators_built_outside_the_one_rule():
@@ -373,10 +378,10 @@ def test_stream_check_flags_generators_built_outside_the_one_rule():
         "def f(seed):\n    return np.random.Generator(P(np.random.SeedSequence(seed)))\n"
         "class K:\n    bits = staticmethod(np.random.Philox)\n"
     )
-    assert _stream_builds(source, "_stream") == [
+    assert _names_outside(source, _STREAM_NAMES, "_stream") == [
         "Philox (line 2)", "default_rng (line 2)", "SeedSequence (line 6)", "Philox (line 8)"
     ]
-    assert _stream_builds(source, None) == [
+    assert _names_outside(source, _STREAM_NAMES, None) == [
         "Philox (line 2)", "default_rng (line 2)", "Philox (line 4)", "SeedSequence (line 4)",
         "SeedSequence (line 6)", "Philox (line 8)",
     ]
@@ -387,7 +392,34 @@ def test_random_streams_come_only_from_stream():
     # the real-world simulator, the estimation restarts and the pricer
     src = pathlib.Path(tailvol.__file__).parent
     found = {
-        path.name: _stream_builds(path.read_text(), "_stream" if path.name == "filters.py" else None)
+        path.name: _names_outside(path.read_text(), _STREAM_NAMES,
+                                  "_stream" if path.name == "filters.py" else None)
+        for path in sorted(src.glob("*.py"))
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_linalg_check_flags_every_use_outside_the_eigensystem():
+    source = (
+        "import numpy as np\nimport numpy.linalg\nfrom numpy.linalg import inv\n"
+        "from scipy import linalg as la\n"
+        "def omega_eigen(spec, premia):\n    return np.linalg.inv(np.linalg.eig(spec)[1])\n"
+        "def f(a):\n    eig = np.linalg.eig(a)\n    return eig, numpy.linalg.solve(a, a)\n"
+    )
+    assert _names_outside(source, ("linalg",), "omega_eigen") == [
+        "linalg (line 2)", "linalg (line 3)", "linalg (line 4)", "linalg (line 8)",
+        "linalg (line 9)",
+    ]
+    assert len(_names_outside(source, ("linalg",), None)) == 7
+
+
+def test_eigenvectors_stay_inside_omega_eigen():
+    # every reader contracts with EigenSystem.modes, so the eigensolver and
+    # the inverse of its vectors have one home
+    src = pathlib.Path(tailvol.__file__).parent
+    found = {
+        path.name: _names_outside(path.read_text(), ("linalg",),
+                                  "omega_eigen" if path.name == "measure.py" else None)
         for path in sorted(src.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -19,6 +19,7 @@ from tailvol.filters import (
 )
 from tailvol.measure import (
     RiskPremia,
+    _drift_targets,
     noise_moments,
     omega_eigen,
     pricing_params,
@@ -130,9 +131,7 @@ def test_control_variance_integrates_forward_curve(three_scale_spec, flat_state,
     paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=2_000)
     eig = omega_eigen(three_scale_spec, mild_premia)
     curve = ForwardVarianceCurve(
-        weights=(1.0 + mild_premia.lambda2)
-        * eig.weights_tilde
-        * (eig.u_inv @ flat_state.x),
+        weights=(1.0 + mild_premia.lambda2) * (eig.modes @ flat_state.x),
         rates=eig.rates.copy(),
     )
     horizon = float(paths.horizons[0])
@@ -265,10 +264,14 @@ def _oracle_block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.n
     return _standard_normals(np.random.Generator(bits), shape)
 
 
-def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale=1.0):
+def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale=1.0, levels=False):
     """The simulator that drew each block's normals for all steps up front,
     with shape (n_steps, n_drivers, half), and copied them into an
-    antithetic ``z``.  Returns the ensemble arrays as a dict."""
+    antithetic ``z``.  It steps the variance's eigenmodes, each by its
+    decay, or with ``levels`` the filter levels themselves, by the exact
+    propagator ``U diag(exp(-rates dt)) U^-1`` from the eigenvectors of the
+    generator built here: the accuracy reference for stepping the modes.
+    Returns the ensemble arrays and ``floor_hits`` as a dict."""
     params = pricing_params(spec, premia, mom)
     eig = omega_eigen(spec, premia)
     curve = ForwardVarianceCurve.from_state(state0, eig, premia)
@@ -284,7 +287,12 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
     n_drivers = loads.shape[1]
     xi = vol_scale * params.xi
     growth = 1.0 + premia.lambda2
-    drift_mat = eig.u @ np.diag(np.exp(-eig.rates * dt)) @ eig.u_inv
+    decay = np.exp(-eig.rates * dt)[:, None]
+    load = eig.modes @ (xi[:, None] * loads)
+    theta = 1.0 / (spec.lengths * spec.dt_years)
+    delta = _drift_targets(spec, premia.lambda2)
+    ev, u = np.linalg.eig(theta[:, None] * (np.eye(theta.size) - np.outer(delta, weights)))
+    drift_mat = u @ np.diag(np.exp(-ev * dt)) @ np.linalg.inv(u)
 
     t_mid = (np.arange(n_steps) + 0.5) * dt
     f_curve = np.maximum(np.asarray(curve(t_mid), dtype=float), VARIANCE_FLOOR)
@@ -297,6 +305,7 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
     iv_out = np.empty((n_h, total))
 
     sqrt_dt = math.sqrt(dt)
+    floor_hits = 0
     for start in range(0, total, cfg.block_size):
         width = min(cfg.block_size, total - start)
         block = start // cfg.block_size
@@ -309,11 +318,11 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
         else:
             z = _oracle_block_normals(cfg.seed, block, (n_steps, n_drivers, width))
 
-        x = np.repeat(state0.x[:, None], width, axis=1)
+        x = np.repeat((state0.x if levels else eig.modes @ state0.x)[:, None], width, axis=1)
         log_s = np.zeros(width)
         log_c = np.zeros(width)
         int_var = np.zeros(width)
-        zeta = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
+        zeta = growth * np.maximum(weights @ x if levels else x.sum(0), VARIANCE_FLOOR)
         snap = 0
         for step in range(n_steps):
             factors = z[step] * sqrt_dt
@@ -322,8 +331,14 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
             fc = f_curve[step]
             log_c += -0.5 * fc * dt + math.sqrt(fc) * dw
             nu = zeta / growth
-            x = drift_mat @ x + (xi[:, None] * nu[None, :]) * (loads @ factors)
-            zeta_next = growth * np.maximum(weights @ x, VARIANCE_FLOOR)
+            if levels:
+                x = drift_mat @ x + (xi[:, None] * nu[None, :]) * (loads @ factors)
+                nu_next = weights @ x
+            else:
+                x = decay * x + (load @ factors) * nu
+                nu_next = x.sum(0)
+            floor_hits += int(np.count_nonzero(nu_next < VARIANCE_FLOOR))
+            zeta_next = growth * np.maximum(nu_next, VARIANCE_FLOOR)
             int_var += 0.5 * (zeta + zeta_next) * dt
             zeta = zeta_next
             while snap < n_h and step + 1 == steps_at[snap]:
@@ -339,6 +354,7 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
         "s_control": s_ctrl,
         "int_var": iv_out,
         "control_var": control_cum[steps_at - 1],
+        "floor_hits": floor_hits,
     }
 
 
@@ -356,6 +372,26 @@ def test_step_draws_match_the_block_oracle_bit_for_bit(
     oracle = _oracle_simulate_pricing(*args)
     for name, expected in oracle.items():
         np.testing.assert_array_equal(getattr(paths, name), expected, err_msg=name)
+
+
+@pytest.mark.parametrize("premia", [RiskPremia(0.3, 0.5, 1.0), RiskPremia(0.1, 0.4, 1.0)],
+                         ids=["mild", "readme"])
+def test_stepping_the_modes_matches_stepping_the_levels(
+    three_scale_spec, flat_state, gaussian_moments, premia
+):
+    # the filter levels stepped by the exact matrix propagator, on the same
+    # draws, are the same model to rounding, floor included.  The scale in
+    # the tolerance is for the 11 mild-premia spots that collapse (to 1e-116
+    # at 1 y): a log of -266 carries rounding of 3e-12 relative
+    cfg = McConfig(n_paths=4_000, seed=5, block_size=1024)
+    args = (three_scale_spec, premia, flat_state, gaussian_moments, (0.25, 1.0), cfg)
+    paths = simulate_pricing(*args)
+    oracle = _oracle_simulate_pricing(*args, levels=True)
+    for name in ("s", "s_control", "int_var"):
+        want = oracle[name]
+        np.testing.assert_allclose(getattr(paths, name), want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max(), err_msg=name)
+    assert paths.floor_hits == oracle["floor_hits"]
 
 
 def _traced_peak(run) -> int:

@@ -333,6 +333,23 @@ def test_select_otm_reports_every_quote_missing_delta_and_vol_at_once():
         select_otm(OptionChain(0.25, 1.0, 0.0, quotes), 0.05, 0.5)
 
 
+@pytest.mark.parametrize("cell", [
+    {"implied_vol": math.nan}, {"implied_vol": math.inf}, {"implied_vol": 0.0},
+    {"implied_vol": -0.2}, {"delta": math.nan}, {"delta": 1.01}, {"delta": -1.5},
+    {"delta": -math.inf},
+])
+def test_quote_rejects_a_vol_or_delta_out_of_range(cell):
+    # a put quoted with delta nan would fall out of every select_otm band
+    # without a word, and a nan vol would reach _d1 as a configuration error
+    with pytest.raises(ValueError, match=f"^{next(iter(cell))} must be"):
+        Quote(0.9, OptionKind.PUT, 0.02, **cell)
+
+
+def test_quote_accepts_deltas_at_both_ends():
+    assert Quote(0.5, OptionKind.PUT, 0.0, delta=-1.0).delta == -1.0
+    assert Quote(1.5, OptionKind.CALL, 0.0, delta=1.0, implied_vol=1e-3).delta == 1.0
+
+
 @pytest.mark.parametrize("lo, hi", [(-0.1, 0.5), (0.5, 0.5), (0.6, 0.5), (0.1, 1.1)])
 def test_select_otm_rejects_a_band_outside_the_unit_interval(lo, hi):
     with pytest.raises(ValueError, match="need 0 <= delta_lo < delta_hi <= 1"):
