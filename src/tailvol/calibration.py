@@ -57,7 +57,6 @@ __all__ = [
     "CalibrationInput",
     "StageResult",
     "CalibrationResult",
-    "CalibrationError",
     "fit_lambda2",
     "fit_lambda3",
     "fit_lambda4",
@@ -78,10 +77,6 @@ _LAMBDA4_WIDTH = 20.0
 #: Grid size of the ``lambda2`` scan and x-tolerance of its refinement.
 _N_GRID = 41
 _XATOL = 1e-8
-
-
-class CalibrationError(ModelError):
-    """Raised when a calibration stage cannot be completed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,14 +174,14 @@ def fit_lambda2(inputs: CalibrationInput) -> StageResult:
 
     x, fx, boundary = _grid_then_refine(objective, *_LAMBDA2_BRACKET)
     if fx >= _PENALTY:
-        raise CalibrationError("no admissible lambda2 found in the bracket")
+        raise ModelError("no admissible lambda2 found in the bracket")
     return StageResult(value=x, residual=fx, at_boundary=boundary)
 
 
 def _require_moving_filter(spec: GarchSpec) -> None:
     """The skew and kurtosis stages need a filter with a noise factor."""
-    if not (spec.has_symmetric or spec.has_asymmetric):
-        raise CalibrationError("no moving filter: the model skew and kurtosis are zero")
+    if not spec.moving.any():
+        raise ModelError("no moving filter: the model skew and kurtosis are zero")
 
 
 def _stage_integrals(
@@ -289,13 +284,11 @@ def fit_lambda4(
 
 def _run_stage(name: str, fit: Callable, *args):
     """Call one stage fit, turning a model or value failure into a
-    ``CalibrationError`` that names the stage."""
+    ``ModelError`` that names the stage."""
     try:
         return fit(*args)
-    except CalibrationError:
-        raise
     except (ModelError, ValueError) as exc:
-        raise CalibrationError(f"{name} stage failed: {exc}") from exc
+        raise ModelError(f"{name} stage failed: {exc}") from exc
 
 
 def calibrate_sequential(

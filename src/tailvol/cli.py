@@ -6,10 +6,11 @@ parameters to return panels, ``filters`` runs a fitted spec over a series,
 premia out of option chains, ``smile`` prices a Monte Carlo smile and
 ``validate`` checks a premia triple against its consistency bounds.
 
-Exit codes: 0 success, 2 configuration problem (bad flags or config JSON),
-3 unusable input data, 4 model or numerical failure.  Output artifacts are
-deterministic for fixed inputs and seed, and embed the package version plus
-a digest of the effective configuration.
+Exit codes: 0 success, 2 bad flags (a path that cannot be opened
+included), 3 a CSV or JSON file whose content cannot be used, 4 model or
+numerical failure.  Output artifacts are deterministic for fixed inputs and
+seed, and embed the package version plus a digest of the effective
+configuration.
 """
 
 from __future__ import annotations

@@ -59,6 +59,8 @@ _BAD_ROW_LIMIT = 0.01
 
 
 def _parse_date(text: str) -> dt.date:
+    if not isinstance(text, str):
+        raise TypeError(f"a date must be an ISO string, got {text!r}")
     return dt.date.fromisoformat(text.strip())
 
 
@@ -176,6 +178,9 @@ def load_option_chains(path: str | Path) -> list[OptionChain]:
             )
             fwd = float(cells[col["forward"]])
             rate = float(cells[col["rate"]])
+            if not (0.0 < fwd < math.inf and math.isfinite(rate)):
+                raise ValueError(f"forward must be positive and finite and rate finite, "
+                                 f"got {fwd!r} and {rate!r}")
         except (ValueError, IndexError) as exc:
             bad.append((ln, str(exc)))
             continue
@@ -211,8 +216,12 @@ def load_option_chains(path: str | Path) -> list[OptionChain]:
 
 
 def load_json(path: str | Path) -> dict:
+    """A JSON object from a file: content that is not one is a ``DataError``."""
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise DataError(f"{path}: top-level JSON value must be an object")
     return obj
@@ -229,6 +238,13 @@ def config_digest(obj: dict) -> str:
     """SHA-256 of the canonical JSON serialization, for artifact provenance."""
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _number(value, name: str) -> float:
+    """A JSON number (an int or a float, never a bool or a string) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def spec_to_dict(spec: GarchSpec) -> dict:
@@ -250,13 +266,14 @@ def spec_from_dict(obj: dict) -> GarchSpec:
     try:
         filters = tuple(
             FilterSpec(
-                length_days=math.inf if f["length_days"] is None else float(f["length_days"]),
-                weight=float(f["weight"]),
+                length_days=(math.inf if f["length_days"] is None
+                             else _number(f["length_days"], "length_days")),
+                weight=_number(f["weight"], "weight"),
                 kind=FilterKind(f.get("kind", "symmetric")),
             )
             for f in obj["filters"]
         )
-        dt_years = float(obj.get("dt_years", 1.0 / TRADING_DAYS_PER_YEAR))
+        dt_years = _number(obj.get("dt_years", 1.0 / TRADING_DAYS_PER_YEAR), "dt_years")
         return GarchSpec(filters=filters, dt_years=dt_years)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad filter spec: {exc}") from exc
@@ -275,7 +292,7 @@ def state_from_dict(obj: dict, spec: GarchSpec) -> FilterState:
     """Rebuild a state on ``spec``: the forecast is recomputed from the
     levels, so a file's ``nu`` is never trusted."""
     try:
-        x = np.asarray(obj["x"], dtype=float)
+        x = np.array([_number(v, "x") for v in obj["x"]])
         as_of = _parse_date(obj["as_of"])
         burn = obj.get("burn_in", False)
         if not isinstance(burn, bool):
@@ -295,11 +312,7 @@ def premia_to_dict(premia: RiskPremia) -> dict:
 
 def premia_from_dict(obj: dict) -> RiskPremia:
     try:
-        return RiskPremia(
-            lambda2=float(obj["lambda2"]),
-            lambda3=float(obj["lambda3"]),
-            lambda4=float(obj["lambda4"]),
-        )
+        return RiskPremia(*(_number(obj[k], k) for k in ("lambda2", "lambda3", "lambda4")))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad premia: {exc}") from exc
 

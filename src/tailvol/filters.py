@@ -80,8 +80,8 @@ class FilterSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", FilterKind(self.kind))
-        if not self.length_days > 0.0:
-            raise ValueError(f"filter length must be > 0, got {self.length_days}")
+        if not self.length_days >= 1.0:
+            raise ValueError(f"filter length must be >= 1 day, got {self.length_days}")
         if not math.isfinite(self.weight):
             raise ValueError(f"filter weight must be finite, got {self.weight}")
 
@@ -107,9 +107,6 @@ class GarchSpec:
         total = math.fsum(f.weight for f in self.filters)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"filter weights must sum to 1 within 1e-12, got {total!r}")
-        for f in self.filters:
-            if f.length_days < 1.0:
-                raise ValueError(f"filter lengths must be >= 1 day, got {f.length_days}")
 
     @property
     def n_filters(self) -> int:
@@ -131,16 +128,6 @@ class GarchSpec:
     def moving(self) -> np.ndarray:
         """Which filters move: those of finite length (the one test of it)."""
         return np.isfinite(self.lengths)
-
-    @property
-    def has_symmetric(self) -> bool:
-        """Whether a moving symmetric filter (one with a noise factor) exists."""
-        return bool((~self.is_asymmetric & self.moving).any())
-
-    @property
-    def has_asymmetric(self) -> bool:
-        """Whether a moving asymmetric filter exists."""
-        return bool((self.is_asymmetric & self.moving).any())
 
 
 @dataclass(frozen=True, eq=False)

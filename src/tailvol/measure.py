@@ -137,7 +137,8 @@ def _innovation_cov(premia: RiskPremia, mom: NoiseMoments) -> np.ndarray:
 def _moving_kinds(spec: GarchSpec) -> list[int]:
     """Rows of the kinds with a moving filter; a constant filter has no
     noise factor, so it brings in no condition."""
-    return [kind for kind, has in ((1, spec.has_symmetric), (2, spec.has_asymmetric)) if has]
+    asym = spec.is_asymmetric[spec.moving]
+    return [kind for kind, has in ((1, (~asym).any()), (2, asym.any())) if has]
 
 
 def _exact_det(m) -> Fraction:

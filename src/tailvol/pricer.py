@@ -19,16 +19,16 @@ exact martingale.  Integrated variance accumulates by the trapezoid rule.
 Randomness comes from a counter-based generator (Philox) keyed by the seed
 and a block index through ``filters._stream``, the one rule that turns a
 seed into a random stream (the real-world simulator and the estimation
-restarts use it too), drawn as normals by numpy's ziggurat sampler; runs
-are bit-reproducible for a given seed, block size and numpy version.  Each
-step draws its own normals from the block's generator, so memory does not
-grow with the horizon.  A helper thread, started and joined inside each
-:func:`simulate_pricing` call, draws step t + 1's normals into one of two
-per-block slots while the calling thread steps t from the other.  Only the
-helper touches a block's generator, one step after the other, so the
-stream and every path are what a single thread would compute.  Antithetic
-pairs are adjacent (paths 2i and 2i+1), and standard errors then use pair
-means.
+restarts use it too), drawn as normals by numpy's ziggurat sampler.  The
+block size is a constant, so runs are bit-reproducible for a given seed (and
+numpy version) alone.  Each step draws its own normals from the block's
+generator, so memory does not grow with the horizon.  A helper thread,
+started and joined inside each :func:`simulate_pricing` call, draws step
+t + 1's normals into one of two per-block slots while the calling thread
+steps t from the other.  Only the helper touches a block's generator, one
+step after the other, so the stream and every path are what a single thread
+would compute.  Antithetic pairs are adjacent (paths 2i and 2i+1), and
+standard errors then use pair means.
 
 Each path also carries a control spot: the same spot driver applied to the
 deterministic forward-variance curve.  Its terminal distribution is exactly
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,7 +91,8 @@ class McConfig:
     seed: int
     steps_per_day: int = 1
     antithetic: bool = True
-    block_size: int = 65536
+    #: Paths per Philox stream; a constant, so a run is fixed by its seed.
+    block_size: ClassVar[int] = 65536
 
     def __post_init__(self) -> None:
         if self.n_paths < 2:
@@ -99,8 +101,6 @@ class McConfig:
             raise ValueError("antithetic sampling needs an even path count")
         if self.steps_per_day < 1:
             raise ValueError("steps_per_day must be >= 1")
-        if self.block_size < 2 or self.block_size % 2:
-            raise ValueError("block_size must be an even number >= 2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +118,8 @@ class PathEnsemble:
     The variance's eigenmodes are stepped block by block, not kept.  The
     normals are drawn one step ahead, on a helper thread, into two (drivers,
     width) slots per block, so the memory a simulation holds does not grow
-    with the horizon.  The values depend only on the seed and the block
-    size: each block's generator is used by one thread, in step order.
+    with the horizon.  The values depend only on the seed (for a given numpy
+    version): each block's generator is used by one thread, in step order.
 
     ``horizons`` holds the realized snapshot times: each requested horizon
     is snapped to a whole number of steps of ``dt_years``, so it can differ

@@ -8,7 +8,6 @@ from scipy.optimize import minimize_scalar
 
 from tailvol import calibration
 from tailvol.calibration import (
-    CalibrationError,
     CalibrationInput,
     StageResult,
     calibrate_sequential,
@@ -95,12 +94,12 @@ def test_stage_failure_is_wrapped_with_its_name(
     monkeypatch.setattr(calibration, "fit_lambda3", broken)
     market = _model_triples(three_scale_spec, flat_state, mild_premia, gaussian_moments)
     inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
-    with pytest.raises(CalibrationError, match="lambda3 stage failed: generator is defective"):
+    with pytest.raises(ModelError, match="lambda3 stage failed: generator is defective"):
         calibrate_sequential(inputs)
     # the kurtosis floor of a fit_all run is the lambda4 stage's own
     monkeypatch.undo()
     monkeypatch.setattr(calibration, "kurtosis_bound", broken)
-    with pytest.raises(CalibrationError, match="lambda4 stage failed: generator is defective"):
+    with pytest.raises(ModelError, match="lambda4 stage failed: generator is defective"):
         calibrate_sequential(inputs, mode="fit_all")
 
 
@@ -118,7 +117,7 @@ def test_undefined_kurtosis_floor_fails_the_lambda4_stage_in_both_modes(
         for t in (0.25, 0.5, 1.0)
     )
     inputs = _inputs(three_scale_spec, flat_state, gaussian_moments, market)
-    with pytest.raises(CalibrationError, match="lambda4 stage failed: kurtosis bound undefined"):
+    with pytest.raises(ModelError, match="lambda4 stage failed: kurtosis bound undefined"):
         calibrate_sequential(inputs, mode=mode)
 
 
@@ -174,7 +173,7 @@ def test_fit_lambda2_fails_when_no_candidate_is_admissible(
 
     market = _model_triples(three_scale_spec, flat_state, mild_premia, gaussian_moments)
     monkeypatch.setattr(calibration, "omega_eigen", defective)
-    with pytest.raises(CalibrationError, match="no admissible lambda2"):
+    with pytest.raises(ModelError, match="no admissible lambda2"):
         fit_lambda2(_inputs(three_scale_spec, flat_state, gaussian_moments, market))
 
 

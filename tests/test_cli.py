@@ -220,6 +220,19 @@ def test_data_errors_exit_3(configs, tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"lambda2": 0.1,', '{"lambda2": "0.1", "lambda3": 0.4, "lambda4": 1.0}'])
+def test_config_json_content_exits_3_and_an_unopenable_path_exits_2(configs, tmp_path, capsys, text):
+    # one rule: a file whose content cannot be used is bad data, a path that
+    # cannot be opened is a bad flag
+    premia = tmp_path / "premia.json"
+    premia.write_text(text)
+    argv = ["varswap", "--spec", configs["spec"], "--state", configs["state"], "--maturities", "0.5"]
+    assert main([*argv, "--premia", str(premia)]) == 3
+    assert "data error" in capsys.readouterr().err
+    assert main([*argv, "--premia", str(tmp_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_filters_command_writes_states(configs, tmp_path, capsys):
     series = _returns_csv(tmp_path)
     out = tmp_path / "states.csv"

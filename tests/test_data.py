@@ -206,6 +206,24 @@ def test_option_chains_count_a_bad_vol_or_delta_cell_as_malformed(tmp_path, vol,
         load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
 
 
+@pytest.mark.parametrize("forward, rate", [("nan", "0.01"), ("inf", "0.01"), ("0", "0.01"),
+                                           ("-100.0", "0.01"), ("100.0", "nan"),
+                                           ("100.0", "inf"), ("100.0", "-inf")])
+def test_option_chains_count_a_bad_forward_or_rate_cell_as_malformed(tmp_path, forward, rate):
+    # nan compares unequal to everything, so the per-expiry consistency check
+    # cannot see a nan forward or rate: the cell itself is checked
+    rows = ["expiry_years,strike,kind,mid,forward,rate"]
+    rows += [f"0.5,{80.0 + 0.5 * k!r},put,1.0,100.0,0.01" for k in range(100)]
+    rows[40] = f"0.5,99.5,put,1.0,{forward},{rate}"
+    with pytest.warns(UserWarning, match="skipped 1 malformed rows — line 41: forward must be"):
+        chains = load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+    assert len(chains[0].quotes) == 99
+    assert (chains[0].forward, chains[0].rate) == (100.0, 0.01)
+    rows[60] = rows[40]
+    with pytest.raises(DataError, match="2/100 rows malformed — line 41: .*; line 61: "):
+        load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+
+
 def test_option_chain_rejects_two_quotes_of_one_kind_at_a_strike(tmp_path):
     text = (
         "expiry_years,strike,kind,mid,forward,rate\n"
@@ -260,6 +278,44 @@ def test_state_round_trip(three_scale_spec, flat_state):
     for burn in ("false", 0, None):
         with pytest.raises(DataError, match="burn_in must be true or false"):
             state_from_dict({**obj, "burn_in": burn}, three_scale_spec)
+
+
+@pytest.mark.parametrize("load, obj, name", [
+    (spec_from_dict, {"filters": [{"length_days": "inf", "weight": 1.0}]}, "length_days"),
+    (spec_from_dict, {"filters": [{"length_days": None, "weight": True}]}, "weight"),
+    (spec_from_dict, {"filters": [{"length_days": None, "weight": 1.0}], "dt_years": "0.004"},
+     "dt_years"),
+    (premia_from_dict, {"lambda2": "0.1", "lambda3": 0.4, "lambda4": 1.0}, "lambda2"),
+    (premia_from_dict, {"lambda2": 0.1, "lambda3": True, "lambda4": 1.0}, "lambda3"),
+    (premia_from_dict, {"lambda2": 0.1, "lambda3": 0.4, "lambda4": False}, "lambda4"),
+    (lambda obj: state_from_dict(obj, GarchSpec((FilterSpec(10.0, 1.0),))),
+     {"x": ["0.04"], "as_of": "2024-01-02"}, "x"),
+], ids=["length-string", "weight-bool", "dt-string", "lambda2-string", "lambda3-bool",
+        "lambda4-bool", "level-string"])
+def test_config_numbers_must_be_json_numbers(load, obj, name):
+    # float() reads "0.1", "inf" and true: a config's numbers are JSON numbers
+    with pytest.raises(DataError, match=f"{name} must be a JSON number, got"):
+        load(obj)
+
+
+@pytest.mark.parametrize("as_of", [20240102, None, ["2024-01-02"]])
+def test_a_state_date_must_be_a_json_string(as_of):
+    # a date that is not a string is unusable content (exit 3), not a crash
+    with pytest.raises(DataError, match="a date must be an ISO string, got"):
+        state_from_dict({"x": [0.04], "as_of": as_of}, GarchSpec((FilterSpec(10.0, 1.0),)))
+
+
+def test_config_numbers_may_be_json_integers():
+    assert premia_from_dict({"lambda2": 0, "lambda3": 1, "lambda4": 2}) == RiskPremia(0.0, 1.0, 2.0)
+    spec = spec_from_dict({"filters": [{"length_days": 10, "weight": 1}], "dt_years": 1})
+    assert spec == GarchSpec((FilterSpec(10.0, 1.0),), dt_years=1.0)
+
+
+def test_unparseable_json_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="not valid JSON"):
+        load_json(_write(tmp_path / "bad.json", '{"lambda2": 0.1,\n'))
+    with pytest.raises(FileNotFoundError):
+        load_json(tmp_path / "missing.json")
 
 
 def test_premia_and_noise_round_trips():

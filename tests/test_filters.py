@@ -241,6 +241,14 @@ def test_garch_spec_weights_must_sum_to_one():
         GarchSpec(filters=(FilterSpec(10.0, 0.5), FilterSpec(20.0, 0.6)))
 
 
+def test_filter_spec_holds_the_one_length_rule():
+    for length in (0.5, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=">= 1 day"):
+            FilterSpec(length, 1.0)
+    assert FilterSpec(1.0, 1.0).length_days == 1.0
+    assert FilterSpec(math.inf, 1.0).length_days == math.inf
+
+
 def test_garch_spec_rejects_short_lengths():
     with pytest.raises(ValueError):
         GarchSpec(filters=(FilterSpec(0.5, 1.0),))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tailvol.calibration import (
-    CalibrationError,
     CalibrationInput,
     _stage_integrals,
     calibrate_sequential,
@@ -242,7 +241,8 @@ def _closed_form_kurtosis_bound(lambda2, lambda3, mom, spec):
     oracle for the rank condition :func:`kurtosis_bound` solves."""
     d2 = 1.0 + lambda2
     m4, m3m = mom.m4, mom.m3_minus
-    if spec.has_symmetric and spec.has_asymmetric:
+    asym = spec.is_asymmetric[spec.moving]
+    if asym.any() and not asym.all():
         den = (2.0 * m4 - 1.0) * d2 - 4.0 * m3m**2
         if den <= 0.0:
             raise ModelError("kurtosis bound undefined: nonpositive denominator")
@@ -252,7 +252,7 @@ def _closed_form_kurtosis_bound(lambda2, lambda3, mom, spec):
             - m4 * (m4 - 1.0) * d2
         )
         return num / den
-    if spec.has_symmetric:
+    if not asym.any():
         return lambda3**2 / d2 - (m4 - 1.0)
     return (m3m - lambda3) ** 2 / d2 - (2.0 * m4 - 1.0) / 4.0
 
@@ -668,7 +668,7 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
         lambda: fit_lambda3(inputs, 0.1, *_stage_integrals(inputs, 0.1)),
         lambda: fit_lambda4(inputs, 0.1, 0.4, *_stage_integrals(inputs, 0.1)),
     ):
-        with pytest.raises(CalibrationError, match="no moving filter"):
+        with pytest.raises(ModelError, match="no moving filter"):
             run()
     spec_path, premia_path = tmp_path / "spec.json", tmp_path / "premia.json"
     dump_json(spec_path, spec_to_dict(constant))

@@ -36,6 +36,12 @@ from tailvol.pricer import (
 from tailvol.replication import OptionKind
 
 
+#: Just over one Monte Carlo block, and horizons of a few days: two blocks run
+#: (the second of 2048 paths) at little cost.
+_TWO_BLOCKS = McConfig.block_size + 2_048
+_DAYS = (2.0 / 252.0, 5.0 / 252.0)
+
+
 def _paths(spec, premia, state, mom, horizons=(0.5,), n=20_000, seed=7, **kw):
     cfg = McConfig(n_paths=n, seed=seed, **kw)
     return simulate_pricing(spec, premia, state, mom, horizons, cfg)
@@ -47,9 +53,15 @@ def test_mc_config_validation():
     with pytest.raises(ValueError):
         McConfig(n_paths=10_001, seed=1, antithetic=True)
     with pytest.raises(ValueError):
-        McConfig(n_paths=100, seed=1, block_size=7)
-    with pytest.raises(ValueError):
         McConfig(n_paths=100, seed=1, steps_per_day=0)
+
+
+def test_the_block_size_is_a_constant_not_a_field():
+    # a run is fixed by its seed alone: the paths per Philox stream are not
+    # a setting
+    with pytest.raises(TypeError):
+        McConfig(n_paths=4, seed=0, block_size=1024)
+    assert McConfig(n_paths=4, seed=0).block_size == 65536
 
 
 @pytest.mark.parametrize("horizons", [(0.0,), (math.nan,), (math.inf,), (0.25, math.inf)])
@@ -96,19 +108,6 @@ def test_simulation_is_seed_deterministic(three_scale_spec, flat_state, mild_pre
     np.testing.assert_array_equal(a.int_var, b.int_var)
     c = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=4_000, seed=4)
     assert not np.array_equal(a.s, c.s)
-
-
-def test_block_size_only_reshuffles_randomness(three_scale_spec, flat_state, mild_premia, gaussian_moments):
-    # each block draws from its own counter stream, so path values move with
-    # the block layout -- but the deterministic pieces must not, and the
-    # estimates have to stay statistically compatible
-    a = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=8_192, block_size=8_192)
-    b = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=8_192, block_size=2_048)
-    np.testing.assert_array_equal(a.control_var, b.control_var)
-    np.testing.assert_array_equal(a.horizons, b.horizons)
-    ma, ea = _mean_se(a.s[a.horizon_index(0.5)], a.antithetic)
-    mb, eb = _mean_se(b.s[b.horizon_index(0.5)], b.antithetic)
-    assert abs(ma - mb) < 5.0 * math.hypot(ea, eb)
 
 
 def test_spot_is_a_martingale(three_scale_spec, flat_state, mild_premia, gaussian_moments):
@@ -359,15 +358,15 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
 
 
 @pytest.mark.parametrize("antithetic", [True, False])
-@pytest.mark.parametrize("block_size", [1024, 65536])
+@pytest.mark.parametrize("last_block", [1024, 65536])
 @pytest.mark.parametrize("steps_per_day", [1, 2])
 def test_step_draws_match_the_block_oracle_bit_for_bit(
-    three_scale_spec, flat_state, mild_premia, gaussian_moments, antithetic, block_size, steps_per_day
+    three_scale_spec, flat_state, mild_premia, gaussian_moments, antithetic, last_block, steps_per_day
 ):
-    # 3000 paths in blocks of 1024 leave a ragged last block of 952
-    cfg = McConfig(n_paths=3_000, seed=11, steps_per_day=steps_per_day,
-                   antithetic=antithetic, block_size=block_size)
-    args = (three_scale_spec, mild_premia, flat_state, gaussian_moments, (0.1, 0.5), cfg)
+    # two blocks: a full one, then a ragged one of 1024 paths or a second full one
+    cfg = McConfig(n_paths=McConfig.block_size + last_block, seed=11,
+                   steps_per_day=steps_per_day, antithetic=antithetic)
+    args = (three_scale_spec, mild_premia, flat_state, gaussian_moments, _DAYS, cfg)
     paths = simulate_pricing(*args)
     oracle = _oracle_simulate_pricing(*args)
     for name, expected in oracle.items():
@@ -381,9 +380,9 @@ def test_stepping_the_modes_matches_stepping_the_levels(
 ):
     # the filter levels stepped by the exact matrix propagator, on the same
     # draws, are the same model to rounding, floor included.  The scale in
-    # the tolerance is for the 11 mild-premia spots that collapse (to 1e-116
-    # at 1 y): a log of -266 carries rounding of 3e-12 relative
-    cfg = McConfig(n_paths=4_000, seed=5, block_size=1024)
+    # the tolerance is for the mild-premia spots that collapse (to 3e-122
+    # at 1 y): a log of -280 carries rounding of 3e-12 relative
+    cfg = McConfig(n_paths=4_000, seed=5)
     args = (three_scale_spec, premia, flat_state, gaussian_moments, (0.25, 1.0), cfg)
     paths = simulate_pricing(*args)
     oracle = _oracle_simulate_pricing(*args, levels=True)
@@ -455,7 +454,7 @@ def test_draws_run_on_one_helper_thread(
         return _standard_normals(rng, size, out=out)
 
     monkeypatch.setattr(pricer, "_standard_normals", draw)
-    _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=3_000, block_size=1024)
+    _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, horizons=_DAYS, n=_TWO_BLOCKS)
     assert len(set(threads)) == 1 and threading.get_ident() not in threads
 
 
@@ -465,9 +464,9 @@ def test_concurrent_calls_return_the_bytes_of_serial_calls(
     # more callers than cores, different seeds and widths, and thread switches
     # every few microseconds: a buffer or pool shared between calls would mix
     # their draws
-    cfgs = [McConfig(n_paths=3_000, seed=seed, block_size=1024) for seed in (1, 2)]
+    cfgs = [McConfig(n_paths=_TWO_BLOCKS, seed=seed) for seed in (1, 2)]
     cfgs += [McConfig(n_paths=2_000, seed=seed, antithetic=False) for seed in (3, 4)]
-    args = (three_scale_spec, mild_premia, flat_state, gaussian_moments, (0.1, 0.5))
+    args = (three_scale_spec, mild_premia, flat_state, gaussian_moments, _DAYS)
     serial = [simulate_pricing(*args, cfg) for cfg in cfgs]
     together = [None] * len(cfgs)
 
