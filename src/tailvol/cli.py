@@ -241,7 +241,7 @@ def _cmd_smile(args: argparse.Namespace) -> int:
     noise = NoiseModel(args.noise_family, args.noise_dof)
     expiries = _floats(args.expiries)
     grid = _strike_grid(args.strikes)
-    cfg = McConfig(n_paths=args.paths, seed=args.seed, antithetic=not args.no_antithetic)
+    cfg = McConfig(n_paths=args.paths, seed=args.seed)
     surface = smile(spec, premia, state, noise_moments(noise), expiries, grid, cfg)
     rows = [
         (t, k, v, e)
@@ -338,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strikes", required=True, help="lo:hi:n or comma list (forward = 1)")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-antithetic", action="store_true")
     p.add_argument("--out", default=None, help="output CSV (default stdout)")
     add_noise(p)
     p.set_defaults(func=_cmd_smile)

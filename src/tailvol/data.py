@@ -169,6 +169,8 @@ def load_option_chains(path: str | Path) -> list[OptionChain]:
     for ln, cells in rows:
         try:
             t = float(cells[col["expiry_years"]])
+            if not 0.0 < t < math.inf:
+                raise ValueError(f"expiry_years must be positive and finite, got {t!r}")
             quote = Quote(
                 strike=float(cells[col["strike"]]),
                 kind=OptionKind(cells[col["kind"]].strip().lower()),

@@ -27,8 +27,8 @@ started and joined inside each :func:`simulate_pricing` call, draws step
 t + 1's normals into one of two per-block slots while the calling thread
 steps t from the other.  Only the helper touches a block's generator, one
 step after the other, so the stream and every path are what a single thread
-would compute.  Antithetic pairs are adjacent (paths 2i and 2i+1), and
-standard errors then use pair means.
+would compute.  Antithetic pairs are the one sampling scheme: paths 2i and
+2i + 1 take opposite draws, and standard errors use pair means.
 
 Each path also carries a control spot: the same spot driver applied to the
 deterministic forward-variance curve.  Its terminal distribution is exactly
@@ -87,18 +87,18 @@ _DRIFT_BUFFER_YEARS = 0.5
 
 @dataclass(frozen=True)
 class McConfig:
+    """A run's path count, seed and steps per day; its one scheme is antithetic pairs."""
+
     n_paths: int
     seed: int
     steps_per_day: int = 1
-    antithetic: bool = True
+    antithetic: ClassVar[bool] = True
     #: Paths per Philox stream; a constant, so a run is fixed by its seed.
     block_size: ClassVar[int] = 65536
 
     def __post_init__(self) -> None:
-        if self.n_paths < 2:
-            raise ValueError("need at least two paths")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic sampling needs an even path count")
+        if self.n_paths < 2 or self.n_paths % 2:
+            raise ValueError(f"n_paths must be positive and even (antithetic pairs): {self.n_paths}")
         if self.steps_per_day < 1:
             raise ValueError("steps_per_day must be >= 1")
 
@@ -113,7 +113,7 @@ class PathEnsemble:
     per-horizon exact lognormal variance.  Arrays are indexed (horizon,
     path).  ``floor_hits`` counts the path-steps whose stepped variance
     ``nu`` fell below ``VARIANCE_FLOOR`` and was floored (the starting
-    levels are not counted).
+    levels are not counted).  Paths 2i and 2i + 1 are an antithetic pair.
 
     The variance's eigenmodes are stepped block by block, not kept.  The
     normals are drawn one step ahead, on a helper thread, into two (drivers,
@@ -132,7 +132,6 @@ class PathEnsemble:
     s_control: np.ndarray
     int_var: np.ndarray
     control_var: np.ndarray
-    antithetic: bool
     dt_years: float
     floor_hits: int
 
@@ -145,10 +144,9 @@ class PathEnsemble:
         return i
 
 
-def _mean_se(values: np.ndarray, antithetic: bool) -> tuple[float, float]:
-    """Ensemble mean and standard error, pair-aware when antithetic."""
-    if antithetic:
-        values = 0.5 * (values[0::2] + values[1::2])
+def _mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Ensemble mean and its standard error over the antithetic pair means."""
+    values = 0.5 * (values[0::2] + values[1::2])
     return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
@@ -197,10 +195,9 @@ def simulate_pricing(
     control_cum = np.cumsum(f_curve * dt)
 
     n_h = horizons.size
-    total = cfg.n_paths
-    s = np.empty((n_h, total))
-    s_ctrl = np.empty((n_h, total))
-    iv_out = np.empty((n_h, total))
+    s = np.empty((n_h, cfg.n_paths))
+    s_ctrl = np.empty((n_h, cfg.n_paths))
+    iv_out = np.empty((n_h, cfg.n_paths))
 
     sqrt_dt = math.sqrt(dt)
     floor_hits = 0
@@ -210,12 +207,12 @@ def simulate_pricing(
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as helper:
-        for start in range(0, total, cfg.block_size):
-            width = min(cfg.block_size, total - start)
+        for start in range(0, cfg.n_paths, cfg.block_size):
+            width = min(cfg.block_size, cfg.n_paths - start)
             rng = _stream(cfg.seed, start // cfg.block_size)
             # Step t reads one slot while the helper fills the other for t + 1.
             slots = (np.empty((n_drivers, width)), np.empty((n_drivers, width)))
-            half = np.empty((n_drivers, width // 2)) if cfg.antithetic else None
+            half = np.empty((n_drivers, width // 2))
             drawn = helper.submit(_draw_step, rng, slots[0], half, sqrt_dt)
 
             z = np.repeat((eig.modes @ state0.x)[:, None], width, axis=1)
@@ -258,27 +255,19 @@ def simulate_pricing(
         s_control=s_ctrl,
         int_var=iv_out,
         control_var=control_cum[steps_at - 1],
-        antithetic=cfg.antithetic,
         dt_years=dt,
         floor_hits=floor_hits,
     )
 
 
-def _draw_step(
-    rng: np.random.Generator, slot: np.ndarray, half: np.ndarray | None, sqrt_dt: float
-) -> None:
-    """Write one step's driver increments into ``slot`` (n_drivers, width).
-
-    Antithetic runs draw ``half`` (n_drivers, width // 2) and store each
-    draw next to its negative; the values are those of drawing, scaling by
-    ``sqrt_dt`` and interleaving into fresh arrays.
-    """
-    z = slot if half is None else half
-    _standard_normals(rng, z.shape, out=z)
-    z *= sqrt_dt
-    if half is not None:
-        slot[:, 0::2] = half
-        np.negative(half, out=slot[:, 1::2])
+def _draw_step(rng: np.random.Generator, slot: np.ndarray, half: np.ndarray, sqrt_dt: float) -> None:
+    """Write one step's driver increments into ``slot`` (n_drivers, width):
+    ``half`` (n_drivers, width // 2) is drawn, scaled by ``sqrt_dt`` and stored
+    draw by draw next to its negative, bit for bit as into fresh arrays."""
+    _standard_normals(rng, half.shape, out=half)
+    half *= sqrt_dt
+    slot[:, 0::2] = half
+    np.negative(half, out=slot[:, 1::2])
 
 
 def _strip_prices(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,6 +284,14 @@ def _strip_prices(s: np.ndarray, strikes: np.ndarray) -> tuple[np.ndarray, np.nd
     puts = (strikes * idx - below_sum) / n
     calls = ((csum[-1] - below_sum) - strikes * (n - idx)) / n
     return puts, calls
+
+
+def _sorted_strikes(strikes) -> np.ndarray:
+    """The strikes sorted; each must be positive and finite."""
+    grid = np.sort(np.asarray(strikes, dtype=float))
+    if not ((grid > 0.0) & (grid < np.inf)).all():
+        raise ValueError("strikes must be positive and finite")
+    return grid
 
 
 def chain_from_ensemble(
@@ -314,9 +311,7 @@ def chain_from_ensemble(
     """
     i = paths.horizon_index(expiry)
     s = paths.s_control[i] if use_control else paths.s[i]
-    strikes = np.sort(np.asarray(strikes, dtype=float))
-    if not ((strikes > 0.0) & (strikes < np.inf)).all():
-        raise ValueError("strikes must be positive and finite")
+    strikes = _sorted_strikes(strikes)
     forward = 1.0
     puts, calls = _strip_prices(s, strikes)
     quotes = []
@@ -358,22 +353,21 @@ def smile(
 ) -> SmileSurface:
     """Monte Carlo implied-volatility smile on a strike grid.
 
-    ``strike_grid`` is one array of strikes, quoted relative to the forward
-    (= 1) and shared by all expiries.  Strikes whose absolute Black delta
-    falls outside [0.001, 0.999], or whose price cannot be inverted, are
-    dropped with a reason.
+    ``strike_grid`` holds the strikes, each positive and finite (else
+    ``ValueError``), relative to the forward (= 1) and shared by all expiries.
+    Strikes whose absolute Black delta falls outside [0.001, 0.999], or whose
+    price cannot be inverted, are dropped with a reason.
     """
-    grid = np.sort(np.asarray(strike_grid, dtype=float))
+    grid = _sorted_strikes(strike_grid)
     paths = simulate_pricing(spec, premia, state0, mom, expiries, cfg)
 
     out_k, out_v, out_e = [], [], []
     dropped: list[tuple[float, float, str]] = []
     for i, t in enumerate(paths.horizons):
-        s = paths.s[i]
         ks, vols, errs = [], [], []
         for k_ in grid:
             kind = OptionKind.PUT if _otm(OptionKind.PUT, k_, 1.0) else OptionKind.CALL
-            price, se = _mean_se(_payoff(kind, k_, s), paths.antithetic)
+            price, se = _mean_se(_payoff(kind, k_, paths.s[i]))
             try:
                 vol = implied_vol(price, 1.0, float(k_), float(t), kind)
             except ModelError as exc:

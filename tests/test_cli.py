@@ -384,6 +384,57 @@ def test_malformed_strike_grid_exits_2(configs, capsys, strikes, message):
     assert message in capsys.readouterr().err
 
 
+def test_smile_rejects_strikes_at_or_below_zero(configs, tmp_path, capsys):
+    # they used to be priced and reported as dropped quotes, with exit 0
+    out = tmp_path / "smile.csv"
+    argv = ["smile", "--spec", configs["spec"], "--state", configs["state"], "--premia",
+            configs["premia"], "--expiries", "0.25", "--strikes=-0.5,0,1.0", "--paths", "2000"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "configuration error: strikes must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smile_no_longer_takes_no_antithetic(configs):
+    # antithetic pairs are the pricer's one sampling scheme
+    with pytest.raises(SystemExit) as exc:
+        main(_smile_argv(configs, "0.9:1.1:3") + ["--no-antithetic"])
+    assert exc.value.code == 2
+
+
+#: The spec and premia of the README's config example.
+README_SPEC = {
+    "dt_years": 1.0 / 252.0,
+    "filters": [
+        {"length_days": 1000.0, "weight": 0.1, "kind": "symmetric"},
+        {"length_days": 36.0, "weight": 0.4, "kind": "symmetric"},
+        {"length_days": 6.0, "weight": 0.5, "kind": "asymmetric"},
+    ],
+}
+README_PREMIA = {"lambda2": 0.1, "lambda3": 0.4, "lambda4": 1.0}
+
+
+@pytest.mark.parametrize("noise, floor", [
+    ([], "+0.625081"),
+    (["--noise-family", "student_t", "--noise-dof", "6"], "-0.400000"),
+])
+def test_validate_reads_the_noise_family(tmp_path, capsys, noise, floor):
+    spec, premia = tmp_path / "spec.json", tmp_path / "premia.json"
+    dump_json(spec, README_SPEC)
+    dump_json(premia, README_PREMIA)
+    assert main(["validate", "--spec", str(spec), "--premia", str(premia), *noise]) == 0
+    assert f"kurtosis floor   = {floor} (lambda4 = +1.000000)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("noise, message", [
+    (["--noise-family", "student_t"], "student_t noise requires dof > 4"),
+    (["--noise-family", "student_t", "--noise-dof", "4"], "student_t noise requires dof > 4"),
+    (["--noise-dof", "6"], "dof only applies to student_t noise"),
+])
+def test_noise_flags_that_do_not_make_a_model_exit_2(configs, capsys, noise, message):
+    assert main(["validate", "--spec", configs["spec"], "--premia", configs["premia"], *noise]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(["--kinds", "symmetric,skewed", "--init-weights", "0.2,0.1", "--init-lengths", "20,5"],

@@ -224,6 +224,22 @@ def test_option_chains_count_a_bad_forward_or_rate_cell_as_malformed(tmp_path, f
         load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
 
 
+@pytest.mark.parametrize("expiry", ["nan", "inf", "-0.5", "0"])
+def test_option_chains_count_a_bad_expiry_cell_as_malformed(tmp_path, expiry):
+    # one such cell used to abort the whole file, where any other bad cell
+    # counts as one malformed row
+    rows = ["expiry_years,strike,kind,mid,forward,rate"]
+    rows += [f"0.5,{80.0 + 0.5 * k!r},put,1.0,100.0,0.01" for k in range(100)]
+    rows[42] = f"{expiry},101.0,put,1.0,100.0,0.01"
+    with pytest.warns(UserWarning, match="skipped 1 malformed rows — line 43: "
+                                         "expiry_years must be positive and finite"):
+        chains = load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+    assert [c.expiry_years for c in chains] == [0.5] and len(chains[0].quotes) == 99
+    rows[60] = rows[42]
+    with pytest.raises(DataError, match="2/100 rows malformed — line 43: .*; line 61: "):
+        load_option_chains(_write(tmp_path / "c.csv", "\n".join(rows) + "\n"))
+
+
 def test_option_chain_rejects_two_quotes_of_one_kind_at_a_strike(tmp_path):
     text = (
         "expiry_years,strike,kind,mid,forward,rate\n"

@@ -5,6 +5,7 @@ shown in a shell block is parsed by the CLI's own argument parser, so a
 renamed or removed function or flag that the README still shows fails here.
 """
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -53,3 +54,18 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["estimate", "r.csv", "--out", "f.json", "--base-length", "1000"])
     assert exc.value.code == 2
+
+
+def test_readme_names_every_subcommand_option():
+    # a flag no README line names is one no user can find
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    text = README.read_text()
+    unnamed = sorted(
+        f"{name} {flag}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+        and not re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", text)
+    )
+    assert not unnamed
