@@ -232,6 +232,12 @@ class NoiseModel:
         )
         return const - 0.5 * (nu + 1.0) * np.log1p(z * z / (nu - 2.0))
 
+    def score(self, z2: np.ndarray) -> np.ndarray | float:
+        """The slope of ``-log_density`` in z², at z² = ``z2``."""
+        if self.family == "gaussian":
+            return 0.5
+        return 0.5 * (self.dof + 1.0) / (self.dof - 2.0 + z2)
+
 
 def _standard_normals(
     rng: np.random.Generator, size, out: np.ndarray | None = None

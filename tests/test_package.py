@@ -1,4 +1,5 @@
 import ast
+import datetime
 import importlib
 import importlib.util
 import inspect
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -230,12 +232,11 @@ def test_modules_import_neither_scipy_integrate_nor_stats():
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
-def test_only_estimation_imports_scipy():
-    # implied vols bisect, the lambda2 stage runs its own golden section and
-    # the Black CDF is math.erfc: only the pooled-NLL fit needs scipy.optimize
+def test_no_module_imports_scipy():
+    # implied vols bisect, the lambda2 stage runs its own golden section, the
+    # Black CDF is math.erfc and the pooled-NLL fit is a numpy projected BFGS
     src = pathlib.Path(tailvol.__file__).parent
-    found = {path.name: _imports_of(path.read_text(), ("scipy",))
-             for path in sorted(src.glob("*.py")) if path.name != "estimation.py"}
+    found = {path.name: _imports_of(path.read_text(), ("scipy",)) for path in sorted(src.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -560,6 +561,19 @@ def test_smile_command_loads_no_scipy(tmp_path):
             "--expiries", "0.25", "--strikes", "0.9:1.1:5", "--paths", "2000", "--out", "smile.csv"]
     assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
     assert len((tmp_path / "smile.csv").read_text().splitlines()) > 1
+
+
+def test_estimate_command_loads_no_scipy(tmp_path):
+    # the likelihood search is numpy's: exact gradients and a projected BFGS
+    rng = random.Random(3)
+    for j in range(2):
+        rows = [f"{datetime.date(2020, 1, 1) + datetime.timedelta(days=d)},{rng.gauss(0.0, 0.01)!r}"
+                for d in range(300)]
+        (tmp_path / f"p{j}.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
+    argv = ["estimate", "p0.csv", "p1.csv", "--kinds", "symmetric,asymmetric",
+            "--init-weights", "0.3,0.3", "--init-lengths", "30,10", "--out", "fit.json"]
+    assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
+    assert "spec" in json.loads((tmp_path / "fit.json").read_text())
 
 
 def test_calibrate_command_loads_no_scipy(tmp_path):
