@@ -40,7 +40,7 @@ from .expansion import (
     expansion_integrals,
     model_moments,
 )
-from .filters import FilterState, GarchSpec
+from .filters import DataError, FilterState, GarchSpec
 from .measure import (
     EigenSystem,
     ModelError,
@@ -90,8 +90,8 @@ class CalibrationInput:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "market", tuple(self.market))
-        if len(self.market) < 2:
-            raise ValueError("calibration needs at least two expiries")
+        if len(self.market) < 2:  # what the chains hold, so bad data
+            raise DataError("calibration needs at least two expiries")
         ts = [t for t, _ in self.market]
         if not all(0.0 < t < math.inf for t in ts):
             raise ValueError("expiries must be positive and finite")
@@ -166,8 +166,6 @@ def fit_lambda2(inputs: CalibrationInput) -> StageResult:
             eig = omega_eigen(inputs.spec, premia)
             v = varswap_price(inputs.state, eig, premia, expiries)
         except (ModelError, ValueError):
-            return _PENALTY
-        if not np.all(np.isfinite(v)) or (v <= 0.0).any():
             return _PENALTY
         model_vols = np.sqrt(v / expiries)
         return float(np.sum((model_vols - mkt_vols) ** 2))

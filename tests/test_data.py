@@ -11,7 +11,6 @@ from tailvol.data import (
     load_option_chains,
     load_return_panel,
     load_return_series,
-    noise_to_dict,
     premia_from_dict,
     premia_to_dict,
     spec_from_dict,
@@ -26,7 +25,6 @@ from tailvol.filters import (
     FilterSpec,
     FilterState,
     GarchSpec,
-    NoiseModel,
 )
 from tailvol.measure import RiskPremia
 from tailvol.replication import OptionKind
@@ -339,10 +337,6 @@ def test_premia_and_noise_round_trips():
     assert premia_from_dict(premia_to_dict(premia)) == premia
     with pytest.raises(DataError, match="bad premia"):
         premia_from_dict({"lambda2": 0.1})
-
-    assert noise_to_dict(NoiseModel()) == {"family": "gaussian"}
-    t8 = NoiseModel(family="student_t", dof=8.0)
-    assert noise_to_dict(t8) == {"family": "student_t", "dof": 8.0}
 
 
 def test_dump_json_is_deterministic(tmp_path):

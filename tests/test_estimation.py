@@ -516,3 +516,22 @@ def test_nll_gradient_matches_central_differences_inside_and_on_every_face(noise
         assert value == pytest.approx(pooled_nll(spec, panel, noise), rel=1e-12)
         fd = _central_difference(lambda y: estimation._nll_grad(y, init, panel, noise)[0], x)
         np.testing.assert_allclose(grad, fd, rtol=1e-6)
+
+
+@pytest.mark.parametrize("limit, value", [("_BACKTRACKS", 0), ("_MAX_ITER", 1)])
+def test_fit_reports_no_convergence_when_the_search_stops_early(monkeypatch, limit, value):
+    # with no halvings a first step cannot be accepted; with one iteration
+    # the search stops before its gradient test holds
+    panel = _clustered_panel(n_series=2, n_days=400)
+    monkeypatch.setattr(estimation, limit, value)
+    res = fit_garch(panel, NoiseModel(), init=_one_filter(0.2, 30.0), n_restarts=2)
+    assert not res.converged
+    assert res.n_iter == (0 if limit == "_BACKTRACKS" else 2)
+    assert res.nll == pytest.approx(pooled_nll(res.spec, panel, NoiseModel()), rel=1e-12)
+
+
+def test_pooled_nll_is_inf_when_a_variance_path_dies():
+    # a lone 1.5-day filter over 1990 zero returns decays to exactly 0
+    rng = np.random.default_rng(5)
+    panel = _panel_from_arrays([np.concatenate([rng.standard_normal(10), np.zeros(1990)])])
+    assert pooled_nll(_one_filter(1.0, 1.5), panel, NoiseModel()) == math.inf

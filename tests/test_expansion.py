@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -377,3 +378,17 @@ def test_model_moments_rejects_nonpositive_variance():
     )
     with pytest.raises(ModelError):
         model_moments(co)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda curve: expansion_integrals(curve, 0.0), ValueError, "maturity must be positive, got 0.0"),
+    (lambda curve: expansion_integrals(curve, math.nan), ValueError, "maturity must be positive, got nan"),
+    (lambda curve: atm_skew(ExpansionCoefficients(cxf=-0.1, cff=0.0, cmu=0.0, v=0.0, maturity=1.0)),
+     ModelError, "variance-swap price must be positive, got 0.0"),
+    (lambda curve: atm_skew(ExpansionCoefficients(cxf=-0.1, cff=0.0, cmu=0.0, v=-0.01, maturity=1.0)),
+     ModelError, "variance-swap price must be positive, got -0.01"),
+])
+def test_expansion_rejects_bad_inputs(three_scale_spec, flat_state, mild_premia, call, error, message):
+    curve = ForwardVarianceCurve.from_state(flat_state, omega_eigen(three_scale_spec, mild_premia), mild_premia)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(curve)

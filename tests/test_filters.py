@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 import warnings
 
 import numpy as np
@@ -407,3 +408,32 @@ def test_simulated_levels_match_a_rescan_of_the_returns(noise, name, n_series):
 def test_trading_day_constant():
     assert TRADING_DAYS_PER_YEAR == 252.0
     assert math.isclose(1.0 / TRADING_DAYS_PER_YEAR, 1.0 / 252.0)
+
+
+_ONE = GarchSpec(filters=(FilterSpec(10.0, 1.0),))
+_DAY = dt.date(2024, 1, 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FilterSpec(10.0, math.nan), "filter weight must be finite, got nan"),
+    (lambda: GarchSpec(filters=()), "spec needs at least one filter"),
+    (lambda: GarchSpec(filters=(FilterSpec(10.0, 1.0),), dt_years=0.0),
+     "dt_years must be finite and > 0, got 0.0"),
+    (lambda: GarchSpec(filters=(FilterSpec(10.0, 1.0),), dt_years=math.inf),
+     "dt_years must be finite and > 0, got inf"),
+    (lambda: ReturnSeries(dates=(), returns=np.array([])), "return series is empty"),
+    (lambda: FilterState(x=np.array([]), nu=0.04, as_of=_DAY), "state vector must be 1-d and non-empty"),
+    (lambda: FilterState(x=np.zeros((1, 1)), nu=0.04, as_of=_DAY), "state vector must be 1-d and non-empty"),
+    (lambda: FilterState(x=np.array([0.04, -1e-3]), nu=0.04, as_of=_DAY),
+     "filter levels must be finite and non-negative"),
+    (lambda: FilterState(x=np.array([math.inf]), nu=0.04, as_of=_DAY),
+     "filter levels must be finite and non-negative"),
+    (lambda: FilterState(x=np.array([0.04]), nu=0.0, as_of=_DAY), "variance forecast must be positive, got 0.0"),
+    (lambda: FilterState.from_levels([0.04, 0.04], _ONE, _DAY), "state has 2 levels, spec has 1 filters"),
+    (lambda: _simulate(_ONE, np.array([0.04, 0.04]), NoiseModel(), 5, 1, 0), "initial state does not match spec"),
+    (lambda: simulate_realworld(_ONE, FilterState.from_levels([0.04], _ONE, _DAY), NoiseModel(), 0, 0),
+     "n_days must be >= 1"),
+])
+def test_filters_constructors_and_simulators_reject_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,5 +1,6 @@
 import datetime as dt
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tailvol.filters import FilterKind, FilterSpec, FilterState, GarchSpec, Nois
 from tailvol.measure import (
     _drift_targets,
     ModelError,
+    NoiseMoments,
     RiskPremia,
     decay_integral,
     filter_cov_matrix,
@@ -537,6 +539,21 @@ def test_varswap_price_rejects_maturities_not_positive_and_finite(
         varswap_price(flat_state, eig, mild_premia, maturity)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("levels, maturity, message", [
+    (0.04, [0.5, 1e300], "varswap price inf at maturity 1e+300"),
+    (0.0, [0.25, 0.5], "varswap price 0.0 at maturity 0.25"),
+])
+def test_varswap_price_raises_when_a_price_is_not_positive_and_finite(
+    three_scale_spec, mild_premia, levels, maturity, message
+):
+    # one rule for a usable price: the CLI and the lambda2 stage both rely on it
+    state = FilterState(x=np.full(3, levels), nu=0.04, as_of=dt.date(2024, 1, 2))
+    eig = omega_eigen(three_scale_spec, mild_premia)
+    with pytest.raises(ModelError, match=f"^{re.escape(message)} is not positive and finite$"):
+        varswap_price(state, eig, mild_premia, maturity)
+
+
 # ------------------------------------------------------------------ GARCH(1,1)
 # GARCH(1,1) is a constant anchor of weight 1 - alpha plus one EMA of weight
 # alpha.  Its closed-form variance swap, kept here as an independent oracle,
@@ -676,3 +693,18 @@ def test_constant_anchor_adds_no_bound(gaussian_moments, tmp_path, capsys):
     assert main(["validate", "--spec", str(spec_path), "--premia", str(premia_path)]) == 0
     out = capsys.readouterr().out
     assert "kurtosis floor   = -inf" in out and "premia admissible" in out
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RiskPremia(math.nan, 0.0, 0.0), "lambda2 must be finite"),
+    (lambda: RiskPremia(0.1, math.inf, 0.0), "lambda3 must be finite"),
+    (lambda: RiskPremia(0.1, 0.0, -math.inf), "lambda4 must be finite"),
+    (lambda: RiskPremia(-1.0, 0.0, 0.0), "lambda2 must exceed -1, got -1.0"),
+    (lambda: NoiseMoments(0.5, 0.0), "m4 must be finite and >= 1, got 0.5"),
+    (lambda: NoiseMoments(math.nan, 0.0), "m4 must be finite and >= 1, got nan"),
+    (lambda: NoiseMoments(3.0, 0.1), "m3_minus must be finite and <= 0, got 0.1"),
+    (lambda: NoiseMoments(3.0, -math.inf), "m3_minus must be finite and <= 0, got -inf"),
+])
+def test_measure_constructors_reject_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -224,67 +224,11 @@ def test_banned_import_check_flags_integrate_and_stats():
     ]
 
 
-def test_modules_import_neither_scipy_integrate_nor_stats():
-    # the closed forms made both unnecessary
-    src = pathlib.Path(tailvol.__file__).parent
-    found = {path.name: _imports_of(path.read_text(), ("scipy.integrate", "scipy.stats"))
-             for path in sorted(src.glob("*.py"))}
-    assert {name: hits for name, hits in found.items() if hits} == {}
-
-
 def test_no_module_imports_scipy():
     # implied vols bisect, the lambda2 stage runs its own golden section, the
     # Black CDF is math.erfc and the pooled-NLL fit is a numpy projected BFGS
     src = pathlib.Path(tailvol.__file__).parent
     found = {path.name: _imports_of(path.read_text(), ("scipy",)) for path in sorted(src.glob("*.py"))}
-    assert {name: hits for name, hits in found.items() if hits} == {}
-
-
-def _scipy_imports_at_load(source: str) -> list[str]:
-    """scipy imports that run when the module loads (outside every function
-    body), and imports of scipy.signal or scipy.special anywhere, as
-    ``module (line n)``."""
-    out = []
-
-    def visit(node: ast.AST, in_function: bool) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and child.level == 0:
-                names = [child.module] + [f"{child.module}.{alias.name}" for alias in child.names]
-            else:
-                names = []
-            banned = ("scipy.signal", "scipy.special") if in_function else ("scipy",)
-            hits = [n for n in names if any(n == b or n.startswith(b + ".") for b in banned)]
-            out.extend([f"{hits[0]} (line {child.lineno})"] if hits else [])
-            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            visit(child, in_function or nested)
-
-    visit(ast.parse(source), False)
-    return out
-
-
-def test_scipy_import_check_flags_module_level_and_signal():
-    source = (
-        "import numpy as np\nfrom scipy.special import ndtr\nimport scipy\n"
-        "def f():\n    from scipy.optimize import minimize\n    return minimize\n"
-        "class K:\n    from scipy import linalg\n"
-        "    def m(self):\n        from scipy import signal\n        return signal\n"
-        "if True:\n    import scipy.optimize\n"
-        "from . import filters\n"
-        "def g(x):\n    from scipy.special import ndtr\n    import scipy.special as sp\n"
-        "    from scipy import special\n    return ndtr(x) + sp.erf(x) + special.erfc(x)\n"
-    )
-    assert _scipy_imports_at_load(source) == [
-        "scipy.special (line 2)", "scipy (line 3)", "scipy (line 8)",
-        "scipy.signal (line 10)", "scipy.optimize (line 13)",
-        "scipy.special (line 16)", "scipy.special (line 17)", "scipy.special (line 18)",
-    ]
-
-
-def test_modules_import_scipy_only_inside_functions():
-    src = pathlib.Path(tailvol.__file__).parent
-    found = {path.name: _scipy_imports_at_load(path.read_text()) for path in sorted(src.glob("*.py"))}
     assert {name: hits for name, hits in found.items() if hits} == {}
 
 
@@ -499,16 +443,6 @@ def _fresh_report(code: str, report: str, cwd: pathlib.Path):
     return json.loads(run.stdout.splitlines()[-1])
 
 
-def _scipy_modules_after(code: str, cwd: pathlib.Path) -> list[str]:
-    """The scipy modules in ``sys.modules`` after a fresh interpreter runs
-    ``code`` against this checkout of the package."""
-    return _fresh_report(code, "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')", cwd)
-
-
-def test_import_tailvol_loads_no_scipy(tmp_path):
-    assert _scipy_modules_after("import tailvol", tmp_path) == []
-
-
 def test_import_tailvol_starts_no_thread_and_loads_no_thread_pool(tmp_path):
     report = "[threading.active_count(), 'concurrent.futures' in sys.modules]"
     assert _fresh_report("import tailvol", report, tmp_path) == [1, False]
@@ -529,56 +463,17 @@ def _write_model_files(tmp_path: pathlib.Path) -> None:
     dump_json(tmp_path / "premia.json", {"lambda2": 0.2, "lambda3": 0.1, "lambda4": 1.0})
 
 
-def _run_commands_code(argvs: list[list[str]]) -> str:
-    """Code that runs each argv through ``cli.main`` and fails on a nonzero exit."""
-    return (
-        "from tailvol.cli import main\n"
-        f"for argv in {argvs!r}:\n"
-        "    rc = main(argv)\n"
-        "    if rc != 0:\n"
-        "        raise SystemExit(f'{argv[0]} exited {rc}')"
-    )
-
-
-def test_varswap_validate_and_filters_commands_load_no_scipy(tmp_path):
+def test_every_command_loads_no_scipy(tmp_path):
+    # numpy alone runs the package: the Black CDF is math.erfc, implied vols
+    # bisect, the lambda2 stage runs its own golden section and the
+    # likelihood search is a projected BFGS; a fresh process also catches a
+    # dynamic import, which the AST guard above cannot
     _write_model_files(tmp_path)
-    rows = [f"2020-01-{day:02d},{0.01 * (-1) ** day}" for day in range(1, 29)]
-    (tmp_path / "rets.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
-    argvs = [
-        ["varswap", "--spec", "spec.json", "--state", "state.json", "--premia", "premia.json",
-         "--maturities", "0.25,1.0", "--out", "varswap.csv"],
-        ["validate", "--spec", "spec.json", "--premia", "premia.json"],
-        ["filters", "rets.csv", "--spec", "spec.json", "--out", "states.csv", "--state-out", "s.json"],
-    ]
-    assert _scipy_modules_after(_run_commands_code(argvs), tmp_path) == []
-    assert (tmp_path / "varswap.csv").exists() and (tmp_path / "states.csv").exists()
-
-
-def test_smile_command_loads_no_scipy(tmp_path):
-    # the draws are numpy's and the Black formula's CDF is math.erfc
-    _write_model_files(tmp_path)
-    argv = ["smile", "--spec", "spec.json", "--state", "state.json", "--premia", "premia.json",
-            "--expiries", "0.25", "--strikes", "0.9:1.1:5", "--paths", "2000", "--out", "smile.csv"]
-    assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
-    assert len((tmp_path / "smile.csv").read_text().splitlines()) > 1
-
-
-def test_estimate_command_loads_no_scipy(tmp_path):
-    # the likelihood search is numpy's: exact gradients and a projected BFGS
     rng = random.Random(3)
     for j in range(2):
         rows = [f"{datetime.date(2020, 1, 1) + datetime.timedelta(days=d)},{rng.gauss(0.0, 0.01)!r}"
                 for d in range(300)]
         (tmp_path / f"p{j}.csv").write_text("date,return\n" + "\n".join(rows) + "\n")
-    argv = ["estimate", "p0.csv", "p1.csv", "--kinds", "symmetric,asymmetric",
-            "--init-weights", "0.3,0.3", "--init-lengths", "30,10", "--out", "fit.json"]
-    assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
-    assert "spec" in json.loads((tmp_path / "fit.json").read_text())
-
-
-def test_calibrate_command_loads_no_scipy(tmp_path):
-    # the lambda2 stage refines its grid by a golden-section search of its own
-    _write_model_files(tmp_path)
     rows = ["expiry_years,strike,kind,mid,forward,rate,implied_vol"]
     for t in (0.25, 0.5):
         for i in range(41):
@@ -586,10 +481,30 @@ def test_calibrate_command_loads_no_scipy(tmp_path):
             kind = OptionKind.PUT if k <= 1.0 else OptionKind.CALL
             rows.append(f"{t!r},{k!r},{kind.value},{bs_price(1.0, k, t, 0.2, kind)!r},1.0,0.0,0.2")
     (tmp_path / "chains.csv").write_text("\n".join(rows) + "\n")
-    argv = ["calibrate", "--spec", "spec.json", "--state", "state.json", "--chains", "chains.csv",
-            "--mode", "saturate_kurtosis", "--delta-range", "0.01,0.99", "--out", "premia_fit.json"]
-    assert _scipy_modules_after(_run_commands_code([argv]), tmp_path) == []
-    assert "lambda2" in json.loads((tmp_path / "premia_fit.json").read_text())
+    model = ["--spec", "spec.json", "--state", "state.json", "--premia", "premia.json"]
+    argvs = [
+        ["estimate", "p0.csv", "p1.csv", "--kinds", "symmetric,asymmetric",
+         "--init-weights", "0.3,0.3", "--init-lengths", "30,10", "--out", "fit.json"],
+        ["filters", "p0.csv", "--spec", "spec.json", "--out", "states.csv", "--state-out", "s.json"],
+        ["varswap", *model, "--maturities", "0.25,1.0", "--out", "varswap.csv"],
+        ["moments", *model, "--expiries", "0.25,1.0", "--out", "moments.csv"],
+        ["calibrate", "--spec", "spec.json", "--state", "state.json", "--chains", "chains.csv",
+         "--mode", "saturate_kurtosis", "--delta-range", "0.01,0.99", "--out", "premia_fit.json"],
+        ["smile", *model, "--expiries", "0.25", "--strikes", "0.9:1.1:5", "--paths", "2000",
+         "--out", "smile.csv"],
+        ["validate", "--spec", "spec.json", "--premia", "premia.json"],
+    ]
+    code = (
+        "from tailvol.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    rc = main(argv)\n"
+        "    if rc != 0:\n"
+        "        raise SystemExit(f'{argv[0]} exited {rc}')"
+    )
+    report = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+    assert _fresh_report(code, report, tmp_path) == []
+    written = ("fit.json", "states.csv", "varswap.csv", "moments.csv", "premia_fit.json", "smile.csv")
+    assert all((tmp_path / name).stat().st_size > 0 for name in written)
 
 
 def _mentions(source: str) -> set[str]:

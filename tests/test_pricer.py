@@ -519,3 +519,10 @@ def test_floor_hits_count_the_floored_path_steps(three_scale_spec, flat_state, m
     assert hits(0.5) == 0
     assert hits(1.0, steps_per_day=2) == 0
     assert 0 < hits(1.0) < hits(5.0) < 126 * 2_000
+
+
+@pytest.mark.parametrize("n_paths, n_days", [(1, 5), (0, 5), (4, 1)])
+def test_drift_check_rejects_too_few_paths_or_days(three_scale_spec, flat_state, mild_premia,
+                                                   n_paths, n_days):
+    with pytest.raises(ValueError, match="^need at least 2 paths and 2 days$"):
+        realworld_drift_check(three_scale_spec, mild_premia, NoiseModel(), flat_state, n_paths, n_days, 0)

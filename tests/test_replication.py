@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -484,3 +485,19 @@ def test_market_moment_triple_rejects_positive_m1():
         market_moment_triple(0.01, 0.02, 0.0, 0.5)
     with pytest.raises(ValueError):
         market_moment_triple(-0.01, 0.02, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Quote(0.0, OptionKind.PUT, 0.01), "strike must be positive, got 0.0"),
+    (lambda: Quote(math.inf, OptionKind.CALL, 0.01), "strike must be positive, got inf"),
+    (lambda: Quote(0.9, OptionKind.PUT, -0.01), "mid must be finite and >= 0, got -0.01"),
+    (lambda: Quote(0.9, OptionKind.PUT, math.nan), "mid must be finite and >= 0, got nan"),
+    (lambda: OptionChain(0.0, 1.0, 0.0, ()), "expiry must be positive, got 0.0"),
+    (lambda: OptionChain(0.25, -1.0, 0.0, ()), "forward must be positive, got -1.0"),
+    (lambda: OptionChain(0.25, 1.0, math.nan, ()), "rate must be finite"),
+    (lambda: OptionChain(0.25, 1.0, 0.0, (Quote(0.9, OptionKind.PUT, 0.01), Quote(0.9, OptionKind.PUT, 0.02))),
+     "put strikes must be strictly increasing, got 0.9 then 0.9"),
+])
+def test_quote_and_chain_constructors_reject_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
