@@ -19,6 +19,7 @@ import argparse
 import hashlib
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -127,13 +128,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     panel = load_return_panel(args.series)
     result = fit_garch(panel, noise, init, seed=args.seed, n_restarts=args.restarts)
 
-    fields = {
-        "converged": result.converged,
-        "nll": result.nll,
-        "n_iter": result.n_iter,
-        "spec": spec_to_dict(result.spec),
-    }
-    _write_artifact(args.out, args, fields)
+    _write_artifact(args.out, args, {**asdict(result), "spec": spec_to_dict(result.spec)})
     print(f"wrote {args.out} (nll={result.nll:.6f}, converged={result.converged})")
     return 0
 
@@ -191,9 +186,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     for chain in chains:
         m1, m2, m3 = replicate_moments(chain)
         market.append((chain.expiry_years, market_moment_triple(m1, m2, m3, chain.expiry_years)))
-    inputs = CalibrationInput(
-        state=state, spec=spec, noise=noise_moments(noise), market=tuple(market)
-    )
+    inputs = CalibrationInput(state=state, spec=spec, noise=noise_moments(noise), market=market)
     result = calibrate_sequential(inputs, mode=args.mode)
 
     fields = {

@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -305,11 +306,7 @@ def state_from_dict(obj: dict, spec: GarchSpec) -> FilterState:
 
 
 def premia_to_dict(premia: RiskPremia) -> dict:
-    return {
-        "lambda2": premia.lambda2,
-        "lambda3": premia.lambda3,
-        "lambda4": premia.lambda4,
-    }
+    return asdict(premia)
 
 
 def premia_from_dict(obj: dict) -> RiskPremia:

@@ -31,6 +31,7 @@ from .measure import (
     ModelError,
     PricingParams,
     RiskPremia,
+    _usable_varswap,
     decay_integral,
 )
 
@@ -282,9 +283,7 @@ class ImpliedMomentTriple:
 
 def model_moments(coeffs: ExpansionCoefficients) -> ImpliedMomentTriple:
     """Moment triple implied by the expansion at its maturity."""
-    v, t = coeffs.v, coeffs.maturity
-    if v <= 0.0:
-        raise ModelError(f"variance-swap price must be positive, got {v}")
+    v, t = _usable_varswap(coeffs.v, coeffs.maturity), coeffs.maturity
     sqrt_t = math.sqrt(t)
     return ImpliedMomentTriple(
         vswap_vol=math.sqrt(v / t),
@@ -295,7 +294,5 @@ def model_moments(coeffs: ExpansionCoefficients) -> ImpliedMomentTriple:
 
 def atm_skew(coeffs: ExpansionCoefficients) -> float:
     """At-the-money implied-volatility skew d(sigma)/d(log K) at the maturity."""
-    v, t = coeffs.v, coeffs.maturity
-    if v <= 0.0:
-        raise ModelError(f"variance-swap price must be positive, got {v}")
+    v, t = _usable_varswap(coeffs.v, coeffs.maturity), coeffs.maturity
     return coeffs.cxf / (2.0 * math.sqrt(t) * v**1.5)

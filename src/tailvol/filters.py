@@ -242,11 +242,11 @@ class NoiseModel:
 def _standard_normals(
     rng: np.random.Generator, size, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Standard normals by numpy's ziggurat sampler on the generator's Philox
-    stream, the one source of Gaussian draws in the package; the bits are
-    fixed for a given numpy version.  Given ``out`` (a C-contiguous float64
-    array of shape ``size``), the draws are written into it and it is
-    returned; either way the values are the same bits."""
+    """Standard normals by numpy's ziggurat sampler on the generator's SFC64
+    stream, keyed by ``SeedSequence`` spawn keys: the one source of Gaussian
+    draws in the package, with bits fixed for a given numpy version.  Given
+    ``out`` (a C-contiguous float64 array of shape ``size``), the draws are
+    written into it and it is returned; either way they are the same bits."""
     return rng.standard_normal(size, out=out)
 
 
@@ -279,8 +279,8 @@ def _ema_scan(driver: np.ndarray, w: float, x0: float) -> np.ndarray:
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """The one rule that turns a seed (and a block index, where a simulation
-    runs in blocks) into a random stream."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    runs in blocks) into a random stream: SFC64, kept apart by spawn keys."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _filter_drivers(returns: np.ndarray, spec: GarchSpec) -> list[np.ndarray]:

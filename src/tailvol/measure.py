@@ -49,8 +49,10 @@ __all__ = [
 ]
 
 #: Slack applied to correlation-consistency checks so that premia sitting
-#: exactly on the kurtosis cap (a calibration mode) validate cleanly.
-_BOUND_TOL = 1e-9
+#: exactly on the kurtosis cap (a calibration mode) validate cleanly; and the
+#: cap's width in the asymmetric row's squared third load, det / (prod(diag)
+#: (1 - rho_plus^2)): a few ulps of lambda4, whose square root is about 1e-8.
+_BOUND_TOL, _FLOOR_TOL = 1e-9, 1e-12
 
 
 class ModelError(ValueError):
@@ -106,13 +108,14 @@ def noise_moments(noise: NoiseModel) -> NoiseMoments:
 
 @dataclass(frozen=True)
 class PremiaCheck:
-    """Outcome of the consistency checks, with the computed correlations."""
+    """Outcome of the consistency checks and correlations; ``on_floor``: on the kurtosis floor."""
 
     violations: tuple[str, ...]
     rho_plus: float
     rho_minus: float
     rho_cross: float
     rho_cross_resid: float
+    on_floor: bool
 
     @property
     def ok(self) -> bool:
@@ -180,7 +183,7 @@ def validate_premia(
             violations.append(("rho_plus_bound", "rho_minus_bound")[kind - 1])
     _, rho_plus, rho_minus = rho
 
-    rho_cross = rho_bar = 1.0
+    rho_cross, rho_bar, on_floor = 1.0, 1.0, False
     if len(kinds) == 2 and not violations:
         rho_cross = float(cov[1, 2] / math.sqrt(cov[1, 1] * cov[2, 2]))
         if abs(rho_cross) > 1.0 + _BOUND_TOL:
@@ -189,14 +192,17 @@ def validate_premia(
         rho_bar = (rho_cross - rho_plus * rho_minus) / math.sqrt(den) if den > 0.0 else 0.0
         # Decided on the determinant that kurtosis_bound roots: rho_bar
         # divides by a 1 - rho_plus^2 that vanishes near the floor.
-        if _exact_det(cov) < -_BOUND_TOL * float(np.prod(np.diag(cov))):
+        det, scale = _exact_det(cov), float(np.prod(np.diag(cov)))
+        if det < -_BOUND_TOL * scale:
             violations.append("rho_cross_resid_bound")
+        on_floor = det <= _FLOOR_TOL * scale * (1.0 - rho_plus**2)
     return PremiaCheck(
         violations=tuple(violations),
         rho_plus=rho_plus,
         rho_minus=rho_minus,
         rho_cross=rho_cross,
         rho_cross_resid=rho_bar,
+        on_floor=on_floor,
     )
 
 
@@ -251,9 +257,9 @@ def pricing_params(
     Each row of ``loads`` is the triangular (Cholesky) factor row of its
     kind's innovation in the (spot, symmetric, asymmetric) covariance, so
     same-kind filters have equal rows and mixed pairs meet at the cross
-    correlation.  Nothing divides, so spot correlations of +-1 and premia on
-    the kurtosis floor are safe.  Raises :class:`ModelError` naming the
-    failed conditions when the premia are inconsistent.
+    correlation.  Nothing divides, so spot correlations of +-1 are safe, and
+    premia ``on_floor`` load 0 on the third driver.  Raises
+    :class:`ModelError` naming the failed conditions when they are inconsistent.
     """
     check = validate_premia(spec, premia, mom)
     if not check.ok:
@@ -265,7 +271,8 @@ def pricing_params(
 
     rbar = min(max(check.rho_cross_resid, -1.0), 1.0)
     sym = (check.rho_plus, rest(check.rho_plus), 0.0)
-    asym = (check.rho_minus, rest(check.rho_minus) * rbar, rest(check.rho_minus) * rest(rbar))
+    third = 0.0 if check.on_floor else rest(check.rho_minus) * rest(rbar)
+    asym = (check.rho_minus, rest(check.rho_minus) * rbar, third)
     return PricingParams(
         xi=np.sqrt(np.maximum(variance, 0.0)) * _inv_scale(spec),
         loads=np.where(spec.is_asymmetric[:, None], asym, sym),
@@ -384,9 +391,14 @@ def varswap_price(
     square root for a fair-strike volatility.  Raises ``ModelError`` when a
     price is not positive and finite (an explosive eigenmode can overflow).
     """
-    vals = varswap_slope(eig, premia, maturity) @ state.x
-    for t, v in zip(np.ravel(maturity), np.ravel(vals)):
+    vals = _usable_varswap(varswap_slope(eig, premia, maturity) @ state.x, maturity)
+    return float(vals) if vals.ndim == 0 else vals
+
+
+def _usable_varswap(prices, maturity):
+    """``prices`` at ``maturity`` if each is positive and finite, else ``ModelError``."""
+    for t, v in zip(np.ravel(maturity), np.ravel(prices)):
         if not 0.0 < v < math.inf:
             raise ModelError(f"varswap price {float(v)!r} at maturity {float(t)} "
                              "is not positive and finite")
-    return float(vals) if vals.ndim == 0 else vals
+    return prices

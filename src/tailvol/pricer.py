@@ -16,8 +16,8 @@ variance floor, which binds only where a step overshoots zero:
 ``PathEnsemble.floor_hits`` counts those path-steps) and the spot stays an
 exact martingale.  Integrated variance accumulates by the trapezoid rule.
 
-Randomness comes from a counter-based generator (Philox) keyed by the seed
-and a block index through ``filters._stream``, the one rule that turns a
+Randomness comes from SFC64, keyed by ``SeedSequence`` spawn keys (the seed
+and a block index) through ``filters._stream``, the one rule that turns a
 seed into a random stream (the real-world simulator and the estimation
 restarts use it too), drawn as normals by numpy's ziggurat sampler.  The
 block size is a constant, so runs are bit-reproducible for a given seed (and
@@ -93,7 +93,8 @@ class McConfig:
     seed: int
     steps_per_day: int = 1
     antithetic: ClassVar[bool] = True
-    #: Paths per Philox stream; a constant, so a run is fixed by its seed.
+    #: Paths per SFC64 stream (keyed by SeedSequence spawn keys); a constant,
+    #: so a run is fixed by its seed.
     block_size: ClassVar[int] = 65536
 
     def __post_init__(self) -> None:

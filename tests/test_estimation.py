@@ -23,6 +23,7 @@ from tailvol.filters import (
     GarchSpec,
     NoiseModel,
     ReturnSeries,
+    _stream,
     compute_filters,
     simulate_panel_returns,
 )
@@ -286,7 +287,7 @@ def _nelder_mead_fit(panel, noise, init, seed=0, n_restarts=3):
     enforced by a penalty; the oracle for the box-constrained search."""
     kinds = [f.kind for f in init.filters[1:]]
     k = len(kinds)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
 
     def spec_at(vec):
         return _anchored(vec[:k].tolist(), vec[k:].tolist(), kinds)
@@ -331,7 +332,7 @@ def _lbfgsb_fit(panel, noise, init, seed=0, n_restarts=3):
     moving = init.filters[1:]
     k = len(moving)
     bounds = [(0.0, 1.0)] * k + [estimation._LENGTH_RANGE] * k
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
 
     def spec_at(vec):
         weights = estimation._stick_weights(vec[:k]).tolist()
@@ -473,7 +474,7 @@ def test_fit_converges_with_a_length_held_at_its_bound():
     # by its gradient; the quasi-Newton update must learn the curvature of
     # the free coordinates alone (with the held coordinate's gradient change
     # in it, each of four such starts ran out of iterations)
-    panel = _three_filter_panel(1000.0, 1500, 3, 11)
+    panel = _three_filter_panel(1000.0, 1500, 3, 102)
     kinds = (FilterKind.SYMMETRIC, FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC)
     init = _anchored((0.3, 0.3, 0.3), (100.0, 30.0, 10.0), kinds)
     res = fit_garch(panel, NoiseModel(), init, n_restarts=1)

@@ -380,13 +380,20 @@ def test_model_moments_rejects_nonpositive_variance():
         model_moments(co)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, 0.0, -0.01])
+@pytest.mark.parametrize("read", [model_moments, atm_skew], ids=["model_moments", "atm_skew"])
+def test_moments_read_only_a_positive_finite_varswap_price(read, v):
+    # varswap_price's rule: a nan v used to pass atm_skew as nan, and an inf
+    # one reached ImpliedMomentTriple as a plain ValueError
+    co = ExpansionCoefficients(cxf=-0.1, cff=0.0, cmu=0.0, v=v, maturity=1.0)
+    message = f"varswap price {v!r} at maturity 1.0 is not positive and finite"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        read(co)
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda curve: expansion_integrals(curve, 0.0), ValueError, "maturity must be positive, got 0.0"),
     (lambda curve: expansion_integrals(curve, math.nan), ValueError, "maturity must be positive, got nan"),
-    (lambda curve: atm_skew(ExpansionCoefficients(cxf=-0.1, cff=0.0, cmu=0.0, v=0.0, maturity=1.0)),
-     ModelError, "variance-swap price must be positive, got 0.0"),
-    (lambda curve: atm_skew(ExpansionCoefficients(cxf=-0.1, cff=0.0, cmu=0.0, v=-0.01, maturity=1.0)),
-     ModelError, "variance-swap price must be positive, got -0.01"),
 ])
 def test_expansion_rejects_bad_inputs(three_scale_spec, flat_state, mild_premia, call, error, message):
     curve = ForwardVarianceCurve.from_state(flat_state, omega_eigen(three_scale_spec, mild_premia), mild_premia)

@@ -23,6 +23,7 @@ from tailvol.filters import (
     _filter_drivers,
     _simulate,
     _standard_normals,
+    _stream,
     compute_filters,
     filter_path,
     simulate_panel_returns,
@@ -267,7 +268,7 @@ def test_return_series_rejects_non_finite_returns():
 
 def test_noise_model_student_t_unit_variance():
     noise = NoiseModel("student_t", dof=6.0)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(1)))
+    rng = _stream(1)
     draws = noise.sample(rng, 200_000)
     assert abs(float(np.var(draws)) - 1.0) < 0.02
 
@@ -320,7 +321,7 @@ def test_simulate_realworld_filters_consistent_with_compute(three_scale_spec, fl
         series, levels = simulate_realworld(three_scale_spec, flat_state, noise, 150, seed=21)
         nu_before = np.append(flat_state.nu, levels[:-1] @ three_scale_spec.weights)
         eps = series.returns / np.sqrt(nu_before * three_scale_spec.dt_years)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(21)))
+        rng = _stream(21)
         np.testing.assert_allclose(eps, noise.sample(rng, 150), rtol=1e-12)
 
 
@@ -338,16 +339,12 @@ def test_simulate_panel_returns_shape_and_determinism():
     assert not np.array_equal(a[:, 0], a[:, 1])
 
 
-def _philox(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def test_standard_normals_are_standard_normal():
     # the first four moments within 5 standard errors, and the
     # Kolmogorov-Smirnov statistic against the erfc CDF below its critical
     # value for a false-alarm rate of 1e-6, P(sqrt(n) D > c) ~ 2 exp(-2 c^2)
     n = 200_000
-    z = _standard_normals(_philox(2024), n)
+    z = _standard_normals(_stream(2024), n)
     c = z - z.mean()
     var = float(np.mean(c**2))
     assert abs(z.mean()) <= 5.0 * math.sqrt(1.0 / n)
@@ -361,12 +358,23 @@ def test_standard_normals_are_standard_normal():
 
 
 def test_standard_normals_into_out_are_the_returned_bits():
-    a, b = _philox(5), _philox(5)
+    a, b = _stream(5), _stream(5)
     fresh = _standard_normals(a, (3, 1001))
     out = np.empty((3, 1001))
     assert _standard_normals(b, (3, 1001), out=out) is out
     assert out.tobytes() == fresh.tobytes()
     assert a.random() == b.random()  # both forms leave the stream in the same place
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_streams_of_neighbouring_keys_are_uncorrelated(seed):
+    # block streams 0 and 1 of a seed, and seeds s and s + 1, draw distinct
+    # normals with no correlation beyond 5 standard errors, 5 / sqrt(n)
+    n = 100_000
+    for a, b in ((_stream(seed, 0), _stream(seed, 1)), (_stream(seed), _stream(seed + 1))):
+        x, y = _standard_normals(a, n), _standard_normals(b, n)
+        assert not np.any(x == y)
+        assert abs(float(np.corrcoef(x, y)[0, 1])) <= 5.0 / math.sqrt(n)
 
 
 _ORACLE_SPECS = {

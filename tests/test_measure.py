@@ -194,6 +194,25 @@ def test_kurtosis_bound_saturates_residual_correlation(three_scale_spec, gaussia
     floor = kurtosis_bound(0.3, 0.5, gaussian_moments, three_scale_spec)
     chk = validate_premia(three_scale_spec, RiskPremia(0.3, 0.5, floor), gaussian_moments)
     assert abs(abs(chk.rho_cross_resid) - 1.0) < 1e-7
+    assert chk.on_floor
+    assert not validate_premia(three_scale_spec, RiskPremia(0.3, 0.5, floor + 1e-6), gaussian_moments).on_floor
+
+
+@pytest.mark.parametrize("lam2, lam3", [(0.3, 0.5), (0.0, 0.0), (1.2, -0.7), (0.1, 0.4)])
+def test_premia_one_ulp_apart_on_the_floor_load_alike(three_scale_spec, gaussian_moments, lam2, lam3):
+    # on the floor the asymmetric row loads exactly nothing on the third
+    # driver, so a last-digit change of lambda4 moves the loads only as
+    # much as it moves the correlations, not by the square root of a
+    # rounding error (about 1e-8)
+    floor = kurtosis_bound(lam2, lam3, gaussian_moments, three_scale_spec)
+    loads = [
+        pricing_params(three_scale_spec, RiskPremia(lam2, lam3, float(lam4)), gaussian_moments).loads
+        for lam4 in (np.nextafter(floor, -math.inf), floor, np.nextafter(floor, math.inf))
+    ]
+    for got in loads:
+        assert got[2, 2] == 0.0
+        np.testing.assert_allclose(got, loads[1], rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(loads[0][:, 2], loads[2][:, 2])
 
 
 @given(
@@ -312,6 +331,7 @@ def test_loadings_rows_unit_norm_and_correlations(three_scale_spec, gaussian_mom
 )
 @settings(max_examples=150, deadline=None)
 @example(lam2=0.0, lam3=-1.2534464831327514, bump=0.0)
+@example(lam2=0.0, lam3=-1.2534464831327514, bump=1e-11)  # just above the floor
 def test_loadings_gram_psd_above_floor(lam2, lam3, bump):
     spec = GarchSpec(
         filters=(

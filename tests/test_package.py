@@ -312,23 +312,25 @@ def _names_outside(source: str, banned: tuple[str, ...], allowed: str | None) ->
     return out
 
 
-_STREAM_NAMES = ("Philox", "SeedSequence", "default_rng")
+_STREAM_NAMES = ("SFC64", "Philox", "SeedSequence", "default_rng")
 
 
 def test_stream_check_flags_generators_built_outside_the_one_rule():
     source = (
         "import numpy as np\nfrom numpy.random import Philox as P, default_rng\n"
         "def _stream(seed, *key):\n"
-        "    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))\n"
+        "    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=key)))\n"
         "def f(seed):\n    return np.random.Generator(P(np.random.SeedSequence(seed)))\n"
         "class K:\n    bits = staticmethod(np.random.Philox)\n"
+        "    fast = np.random.SFC64\n"
     )
     assert _names_outside(source, _STREAM_NAMES, "_stream") == [
-        "Philox (line 2)", "default_rng (line 2)", "SeedSequence (line 6)", "Philox (line 8)"
+        "Philox (line 2)", "default_rng (line 2)", "SeedSequence (line 6)", "Philox (line 8)",
+        "SFC64 (line 9)",
     ]
     assert _names_outside(source, _STREAM_NAMES, None) == [
-        "Philox (line 2)", "default_rng (line 2)", "Philox (line 4)", "SeedSequence (line 4)",
-        "SeedSequence (line 6)", "Philox (line 8)",
+        "Philox (line 2)", "default_rng (line 2)", "SFC64 (line 4)", "SeedSequence (line 4)",
+        "SeedSequence (line 6)", "Philox (line 8)", "SFC64 (line 9)",
     ]
 
 

@@ -16,6 +16,7 @@ from tailvol.filters import (
     GarchSpec,
     NoiseModel,
     _standard_normals,
+    _stream,
 )
 from tailvol.measure import (
     RiskPremia,
@@ -61,8 +62,8 @@ def test_mc_config_validation():
 
 
 def test_the_block_size_is_a_constant_not_a_field():
-    # a run is fixed by its seed alone: the paths per Philox stream are not
-    # a setting
+    # a run is fixed by its seed alone: the paths per stream (SFC64, keyed by
+    # SeedSequence spawn keys) are not a setting
     with pytest.raises(TypeError):
         McConfig(n_paths=4, seed=0, block_size=1024)
     assert McConfig(n_paths=4, seed=0).block_size == 65536
@@ -247,14 +248,18 @@ def test_smile_drops_unpriceable_strikes(three_scale_spec, flat_state, mild_prem
 
 
 def test_smile_drops_strikes_outside_the_delta_range(three_scale_spec, gaussian_moments):
-    # at levels of 0.01 and T = 0.1 the wings price, but with absolute Black
-    # deltas below 0.001
+    # at levels of 0.01 and T = 0.1 the near wings price, but with absolute
+    # Black deltas below 0.001; beyond them (0.775 and below, 1.125 and
+    # above) no path ends in the money, so the price is zero and is dropped
+    # as not invertible
     state = FilterState.from_levels(np.full(3, 0.01), three_scale_spec, dt.date(2024, 1, 2))
     grid = np.linspace(0.7, 1.3, 25)
     surf = smile(three_scale_spec, RiskPremia(0.1, 0.4, 1.0), state, gaussian_moments,
                  (0.1,), grid, McConfig(n_paths=20_000, seed=3))
     by_delta = [k for _, k, why in surf.dropped if why == "outside delta range"]
-    np.testing.assert_allclose(by_delta, [0.75, 0.775, 0.8, 0.825, 1.1], rtol=1e-12)
+    np.testing.assert_allclose(by_delta, [0.8, 0.825, 1.1], rtol=1e-12)
+    assert all(why.startswith("price 0.0 is at or below intrinsic")
+               for _, _, why in surf.dropped if why != "outside delta range")
     # each strike is kept or dropped once
     kept_or_dropped = sorted([*surf.strikes[0], *(k for _, k, _ in surf.dropped)])
     np.testing.assert_array_equal(kept_or_dropped, grid)
@@ -279,8 +284,7 @@ def test_drift_check_runs_and_reports(gaussian_moments):
 def _oracle_block_normals(seed: int, block: int, shape: tuple[int, ...]) -> np.ndarray:
     """Deterministic standard normals for one work unit, from the package's
     one source of Gaussian draws."""
-    bits = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
-    return _standard_normals(np.random.Generator(bits), shape)
+    return _standard_normals(_stream(seed, block), shape)
 
 
 def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale=1.0, levels=False):
