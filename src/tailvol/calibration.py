@@ -33,12 +33,8 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from .expansion import (
-    ExpansionIntegrals,
-    ForwardVarianceCurve,
-    ImpliedMomentTriple,
-    coefficients_from_covariances,
-    expansion_integrals,
-    model_moments,
+    ExpansionIntegrals, ForwardVarianceCurve, ImpliedMomentTriple, coefficients_from_covariances,
+    expansion_integrals, model_moments,
 )
 from .filters import DataError, FilterState, GarchSpec
 from .measure import (

@@ -16,49 +16,55 @@ configuration.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
 import sys
 from dataclasses import asdict
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .calibration import CalibrationInput, calibrate_sequential
 from .data import (
-    _write_csv,
-    config_digest,
-    dump_json,
-    load_json,
-    load_option_chains,
-    load_return_panel,
-    load_return_series,
-    premia_from_dict,
-    premia_to_dict,
-    spec_from_dict,
-    spec_to_dict,
-    state_from_dict,
-    state_to_dict,
-    write_states_csv,
+    _write_csv, config_digest, dump_json, load_json, load_option_chains, load_return_panel,
+    load_return_series, premia_from_dict, premia_to_dict, spec_from_dict, spec_to_dict,
+    state_from_dict, state_to_dict, write_states_csv,
 )
-from .estimation import fit_garch
-from .expansion import ForwardVarianceCurve, expansion_coefficients, expansion_integrals, model_moments, atm_skew
 from .filters import DataError, FilterKind, FilterSpec, FilterState, GarchSpec, NoiseModel, compute_filters
 from .measure import (
-    ModelError,
-    RiskPremia,
-    kurtosis_bound,
-    noise_moments,
-    omega_eigen,
-    pricing_params,
-    validate_premia,
-    varswap_price,
+    ModelError, RiskPremia, kurtosis_bound, noise_moments, omega_eigen, pricing_params,
+    validate_premia, varswap_price,
 )
-from .pricer import McConfig, smile
-from .replication import market_moment_triple, replicate_moments, select_otm
 
 __all__ = ["main"]
+
+#: The home module of each name from a layer that only some commands run, so
+#: that a cold command imports only its own layers.  A command binds the ones
+#: it calls (:func:`_bind`) as globals of this module, looked up at call time:
+#: a wrapper set on ``tailvol.cli`` (the benchmark's tracer) sees every call.
+_HOMES = {
+    "CalibrationInput": "calibration", "calibrate_sequential": "calibration",
+    "fit_garch": "estimation",
+    "ForwardVarianceCurve": "expansion", "atm_skew": "expansion", "model_moments": "expansion",
+    "expansion_coefficients": "expansion", "expansion_integrals": "expansion",
+    "McConfig": "pricer", "smile": "pricer",
+    "market_moment_triple": "replication", "replicate_moments": "replication",
+    "select_otm": "replication",
+}
+
+
+def __getattr__(name: str):
+    """PEP 562: a name of ``_HOMES`` is imported on first use and kept as a global."""
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __package__), name)
+    return value
+
+
+def _bind(*names: str) -> None:
+    """Bind each of ``names`` not bound yet; a wrapper set in its place stays."""
+    for name in names:
+        getattr(sys.modules[__name__], name)
 
 
 def _floats(text: str) -> list[float]:
@@ -95,6 +101,7 @@ def _write_artifact(path: str, args: argparse.Namespace, fields: dict) -> None:
     """A JSON artifact: the package version, the digest of the command's
     flags as given (each input file by the SHA-256 of its bytes, no output
     path), then ``fields``."""
+    import hashlib  # only a command that writes an artifact loads it
     cfg = {k: v for k, v in vars(args).items() if k not in ("out", "state_out", "func")}
     for name in cfg.keys() & _INPUT_FILES:
         paths = cfg[name] if isinstance(cfg[name], list) else [cfg[name]]
@@ -114,6 +121,7 @@ def _model(args: argparse.Namespace) -> tuple[GarchSpec, FilterState, RiskPremia
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    _bind("fit_garch")
     noise = NoiseModel(args.noise_family, args.noise_dof)
     kinds = [FilterKind(tok.strip().lower()) for tok in args.kinds.split(",")]
     weights = _floats(args.init_weights)
@@ -156,6 +164,7 @@ def _cmd_varswap(args: argparse.Namespace) -> int:
 
 
 def _cmd_moments(args: argparse.Namespace) -> int:
+    _bind("ForwardVarianceCurve", "atm_skew", "expansion_coefficients", "expansion_integrals", "model_moments")
     spec, state, premia = _model(args)
     mom = noise_moments(NoiseModel(args.noise_family, args.noise_dof))
     expiries = _floats(args.expiries)
@@ -173,6 +182,7 @@ def _cmd_moments(args: argparse.Namespace) -> int:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
+    _bind("CalibrationInput", "calibrate_sequential", "market_moment_triple", "replicate_moments", "select_otm")
     bounds = _floats(args.delta_range) if args.delta_range else None
     if bounds is not None and len(bounds) != 2:
         raise ValueError("--delta-range needs two numbers lo,hi")
@@ -209,6 +219,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smile(args: argparse.Namespace) -> int:
+    _bind("McConfig", "smile")
     spec, state, premia = _model(args)
     noise = NoiseModel(args.noise_family, args.noise_dof)
     expiries = _floats(args.expiries)
@@ -232,10 +243,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     mom = noise_moments(NoiseModel(args.noise_family, args.noise_dof))
     check = validate_premia(spec, premia, mom)
     floor = kurtosis_bound(premia.lambda2, premia.lambda3, mom, spec)
-    print(f"rho_plus         = {check.rho_plus:+.6f}")
-    print(f"rho_minus        = {check.rho_minus:+.6f}")
-    print(f"rho_cross        = {check.rho_cross:+.6f}")
-    print(f"rho_cross_resid  = {check.rho_cross_resid:+.6f}")
+    for name in ("rho_plus", "rho_minus", "rho_cross", "rho_cross_resid"):
+        print(f"{name:<17}= {getattr(check, name):+.6f}")
     print(f"kurtosis floor   = {floor:+.6f} (lambda4 = {premia.lambda4:+.6f})")
     if check.ok:
         print("premia admissible")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import hashlib
 import io
 import json
 import math
@@ -24,18 +23,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .estimation import ReturnPanel
 from .filters import (
-    TRADING_DAYS_PER_YEAR,
-    DataError,
-    FilterKind,
-    FilterSpec,
-    FilterState,
-    GarchSpec,
-    ReturnSeries,
+    TRADING_DAYS_PER_YEAR, DataError, FilterKind, FilterSpec, FilterState, GarchSpec, ReturnSeries,
 )
 from .measure import RiskPremia
-from .replication import OptionChain, OptionKind, Quote
 
 __all__ = [
     "load_return_series",
@@ -138,6 +129,7 @@ def load_return_panel(paths: Sequence[str | Path]) -> ReturnPanel:
 
     Series are named by file stem.
     """
+    from .estimation import ReturnPanel
     named = [(Path(p).stem, load_return_series(p)) for p in paths]
     return ReturnPanel.from_series(named)
 
@@ -150,6 +142,7 @@ def load_option_chains(path: str | Path) -> list[OptionChain]:
     ``rate`` must be constant within an expiry.  Chains come back sorted by
     expiry.
     """
+    from .replication import OptionChain, OptionKind, Quote
     header, rows = _read_rows(path)
     required = ["expiry_years", "strike", "kind", "mid", "forward", "rate"]
     missing = [c for c in required if c not in header]
@@ -237,6 +230,7 @@ def dump_json(path: str | Path, obj: dict) -> None:
 
 def config_digest(obj: dict) -> str:
     """SHA-256 of the canonical JSON serialization, for artifact provenance."""
+    import hashlib  # only a command that writes an artifact loads it
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     return hashlib.sha256(canon.encode()).hexdigest()
 

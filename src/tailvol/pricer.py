@@ -46,22 +46,10 @@ import numpy as np
 
 from .expansion import ForwardVarianceCurve
 from .filters import (
-    VARIANCE_FLOOR,
-    FilterState,
-    GarchSpec,
-    NoiseModel,
-    _simulate,
-    _standard_normals,
-    _stream,
+    VARIANCE_FLOOR, FilterState, GarchSpec, NoiseModel, _simulate, _standard_normals, _stream
 )
 from .measure import (
-    ModelError,
-    NoiseMoments,
-    RiskPremia,
-    _drift_targets,
-    omega_eigen,
-    pricing_params,
-    varswap_slope,
+    ModelError, NoiseMoments, RiskPremia, _drift_targets, omega_eigen, pricing_params, varswap_slope
 )
 from .replication import (
     OptionChain, OptionKind, Quote, _otm, _payoff, bs_delta, bs_vega, implied_vol

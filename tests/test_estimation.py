@@ -372,13 +372,13 @@ class _ZigguratNoise(NoiseModel):
         return rng.standard_normal(size)
 
 
-def _three_filter_panel(anchor_length, n_days, n_series, seed, noise=NoiseModel()):
+def _three_filter_panel(anchor_length, n_days, n_series, seed, noise=NoiseModel(), short_length=6.0):
     """Unit-variance panel from the 0.1 / 0.4 / 0.5 sym-sym-asym model."""
     gen = GarchSpec(
         filters=(
             FilterSpec(anchor_length, 0.1, FilterKind.SYMMETRIC),
             FilterSpec(36.0, 0.4, FilterKind.SYMMETRIC),
-            FilterSpec(6.0, 0.5, FilterKind.ASYMMETRIC),
+            FilterSpec(short_length, 0.5, FilterKind.ASYMMETRIC),
         ),
         dt_years=1.0,
     )
@@ -470,16 +470,18 @@ def test_rounding_level_noise_in_the_returns_barely_moves_the_fit(case):
 
 
 def test_fit_converges_with_a_length_held_at_its_bound():
-    # one of three moving filters settles at the shortest length, held there
-    # by its gradient; the quasi-Newton update must learn the curvature of
-    # the free coordinates alone (with the held coordinate's gradient change
-    # in it, each of four such starts ran out of iterations)
-    panel = _three_filter_panel(1000.0, 1500, 3, 102)
+    # panels from a 1-day asymmetric filter, shorter than the search allows:
+    # its fitted length settles at the shortest one, held there by its
+    # gradient; the quasi-Newton update must learn the curvature of the free
+    # coordinates alone (with the held coordinate's gradient change in it,
+    # most such fits ran out of iterations)
     kinds = (FilterKind.SYMMETRIC, FilterKind.SYMMETRIC, FilterKind.ASYMMETRIC)
     init = _anchored((0.3, 0.3, 0.3), (100.0, 30.0, 10.0), kinds)
-    res = fit_garch(panel, NoiseModel(), init, n_restarts=1)
-    assert res.converged
-    assert res.spec.lengths[2] == pytest.approx(estimation._LENGTH_RANGE[0], rel=1e-12)
+    for seed in (0, 1, 11):
+        panel = _three_filter_panel(1000.0, 1500, 3, seed, short_length=1.0)
+        res = fit_garch(panel, NoiseModel(), init, n_restarts=1)
+        assert res.converged
+        assert res.spec.lengths[3] == pytest.approx(estimation._LENGTH_RANGE[0], rel=1e-12)
 
 
 def _central_difference(fun, x, h=1e-4):

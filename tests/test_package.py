@@ -465,11 +465,10 @@ def _write_model_files(tmp_path: pathlib.Path) -> None:
     dump_json(tmp_path / "premia.json", {"lambda2": 0.2, "lambda3": 0.1, "lambda4": 1.0})
 
 
-def test_every_command_loads_no_scipy(tmp_path):
-    # numpy alone runs the package: the Black CDF is math.erfc, implied vols
-    # bisect, the lambda2 stage runs its own golden section and the
-    # likelihood search is a projected BFGS; a fresh process also catches a
-    # dynamic import, which the AST guard above cannot
+def _write_command_inputs(tmp_path: pathlib.Path) -> dict[str, list[str]]:
+    """The model files, two return series and an option chain in
+    ``tmp_path``, and an argv per command that reads them (in the order the
+    commands run: ``filters`` and ``calibrate`` write their own outputs)."""
     _write_model_files(tmp_path)
     rng = random.Random(3)
     for j in range(2):
@@ -496,17 +495,96 @@ def test_every_command_loads_no_scipy(tmp_path):
          "--out", "smile.csv"],
         ["validate", "--spec", "spec.json", "--premia", "premia.json"],
     ]
-    code = (
-        "from tailvol.cli import main\n"
-        f"for argv in {argvs!r}:\n"
-        "    rc = main(argv)\n"
+    return {argv[0]: argv for argv in argvs}
+
+
+def _run_commands(argvs) -> str:
+    """Source that runs each argv through ``tailvol.cli.main`` as looked up
+    at call time, and stops at the first that fails."""
+    return (
+        "import tailvol.cli\n"
+        f"for argv in {list(argvs)!r}:\n"
+        "    rc = tailvol.cli.main(argv)\n"
         "    if rc != 0:\n"
         "        raise SystemExit(f'{argv[0]} exited {rc}')"
     )
+
+
+def test_every_command_loads_no_scipy(tmp_path):
+    # numpy alone runs the package: the Black CDF is math.erfc, implied vols
+    # bisect, the lambda2 stage runs its own golden section and the
+    # likelihood search is a projected BFGS; a fresh process also catches a
+    # dynamic import, which the AST guard above cannot
+    argvs = _write_command_inputs(tmp_path)
     report = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
-    assert _fresh_report(code, report, tmp_path) == []
+    assert _fresh_report(_run_commands(argvs.values()), report, tmp_path) == []
     written = ("fit.json", "states.csv", "varswap.csv", "moments.csv", "premia_fit.json", "smile.csv")
     assert all((tmp_path / name).stat().st_size > 0 for name in written)
+
+
+_LOADED = "sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('tailvol.'))"
+
+
+def test_import_tailvol_loads_no_submodule(tmp_path):
+    # the library loads on the first use of a public name, not on import
+    assert _fresh_report("import tailvol", _LOADED, tmp_path) == []
+    # each way in, used first, sees the whole surface
+    for code in (
+        "import tailvol\nassert tailvol.fit_garch is tailvol.estimation.fit_garch",
+        "from tailvol import *\nimport tailvol\nassert all(name in globals() for name in tailvol.__all__)",
+        "import tailvol\nlisted = dir(tailvol)\nassert set(tailvol.__all__) <= set(listed)",
+    ):
+        assert _fresh_report(code, _LOADED, tmp_path) == sorted(MODULES)
+
+
+# what every command reads and raises: its files, filter specs and premia
+_BASE = ["cli", "data", "filters", "measure"]
+
+
+def test_each_command_loads_only_its_own_layers(tmp_path):
+    # a cold command compiles and runs only the modules its work calls
+    argvs = _write_command_inputs(tmp_path)
+    expected = {
+        "estimate": [*_BASE, "estimation"],
+        "filters": _BASE,
+        "varswap": _BASE,
+        "moments": [*_BASE, "expansion"],
+        "calibrate": [*_BASE, "calibration", "expansion", "replication"],
+        "smile": [*_BASE, "expansion", "pricer", "replication"],
+        "validate": _BASE,
+    }
+    assert list(expected) == list(argvs)
+    loaded = {cmd: _fresh_report(_run_commands([argv]), _LOADED, tmp_path) for cmd, argv in argvs.items()}
+    assert loaded == {cmd: sorted(modules) for cmd, modules in expected.items()}
+
+
+def test_wrappers_set_on_cli_before_first_use_see_every_call(tmp_path):
+    # the benchmark's tracer wraps names on tailvol.cli; a name a command
+    # binds on first use must be looked up there at call time, or a traced
+    # run would count none of its calls
+    argvs = _write_command_inputs(tmp_path)
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    before = sorted(bench.rglob("*"))
+    code = (
+        f"import sys\nsys.dont_write_bytecode = True\nsys.path.insert(0, {str(bench)!r})\n"
+        "import tailvol, tailvol.cli as cli\nfrom bench_trace import targets\n"
+        "names = [attr for owner, attr, *_ in targets(None) if owner is cli]\n"
+        "unbound = [name for name in names if name not in vars(cli)]\n"
+        "calls = dict.fromkeys(names, 0)\n"
+        "def counted(name, fn):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls[name] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "for name in names:\n"
+        "    setattr(cli, name, counted(name, vars(cli).get(name) or getattr(tailvol, name)))\n"
+        f"{_run_commands(argvs.values())}"
+    )
+    report = "[sorted(unbound), sorted(set(names) & set(cli._HOMES)), [n for n, k in calls.items() if not k]]"
+    unbound, lazy, uncalled = _fresh_report(code, report, tmp_path)
+    assert "fit_garch" in lazy and unbound == lazy
+    assert uncalled == []
+    assert sorted(bench.rglob("*")) == before
 
 
 def _mentions(source: str) -> set[str]:

@@ -248,18 +248,24 @@ def test_smile_drops_unpriceable_strikes(three_scale_spec, flat_state, mild_prem
 
 
 def test_smile_drops_strikes_outside_the_delta_range(three_scale_spec, gaussian_moments):
-    # at levels of 0.01 and T = 0.1 the near wings price, but with absolute
-    # Black deltas below 0.001; beyond them (0.775 and below, 1.125 and
-    # above) no path ends in the money, so the price is zero and is dropped
-    # as not invertible
+    # at levels of 0.01 and T = 0.1, strikes placed from the ensemble's own
+    # extremes: beyond the lowest and highest spot no path ends in the money,
+    # so the price is zero and is dropped as not invertible; between the two
+    # lowest (or highest) spots one path does, so the option prices, but with
+    # an absolute Black delta far below 0.001
     state = FilterState.from_levels(np.full(3, 0.01), three_scale_spec, dt.date(2024, 1, 2))
-    grid = np.linspace(0.7, 1.3, 25)
-    surf = smile(three_scale_spec, RiskPremia(0.1, 0.4, 1.0), state, gaussian_moments,
-                 (0.1,), grid, McConfig(n_paths=20_000, seed=3))
+    args = (three_scale_spec, RiskPremia(0.1, 0.4, 1.0), state, gaussian_moments, (0.1,))
+    cfg = McConfig(n_paths=20_000, seed=3)
+    s = np.sort(simulate_pricing(*args, cfg).s[0])
+    beyond = [0.99 * s[0], 1.01 * s[-1]]
+    inside = [0.5 * (s[0] + s[1]), 0.5 * (s[-2] + s[-1])]
+    grid = np.sort([*beyond, *inside, 0.95, 1.0, 1.05])
+    surf = smile(*args, grid, cfg)
     by_delta = [k for _, k, why in surf.dropped if why == "outside delta range"]
-    np.testing.assert_allclose(by_delta, [0.8, 0.825, 1.1], rtol=1e-12)
-    assert all(why.startswith("price 0.0 is at or below intrinsic")
-               for _, _, why in surf.dropped if why != "outside delta range")
+    np.testing.assert_array_equal(by_delta, inside)
+    rest = [(k, why) for _, k, why in surf.dropped if why != "outside delta range"]
+    assert all(why.startswith("price 0.0 is at or below intrinsic") for _, why in rest)
+    np.testing.assert_array_equal([k for k, _ in rest], beyond)
     # each strike is kept or dropped once
     kept_or_dropped = sorted([*surf.strikes[0], *(k for _, k, _ in surf.dropped)])
     np.testing.assert_array_equal(kept_or_dropped, grid)
