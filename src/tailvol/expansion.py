@@ -86,7 +86,7 @@ class ForwardVarianceCurve:
         return float(vals) if vals.ndim == 0 else vals
 
     def integral(self, maturity: float) -> float:
-        """Total variance out to ``maturity`` (the variance-swap price)."""
+        """Total variance out to ``maturity``: the variance-swap price, as ``varswap_price``."""
         return float(self.weights @ decay_integral(self.rates, maturity))
 
 

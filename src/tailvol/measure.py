@@ -385,7 +385,7 @@ def varswap_slope(eig: EigenSystem, premia: RiskPremia, maturity) -> np.ndarray:
 def varswap_price(
     state: FilterState, eig: EigenSystem, premia: RiskPremia, maturity
 ) -> np.ndarray | float:
-    """Variance-swap price: integrated forward variance out to ``maturity``.
+    """Variance-swap price: ``ForwardVarianceCurve.integral`` out to ``maturity``.
 
     Quoted in total variance units; divide by the maturity and take a
     square root for a fair-strike volatility.  Raises ``ModelError`` when a

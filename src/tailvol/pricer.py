@@ -11,10 +11,10 @@ rows ``loads`` of :class:`tailvol.measure.PricingParams` (the spot's own dW is
 the first of the three).  The drift is linear, so the scheme steps the
 variance's eigenmodes ``modes @ x``, each by its exact decay
 ``exp(-rate dt)``, and freezes only the diffusion coefficient over each
-step; conditional means are then exact for any step size (up to the
-variance floor, which binds only where a step overshoots zero:
-``PathEnsemble.floor_hits`` counts those path-steps) and the spot stays an
-exact martingale.  Integrated variance accumulates by the trapezoid rule.
+step; the modes' conditional means are then exact for any step size, the
+variance floor included (it binds only where a step overshoots zero:
+``PathEnsemble.floor_hits`` counts those path-steps), and the spot stays an
+exact martingale.
 
 Randomness comes from SFC64, keyed by ``SeedSequence`` spawn keys (the seed
 and a block index) through ``filters._stream``, the one rule that turns a
@@ -86,8 +86,9 @@ class McConfig:
     block_size: ClassVar[int] = 65536
 
     def __post_init__(self) -> None:
-        if self.n_paths < 2 or self.n_paths % 2:
-            raise ValueError(f"n_paths must be positive and even (antithetic pairs): {self.n_paths}")
+        if self.n_paths < 4 or self.n_paths % 2:
+            raise ValueError("n_paths must be positive and even (antithetic pairs), and at least 4: "
+                             f"a standard error needs two pairs: {self.n_paths}")
         if self.steps_per_day < 1:
             raise ValueError("steps_per_day must be >= 1")
 
@@ -96,13 +97,15 @@ class McConfig:
 class PathEnsemble:
     """Snapshots of the simulated system at the requested horizons.
 
-    ``s`` is the spot (initial level 1, a forward), ``int_var`` the
-    pathwise integrated effective variance ``int (1 + lambda2) nu dt``,
-    ``s_control`` the frozen-curve control spot and ``control_var`` its
-    per-horizon exact lognormal variance.  Arrays are indexed (horizon,
-    path).  ``floor_hits`` counts the path-steps whose stepped variance
-    ``nu`` fell below ``VARIANCE_FLOOR`` and was floored (the starting
-    levels are not counted).  Paths 2i and 2i + 1 are an antithetic pair.
+    ``s`` is the spot (initial level 1, a forward), ``variance`` the
+    effective variance ``(1 + lambda2) nu`` before the floor, ``s_control``
+    the frozen-curve control spot and ``control_var`` its per-horizon exact
+    lognormal variance, all indexed (horizon, path).  The mean of
+    ``variance`` is exactly ``ForwardVarianceCurve.from_state`` at the
+    horizon, for any step: a step decays the modes and adds zero-mean draws
+    times a scale, and the floor changes only the scale.  ``floor_hits``
+    counts the path-steps whose stepped ``nu`` fell below ``VARIANCE_FLOOR``
+    (not the starting levels).  Paths 2i and 2i + 1 are an antithetic pair.
 
     The variance's eigenmodes are stepped block by block, not kept.  The
     normals are drawn one step ahead, on a helper thread, into two (drivers,
@@ -119,7 +122,7 @@ class PathEnsemble:
     horizons: np.ndarray
     s: np.ndarray
     s_control: np.ndarray
-    int_var: np.ndarray
+    variance: np.ndarray
     control_var: np.ndarray
     dt_years: float
     floor_hits: int
@@ -186,7 +189,7 @@ def simulate_pricing(
     n_h = horizons.size
     s = np.empty((n_h, cfg.n_paths))
     s_ctrl = np.empty((n_h, cfg.n_paths))
-    iv_out = np.empty((n_h, cfg.n_paths))
+    variance = np.empty((n_h, cfg.n_paths))
 
     sqrt_dt = math.sqrt(dt)
     floor_hits = 0
@@ -209,7 +212,6 @@ def simulate_pricing(
             shock = np.empty_like(z)
             log_s = np.zeros(width)
             log_c = np.zeros(width)
-            int_var = np.zeros(width)
             zeta = growth * np.maximum(z.sum(0), VARIANCE_FLOOR)
             snap = 0
             for step in range(n_steps):
@@ -228,21 +230,19 @@ def simulate_pricing(
                 z += shock
                 nu_next = z.sum(0)
                 floor_hits += int(np.count_nonzero(nu_next < VARIANCE_FLOOR))
-                zeta_next = growth * np.maximum(nu_next, VARIANCE_FLOOR)
-                int_var += 0.5 * (zeta + zeta_next) * dt
-                zeta = zeta_next
+                zeta = growth * np.maximum(nu_next, VARIANCE_FLOOR)
                 while snap < n_h and step + 1 == steps_at[snap]:
                     sl = slice(start, start + width)
                     s[snap, sl] = np.exp(log_s)
                     s_ctrl[snap, sl] = np.exp(log_c)
-                    iv_out[snap, sl] = int_var
+                    variance[snap, sl] = growth * nu_next
                     snap += 1
 
     return PathEnsemble(
         horizons=realized,
         s=s,
         s_control=s_ctrl,
-        int_var=iv_out,
+        variance=variance,
         control_var=control_cum[steps_at - 1],
         dt_years=dt,
         floor_hits=floor_hits,

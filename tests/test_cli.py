@@ -394,6 +394,17 @@ def test_smile_rejects_strikes_at_or_below_zero(configs, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_smile_with_one_antithetic_pair_exits_2(configs, tmp_path, capsys):
+    # one pair has no standard error: a nan used to be written to the stderr
+    # column, with exit 0
+    out = tmp_path / "smile.csv"
+    argv = [*_smile_argv(configs, "0.9:1.1:3")[:-1], "2", "--out", str(out)]
+    assert main(argv) == 2
+    assert "configuration error: n_paths must be positive and even (antithetic pairs), and at least 4" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_smile_no_longer_takes_no_antithetic(configs):
     # antithetic pairs are the pricer's one sampling scheme
     with pytest.raises(SystemExit) as exc:

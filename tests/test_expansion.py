@@ -1,10 +1,11 @@
 import dataclasses
+import datetime as dt
 import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
@@ -18,7 +19,7 @@ from tailvol.expansion import (
     model_moments,
     psi,
 )
-from tailvol.filters import NoiseModel
+from tailvol.filters import FilterState, NoiseModel
 from tailvol.measure import (
     ModelError,
     RiskPremia,
@@ -31,6 +32,7 @@ from tailvol.measure import (
     spot_cov_products,
     varswap_price,
 )
+from test_measure import _filter_banks
 
 
 @pytest.fixture
@@ -49,6 +51,27 @@ def test_curve_integral_matches_quadrature(two_mode_curve):
     val = two_mode_curve.integral(0.8)
     ref, _ = quad(two_mode_curve, 0.0, 0.8)
     assert val == pytest.approx(ref, rel=1e-10)
+
+
+@given(spec=_filter_banks(), lam2=st.floats(-0.5, 4.0),
+       levels=st.lists(st.floats(1e-4, 1.0), min_size=5, max_size=5),
+       maturity=st.floats(1.0 / 252.0, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_curve_integral_is_the_varswap_price(spec, lam2, levels, maturity):
+    # one price summed in two orders, weights @ decay_integral against
+    # (decay_integral @ modes) @ x: the Monte Carlo variance's mean is the
+    # curve, and this integrates the curve into the price
+    premia = RiskPremia(lam2, 0.0, 0.0)
+    try:
+        eig = omega_eigen(spec, premia)
+    except ModelError:  # a defective generator
+        assume(False)
+    # an explosive mode may not overflow before the maturity
+    assume(eig.rates[0] * maturity > -700.0)
+    state = FilterState.from_levels(levels[:spec.n_filters], spec, dt.date(2024, 1, 2))
+    curve = ForwardVarianceCurve.from_state(state, eig, premia)
+    assert curve.integral(maturity) == pytest.approx(
+        varswap_price(state, eig, premia, maturity), rel=1e-13)
 
 
 def test_curve_call_vectorized(two_mode_curve):

@@ -24,7 +24,6 @@ from tailvol.measure import (
     noise_moments,
     omega_eigen,
     pricing_params,
-    varswap_price,
 )
 from tailvol.pricer import (
     McConfig,
@@ -53,6 +52,9 @@ def test_mc_config_validation():
         McConfig(n_paths=0, seed=1)
     with pytest.raises(ValueError, match="positive and even \\(antithetic pairs\\)"):
         McConfig(n_paths=10_001, seed=1)
+    # one pair has no standard error: the std of one pair mean is nan
+    with pytest.raises(ValueError, match="at least 4: a standard error needs two pairs: 2$"):
+        McConfig(n_paths=2, seed=1)
     # antithetic pairs are the one sampling scheme, not a setting
     with pytest.raises(TypeError):
         McConfig(n_paths=4, seed=0, antithetic=False)
@@ -110,7 +112,7 @@ def test_simulation_is_seed_deterministic(three_scale_spec, flat_state, mild_pre
     a = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=4_000, seed=3)
     b = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=4_000, seed=3)
     np.testing.assert_array_equal(a.s, b.s)
-    np.testing.assert_array_equal(a.int_var, b.int_var)
+    np.testing.assert_array_equal(a.variance, b.variance)
     c = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=4_000, seed=4)
     assert not np.array_equal(a.s, c.s)
 
@@ -146,15 +148,14 @@ def test_control_variance_integrates_forward_curve(three_scale_spec, flat_state,
     assert sample == pytest.approx(paths.control_var[0], rel=0.1)
 
 
-def test_integrated_variance_prices_varswap(three_scale_spec, flat_state, mild_premia, gaussian_moments):
+def test_variance_snapshot_mean_is_the_forward_curve(three_scale_spec, flat_state, mild_premia,
+                                                      gaussian_moments):
+    # exact in the discrete scheme: no time-step bias to allow for
     paths = _paths(three_scale_spec, mild_premia, flat_state, gaussian_moments, n=40_000)
-    iv_mean, iv_se = (
-        float(np.mean(paths.int_var[0])),
-        float(np.std(paths.int_var[0], ddof=1)) / math.sqrt(40_000),
-    )
-    eig = omega_eigen(three_scale_spec, mild_premia)
-    target = varswap_price(flat_state, eig, mild_premia, float(paths.horizons[0]))
-    assert abs(iv_mean - target) < 4.0 * iv_se
+    mean, se = _mean_se(paths.variance[0])
+    curve = ForwardVarianceCurve.from_state(
+        flat_state, omega_eigen(three_scale_spec, mild_premia), mild_premia)
+    assert abs(mean - curve(float(paths.horizons[0]))) < 4.0 * se
 
 
 def test_antithetic_reduces_error_on_linear_payoffs(three_scale_spec, flat_state, mild_premia, gaussian_moments):
@@ -331,26 +332,21 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
     total = cfg.n_paths
     s = np.empty((n_h, total))
     s_ctrl = np.empty((n_h, total))
-    iv_out = np.empty((n_h, total))
+    variance = np.empty((n_h, total))
 
     sqrt_dt = math.sqrt(dt)
     floor_hits = 0
     for start in range(0, total, cfg.block_size):
         width = min(cfg.block_size, total - start)
         block = start // cfg.block_size
-        if cfg.antithetic:
-            half = width // 2
-            raw = _oracle_block_normals(cfg.seed, block, (n_steps, n_drivers, half))
-            z = np.empty((n_steps, n_drivers, width))
-            z[:, :, 0::2] = raw
-            z[:, :, 1::2] = -raw
-        else:
-            z = _oracle_block_normals(cfg.seed, block, (n_steps, n_drivers, width))
+        raw = _oracle_block_normals(cfg.seed, block, (n_steps, n_drivers, width // 2))
+        z = np.empty((n_steps, n_drivers, width))
+        z[:, :, 0::2] = raw
+        z[:, :, 1::2] = -raw
 
         x = np.repeat((state0.x if levels else eig.modes @ state0.x)[:, None], width, axis=1)
         log_s = np.zeros(width)
         log_c = np.zeros(width)
-        int_var = np.zeros(width)
         zeta = growth * np.maximum(weights @ x if levels else x.sum(0), VARIANCE_FLOOR)
         snap = 0
         for step in range(n_steps):
@@ -367,21 +363,19 @@ def _oracle_simulate_pricing(spec, premia, state0, mom, horizons, cfg, vol_scale
                 x = decay * x + (load @ factors) * nu
                 nu_next = x.sum(0)
             floor_hits += int(np.count_nonzero(nu_next < VARIANCE_FLOOR))
-            zeta_next = growth * np.maximum(nu_next, VARIANCE_FLOOR)
-            int_var += 0.5 * (zeta + zeta_next) * dt
-            zeta = zeta_next
+            zeta = growth * np.maximum(nu_next, VARIANCE_FLOOR)
             while snap < n_h and step + 1 == steps_at[snap]:
                 sl = slice(start, start + width)
                 s[snap, sl] = np.exp(log_s)
                 s_ctrl[snap, sl] = np.exp(log_c)
-                iv_out[snap, sl] = int_var
+                variance[snap, sl] = growth * nu_next
                 snap += 1
 
     return {
         "horizons": realized,
         "s": s,
         "s_control": s_ctrl,
-        "int_var": iv_out,
+        "variance": variance,
         "control_var": control_cum[steps_at - 1],
         "floor_hits": floor_hits,
     }
@@ -414,7 +408,7 @@ def test_stepping_the_modes_matches_stepping_the_levels(
     args = (three_scale_spec, premia, flat_state, gaussian_moments, (0.25, 1.0), cfg)
     paths = simulate_pricing(*args)
     oracle = _oracle_simulate_pricing(*args, levels=True)
-    for name in ("s", "s_control", "int_var"):
+    for name in ("s", "s_control", "variance"):
         want = oracle[name]
         np.testing.assert_allclose(getattr(paths, name), want, rtol=1e-12,
                                    atol=1e-12 * np.abs(want).max(), err_msg=name)
@@ -512,7 +506,7 @@ def test_concurrent_calls_return_the_bytes_of_serial_calls(
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     for a, b in zip(serial, together):
-        for name in ("horizons", "s", "s_control", "int_var", "control_var"):
+        for name in ("horizons", "s", "s_control", "variance", "control_var"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
         assert a.floor_hits == b.floor_hits
 
